@@ -23,11 +23,10 @@ from .geometry import (
     green_kernel,
     scalar_from_v,
 )
+from .scenario import Scenario
 from .flow import (
     ConvergenceError,
-    FlowConfig,
     FlowState,
-    InitialCondition,
     PositivityError,
     RunResult,
     TimeSeriesRecord,
@@ -35,7 +34,6 @@ from .flow import (
     constant_state,
     mass_fraction,
     run,
-    sigma_of,
     state_from_samples,
     state_from_table,
     stable_dt,
@@ -44,7 +42,6 @@ from .flow import (
 )
 from .variational import (
     EigenResult,
-    MinimizeOptions,
     QuotientResult,
     Thresholds,
     eigen_criteria,
@@ -62,7 +59,6 @@ from .diagnostics import (
     DichotomyReport,
     bubble_fit,
     build_dichotomy_report,
-    concentration_monitor,
     decay_rate_fit,
     detect_concentration,
     f_p,

@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 # Cap BLAS pools before the numeric stack loads; the variable is read once
 # per process so this only helps when the CLI is the entry point, which is
@@ -30,213 +29,24 @@ if _THREAD_CAP:
         os.environ[_var] = _THREAD_CAP
 
 import numpy as np
-import yaml
 from scipy.integrate import quad
 
 from . import __version__
 from . import diagnostics, flow, geometry, variational
+from .scenario import (
+    ConfigError,
+    Scenario,
+    default_config_text,
+    load_config,
+    load_profile,
+    parse_config,
+    read_profile,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_POSITIVITY = 3
 EXIT_NO_CONVERGENCE = 4
-
-
-class ConfigError(ValueError):
-    """A scenario file failed schema validation."""
-
-
-# ---------------------------------------------------------------------------
-# scenario configuration
-# ---------------------------------------------------------------------------
-
-DEFAULT_CONFIG = {
-    "model": {"type": "eguchi-hanson", "a": 1.0},
-    "grid": {"n_cells": 256, "grading": "uniform", "ratio": 0.97},
-    "time": {"t_end": 0.02, "safety": 0.4, "renorm_every": 20,
-             "snapshot_every": 0.005},
-    "init": {"type": "constant", "value": None},
-    "diagnostics": {"cutoffs": [0.1, 0.05], "f_p_exponents": [2, 3]},
-    "output": {"dir": "runs/default"},
-}
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    model_type: str
-    a: float
-    sphere_n: int
-    n_cells: int
-    grading: str
-    ratio: float
-    t_end: float
-    safety: float
-    renorm_every: int
-    snapshot_every: float
-    init_type: str
-    init_value: float | None
-    init_path: str | None
-    cutoffs: tuple
-    f_p_exponents: tuple
-    output_dir: str
-
-    def echo(self) -> dict:
-        """Resolved scenario as a plain dict, the round-trip source of truth."""
-        if self.model_type == "sphere":
-            model = {"type": "sphere", "n": self.sphere_n}
-        else:
-            model = {"type": "eguchi-hanson", "a": self.a}
-        if self.init_type == "constant":
-            init = {"type": "constant", "value": self.init_value}
-        else:
-            init = {"type": "file", "path": self.init_path}
-        return {
-            "model": model,
-            "grid": {"n_cells": self.n_cells, "grading": self.grading,
-                     "ratio": self.ratio},
-            "time": {"t_end": self.t_end, "safety": self.safety,
-                     "renorm_every": self.renorm_every,
-                     "snapshot_every": self.snapshot_every},
-            "init": init,
-            "diagnostics": {"cutoffs": list(self.cutoffs),
-                            "f_p_exponents": list(self.f_p_exponents)},
-            "output": {"dir": self.output_dir},
-        }
-
-
-def _section(data: dict, name: str, allowed) -> dict:
-    raw = data.get(name, {})
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"section {name!r} must be a mapping")
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in section {name!r}: {', '.join(sorted(unknown))}")
-    return raw
-
-
-def _number(section: dict, key: str, where: str, default, lo=None, hi=None,
-            integer=False, lo_strict=False):
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
-    if integer:
-        if value != int(value):
-            raise ConfigError(f"{where}.{key} must be an integer")
-        value = int(value)
-    else:
-        value = float(value)
-        if not math.isfinite(value):
-            raise ConfigError(f"{where}.{key} must be finite")
-    if lo is not None and (value <= lo if lo_strict else value < lo):
-        op = ">" if lo_strict else ">="
-        raise ConfigError(f"{where}.{key} must be {op} {lo}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{where}.{key} must be <= {hi}")
-    return value
-
-
-def parse_config(data) -> ScenarioConfig:
-    """Validate a parsed scenario mapping; unknown keys anywhere are errors."""
-    if not isinstance(data, dict):
-        raise ConfigError("the scenario file must contain a mapping at top level")
-    unknown = set(data) - set(DEFAULT_CONFIG)
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
-
-    model = _section(data, "model", ("type", "a", "n"))
-    model_type = model.get("type", "eguchi-hanson")
-    if model_type not in ("eguchi-hanson", "sphere"):
-        raise ConfigError(f"model.type must be eguchi-hanson or sphere, got {model_type!r}")
-    a = 1.0
-    sphere_n = 4
-    if model_type == "eguchi-hanson":
-        if "n" in model:
-            raise ConfigError("model.n only applies to the sphere model")
-        a = _number(model, "a", "model", 1.0, lo=0.0, lo_strict=True)
-    else:
-        if "a" in model:
-            raise ConfigError("model.a only applies to the eguchi-hanson model")
-        sphere_n = _number(model, "n", "model", 4, lo=3, integer=True)
-
-    grid = _section(data, "grid", ("n_cells", "grading", "ratio"))
-    n_cells = _number(grid, "n_cells", "grid", 256, lo=8, integer=True)
-    grading = grid.get("grading", "uniform")
-    if grading not in ("uniform", "geometric"):
-        raise ConfigError(f"grid.grading must be uniform or geometric, got {grading!r}")
-    ratio = _number(grid, "ratio", "grid", 0.97, lo=0.0, hi=1.0, lo_strict=True)
-
-    time_cfg = _section(data, "time", ("t_end", "safety", "renorm_every",
-                                       "snapshot_every"))
-    t_end = _number(time_cfg, "t_end", "time", 0.02, lo=0.0, lo_strict=True)
-    safety = _number(time_cfg, "safety", "time", 0.4, lo=0.0, hi=1.0, lo_strict=True)
-    if safety >= 1.0:
-        raise ConfigError("time.safety must be < 1")
-    renorm_every = _number(time_cfg, "renorm_every", "time", 20, lo=0, integer=True)
-    snapshot_every = _number(time_cfg, "snapshot_every", "time", 0.005, lo=0.0)
-
-    init = _section(data, "init", ("type", "value", "path"))
-    init_type = init.get("type", "constant")
-    init_value = None
-    init_path = None
-    if init_type == "constant":
-        if "path" in init:
-            raise ConfigError("init.path only applies to init.type file")
-        if init.get("value") is not None:
-            init_value = _number(init, "value", "init", None, lo=0.0, lo_strict=True)
-    elif init_type == "file":
-        if "value" in init:
-            raise ConfigError("init.value only applies to init.type constant")
-        init_path = init.get("path")
-        if not init_path or not isinstance(init_path, str):
-            raise ConfigError("init.path must name a profile file")
-    else:
-        raise ConfigError(f"init.type must be constant or file, got {init_type!r}")
-
-    diag = _section(data, "diagnostics", ("cutoffs", "f_p_exponents"))
-    cutoffs = diag.get("cutoffs", DEFAULT_CONFIG["diagnostics"]["cutoffs"])
-    if (not isinstance(cutoffs, list) or not cutoffs
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                       and 0.0 < c <= 1.0 for c in cutoffs)):
-        raise ConfigError("diagnostics.cutoffs must be a nonempty list in (0, 1]")
-    exponents = diag.get("f_p_exponents", DEFAULT_CONFIG["diagnostics"]["f_p_exponents"])
-    if (not isinstance(exponents, list) or not exponents
-            or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                       and p >= 1.0 for p in exponents)):
-        raise ConfigError("diagnostics.f_p_exponents must be a nonempty list of numbers >= 1")
-
-    output = _section(data, "output", ("dir",))
-    output_dir = output.get("dir", DEFAULT_CONFIG["output"]["dir"])
-    if not output_dir or not isinstance(output_dir, str):
-        raise ConfigError("output.dir must be a nonempty path")
-
-    return ScenarioConfig(
-        model_type=model_type, a=a, sphere_n=sphere_n,
-        n_cells=n_cells, grading=grading, ratio=ratio,
-        t_end=t_end, safety=safety, renorm_every=renorm_every,
-        snapshot_every=snapshot_every,
-        init_type=init_type, init_value=init_value, init_path=init_path,
-        cutoffs=tuple(float(c) for c in cutoffs),
-        f_p_exponents=tuple(float(p) for p in exponents),
-        output_dir=output_dir,
-    )
-
-
-def load_config(path: str) -> ScenarioConfig:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    except yaml.YAMLError as err:
-        raise ConfigError(f"cannot parse config {path}: {err}") from err
-    return parse_config(data)
-
-
-def default_config_text() -> str:
-    return yaml.safe_dump(DEFAULT_CONFIG, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------
@@ -316,26 +126,34 @@ def write_snapshots(directory: str, snapshots, grid) -> list:
 
 
 def read_series_csv(path: str):
-    """Parse a series file back into records; inverse of write_series_csv."""
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in handle if line.strip()]
+    """Parse a series file back into records; inverse of write_series_csv.
+
+    Raises ConfigError when the file cannot be read or is not a series.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            header = handle.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in handle if line.strip()]
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {path}: {err}") from err
     fixed = ["t", "sigma_tilde", "volume", "F2", "F3", "v_at_x1", "dt"]
-    if header[: len(fixed)] != fixed:
+    names = header[len(fixed):]
+    if header[: len(fixed)] != fixed or not all(n.startswith("mass_frac_") for n in names):
         raise ConfigError(f"unexpected series header in {path}")
-    cutoffs = []
-    for name in header[len(fixed):]:
-        if not name.startswith("mass_frac_"):
-            raise ConfigError(f"unexpected series column {name!r} in {path}")
-        cutoffs.append(float(name[len("mass_frac_"):]))
     records = []
-    for row in rows:
-        values = [float(cell) for cell in row]
-        records.append(flow.TimeSeriesRecord(
-            t=values[0], sigma_tilde=values[1], volume=values[2],
-            f2=values[3], f3=values[4], v_at_x1=values[5], dt_used=values[6],
-            mass_fractions=dict(zip(cutoffs, values[7:])),
-        ))
+    try:
+        cutoffs = [float(name[len("mass_frac_"):]) for name in names]
+        for row in rows:
+            values = [float(cell) for cell in row]
+            if len(values) != len(header):
+                raise ValueError(f"a row of {len(values)} cells under {len(header)} columns")
+            records.append(flow.TimeSeriesRecord(
+                t=values[0], sigma_tilde=values[1], volume=values[2],
+                f2=values[3], f3=values[4], v_at_x1=values[5], dt_used=values[6],
+                mass_fractions=dict(zip(cutoffs, values[7:])),
+            ))
+    except ValueError as err:
+        raise ConfigError(f"unusable series {path}: {err}") from err
     return records, cutoffs
 
 
@@ -344,17 +162,7 @@ def read_series_csv(path: str):
 # ---------------------------------------------------------------------------
 
 
-def _build_grid(cfg: ScenarioConfig):
-    return geometry.build_grid(cfg.n_cells, grading=cfg.grading, ratio=cfg.ratio)
-
-
-def _initial_condition(cfg: ScenarioConfig) -> flow.InitialCondition:
-    if cfg.init_type == "constant":
-        return flow.InitialCondition.constant(cfg.init_value)
-    return flow.InitialCondition.from_file(cfg.init_path)
-
-
-def _resolve_outdir(cfg: ScenarioConfig, args) -> str:
+def _resolve_outdir(cfg: Scenario, args) -> str:
     outdir = args.output_dir or cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     return outdir
@@ -419,21 +227,15 @@ def cmd_flow(args) -> int:
         raise ConfigError("the flow command drives the eguchi-hanson reduction; "
                           "set model.type accordingly")
     outdir = _resolve_outdir(cfg, args)
-    grid = _build_grid(cfg)
-    model = geometry.EguchiHansonModel(a=cfg.a)
-    flow_cfg = flow.FlowConfig(
-        t_end=cfg.t_end, safety=cfg.safety, renorm_every=cfg.renorm_every,
-        snapshot_every=cfg.snapshot_every,
-        initial_condition=_initial_condition(cfg))
     try:
-        result = flow.run(flow_cfg, model, grid, cutoffs=cfg.cutoffs)
+        result = flow.run(cfg)
     except (OSError, ValueError) as err:
         raise ConfigError(f"cannot start the run: {err}") from err
 
     write_series_csv(os.path.join(outdir, "series.csv"), result.records,
                      cfg.cutoffs)
     names = write_snapshots(os.path.join(outdir, "snapshots"), result.snapshots,
-                            grid)
+                            result.final_state.grid)
     final = result.records[-1]
     payload = {
         "scenario": cfg.echo(),
@@ -462,35 +264,27 @@ def cmd_flow(args) -> int:
     return EXIT_OK
 
 
-def _init_profile(cfg: ScenarioConfig, size: int, coords) -> np.ndarray:
-    """Resolve the configured initial profile on an arbitrary coordinate axis."""
-    if cfg.init_type == "constant":
-        return np.full(size, cfg.init_value if cfg.init_value else 1.0)
-    try:
-        table = np.loadtxt(cfg.init_path, delimiter=",", dtype=float, ndmin=2)
-    except OSError as err:
-        raise ConfigError(f"cannot read init profile: {err}") from err
-    if table.ndim != 2 or table.shape[1] != 2:
-        raise ConfigError(f"profile file {cfg.init_path} must have two columns")
-    return np.interp(coords, table[:, 0], table[:, 1])
-
-
 def cmd_yamabe(args) -> int:
     cfg = load_config(args.config)
     outdir = _resolve_outdir(cfg, args)
     if cfg.model_type == "sphere":
         model = geometry.build_sphere_model(cfg.sphere_n, cfg.n_cells)
-        init = _init_profile(cfg, cfg.n_cells, model.thetas)
+        grid, nodes = None, model.thetas
+    else:
+        model = geometry.EguchiHansonModel(a=cfg.a)
+        grid = cfg.grid()
+        nodes = grid.cell_centers
+    if cfg.init_type == "file":
+        init = load_profile(cfg.init_path, nodes)
+    else:  # the quotient is scale-invariant, so a constant start defaults to 1
+        init = np.full(cfg.n_cells, cfg.init_value or 1.0)
+    if grid is None:
         initial_value = variational.yamabe_quotient_sphere(init, model)
-        result = variational.minimize_quotient(model, init=init)
         reference = variational.yamabe_sphere_constant(cfg.sphere_n)
     else:
-        grid = _build_grid(cfg)
-        model = geometry.EguchiHansonModel(a=cfg.a)
-        init = _init_profile(cfg, cfg.n_cells, grid.cell_centers)
         initial_value = variational.yamabe_quotient_eh(init, grid, a=cfg.a)
-        result = variational.minimize_quotient(model, grid=grid, init=init)
         reference = variational.orbifold_thresholds().Y_local
+    result = variational.minimize_quotient(model, grid=grid, init=init)
     payload = {
         "scenario": cfg.echo(),
         "seed": args.seed,
@@ -523,10 +317,7 @@ def cmd_eigen(args) -> int:
             sigma_inf = float(cfg.sphere_n * (cfg.sphere_n - 1))
             n = cfg.sphere_n
         else:
-            grid = _build_grid(cfg)
-            flow_cfg = flow.FlowConfig(t_end=cfg.t_end,
-                                       initial_condition=_initial_condition(cfg))
-            state = flow.initial_state(flow_cfg, grid)
+            state = flow.initial_state(cfg)
             result = variational.first_eigenvalue(state)
             sigma_inf = state.sigma_tilde
             n = 4
@@ -560,28 +351,37 @@ def cmd_report(args) -> int:
     for needed in (series_path, report_path, snap_dir):
         if not os.path.exists(needed):
             raise ConfigError(f"missing run artifact: {needed}")
-    with open(report_path, encoding="utf-8") as handle:
-        run_meta = json.load(handle)
+    try:
+        with open(report_path, encoding="utf-8") as handle:
+            run_meta = json.load(handle)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read {report_path}: {err}") from err
+    if not isinstance(run_meta, dict) or "scenario" not in run_meta:
+        raise ConfigError(f"{report_path} records no scenario")
     cfg = parse_config(run_meta["scenario"])
     if cfg.model_type != "eguchi-hanson":
         raise ConfigError("reports cover eguchi-hanson runs")
     records, _cutoffs = read_series_csv(series_path)
     if not records:
         raise ConfigError(f"{series_path} holds no records")
-    snapshot_files = run_meta.get("artifacts", {}).get("snapshots") or []
-    if not snapshot_files:
+    artifacts = run_meta.get("artifacts")
+    snapshot_files = artifacts.get("snapshots") if isinstance(artifacts, dict) else None
+    if (not isinstance(snapshot_files, list) or not snapshot_files
+            or not all(isinstance(name, str) for name in snapshot_files)):
         raise ConfigError("the run report lists no snapshots")
 
-    grid = _build_grid(cfg)
+    grid = cfg.grid()
     model = geometry.EguchiHansonModel(a=cfg.a)
 
     def load_state(rel_name: str, t: float) -> flow.FlowState:
-        table = np.loadtxt(os.path.join(run_dir, rel_name), delimiter=",",
-                           dtype=float, ndmin=2)
-        if table.shape != (cfg.n_cells, 2):
+        _x, v = read_profile(os.path.join(run_dir, rel_name))
+        if v.size != cfg.n_cells:
             raise ConfigError(f"snapshot {rel_name} does not match the grid")
-        return flow.state_from_samples(grid, table[:, 1], t=t,
-                                       volume_target=records[0].volume)
+        try:
+            return flow.state_from_samples(grid, v, t=t,
+                                           volume_target=records[0].volume)
+        except ValueError as err:
+            raise ConfigError(f"snapshot {rel_name} at t={t!r}: {err}") from err
 
     initial = load_state(snapshot_files[0], records[0].t)
     final = load_state(snapshot_files[-1], records[-1].t)

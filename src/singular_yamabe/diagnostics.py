@@ -10,19 +10,15 @@ numbers; nothing mutates its inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 
-from .flow import FlowState, TimeSeriesRecord, boundary_value, mass_fraction
-from .geometry import (
-    EguchiHansonModel,
-    distance_from_singular_point,
-    green_kernel,
-    scalar_from_v,
-)
+from .flow import FlowState, TimeSeriesRecord, boundary_value, mass_fraction, volume_of
+from .geometry import EguchiHansonModel, distance_from_singular_point, green_kernel
 from .variational import Thresholds
 
 
@@ -44,9 +40,7 @@ def f_p(state: FlowState, p: float) -> float:
     """
     if p < 1.0:
         raise ValueError(f"moment order must be >= 1, got {p}")
-    scal = scalar_from_v(state.v, state.grid)
-    dvol = state.v**4 * state.grid.weights
-    return float(np.dot(np.abs(scal - state.sigma_tilde) ** p, dvol))
+    return float(np.dot(np.abs(state.scalar - state.sigma_tilde) ** p, state.dvol))
 
 
 def decay_rate_fit(records: list[TimeSeriesRecord]) -> float:
@@ -90,17 +84,13 @@ def positive_scalar_l2_norm(state: FlowState) -> float:
     sits above the local threshold 8 sqrt(3) pi, so the small-energy test
     fails on this geometry by a genuine margin rather than a tie.
     """
-    scal = scalar_from_v(state.v, state.grid)
-    dvol = state.v**4 * state.grid.weights
-    reduced_sq = float(np.dot(np.maximum(scal, 0.0) ** 2, dvol))
+    reduced_sq = float(np.dot(np.maximum(state.scalar, 0.0) ** 2, state.dvol))
     return 12.0 * math.sqrt(2.0) * math.pi * math.sqrt(reduced_sq)
 
 
 def scalar_l2_bound(state: FlowState) -> float:
     """Reduced quadratic curvature integral, the quantity the sup bound needs."""
-    scal = scalar_from_v(state.v, state.grid)
-    dvol = state.v**4 * state.grid.weights
-    return float(np.dot(scal**2, dvol))
+    return float(np.dot(state.scalar**2, state.dvol))
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +132,6 @@ def max_bubble_count(sigma_inf: float, y_local: float, n: int) -> int:
 # ---------------------------------------------------------------------------
 # concentration detection
 # ---------------------------------------------------------------------------
-
-
-def concentration_monitor(state: FlowState, cutoffs) -> np.ndarray:
-    """Volume fractions held in [0, x0] for each cutoff x0."""
-    cutoffs = np.asarray(cutoffs, dtype=float)
-    if cutoffs.ndim != 1 or np.any(cutoffs <= 0.0) or np.any(cutoffs > 1.0):
-        raise ValueError("cutoffs must lie in (0, 1]")
-    return np.array([mass_fraction(state, x0) for x0 in cutoffs])
 
 
 def concentration_threshold_fraction(sigma_inf_phys: float, thresholds: Thresholds,
@@ -194,27 +176,21 @@ def green_identity_residual(state: FlowState) -> float:
     order in the mesh; random data still returns a finite number, so this
     doubles as a smoke test for state plumbing.
     """
-    scal = scalar_from_v(state.v, state.grid)
     kernel = green_kernel(state.grid.cell_centers)
-    integral = float(np.dot(kernel * scal, state.v**3 * state.grid.weights))
+    integral = float(np.dot(kernel * state.scalar, state.v**3 * state.grid.weights))
     lhs = 2.0 * boundary_value(state)
     return abs(lhs - integral) / max(1.0, abs(lhs))
 
 
-_GREEN_FOURTH_MOMENT: float | None = None
-
-
+@functools.cache
 def _green_fourth_moment() -> float:
     # int G(x)^4 x dx over (0,1); the integrand ends in an integrable
     # log^4 singularity so a modest subdivision limit is enough.
-    global _GREEN_FOURTH_MOMENT
-    if _GREEN_FOURTH_MOMENT is None:
-        value, err = quad(lambda x: green_kernel(x) ** 4 * x, 0.0, 1.0,
-                          limit=300, points=[0.9, 0.99, 0.999])
-        if err > 1e-8 * max(1.0, value):
-            raise RuntimeError(f"kernel moment quadrature failed: err={err:g}")
-        _GREEN_FOURTH_MOMENT = float(value)
-    return _GREEN_FOURTH_MOMENT
+    value, err = quad(lambda x: green_kernel(x) ** 4 * x, 0.0, 1.0,
+                      limit=300, points=[0.9, 0.99, 0.999])
+    if err > 1e-8 * max(1.0, value):
+        raise RuntimeError(f"kernel moment quadrature failed: err={err:g}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -340,10 +316,8 @@ def build_dichotomy_report(initial_state: FlowState, final_state: FlowState,
                            thresholds: Thresholds, x0: float = 0.1) -> DichotomyReport:
     """Classify a run against the energy thresholds and concentration rule."""
     s0_plus = positive_scalar_l2_norm(initial_state)
-    sigma0 = physical_sigma(initial_state.sigma_tilde,
-                            float(np.dot(initial_state.v**4, initial_state.grid.weights)))
-    sigma_inf = physical_sigma(final_state.sigma_tilde,
-                               float(np.dot(final_state.v**4, final_state.grid.weights)))
+    sigma0 = physical_sigma(initial_state.sigma_tilde, volume_of(initial_state))
+    sigma_inf = physical_sigma(final_state.sigma_tilde, volume_of(final_state))
     flagged, history = detect_concentration(final_state, sigma_inf, thresholds, x0=x0)
     return DichotomyReport(
         small_energy_ok=small_energy_test(s0_plus, thresholds.Y_local),

@@ -14,21 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EguchiHansonModel, RadialGrid, scalar_from_v
+from .geometry import RadialGrid, scalar_from_v
+from .scenario import Scenario, check_profile, load_profile
 
 __all__ = [
     "PositivityError",
     "FlowState",
-    "FlowConfig",
-    "InitialCondition",
     "TimeSeriesRecord",
     "RunResult",
     "constant_state",
     "state_from_samples",
     "state_from_table",
     "constant_curvature_state",
-    "sigma_of",
-    "energy_of",
     "volume_of",
     "mass_fraction",
     "boundary_value",
@@ -52,19 +49,15 @@ class ConvergenceError(RuntimeError):
     """An iterative construction failed to reach its tolerance."""
 
 
-def _sigma_from(v: np.ndarray, grid: RadialGrid) -> float:
-    scal = scalar_from_v(v, grid)
-    dvol = v**4 * grid.weights
-    return float(np.dot(scal, dvol) / np.sum(dvol))
-
-
 @dataclass(frozen=True)
 class FlowState:
     """Immutable flow snapshot: profile v > 0 on a grid at time t.
 
-    sigma_tilde is not an input; it is computed at construction as the
-    volume-weighted mean of the discrete curvature, which makes it equal to
-    the summation-by-parts energy quotient exactly.
+    The rest is computed once, at construction, and read-only: scalar is
+    the discrete curvature :func:`~singular_yamabe.geometry.scalar_from_v`,
+    dvol the volume element v^4 x dx of each cell, and sigma_tilde the
+    dvol-weighted mean of scalar, which makes it equal to the
+    summation-by-parts energy quotient exactly.
     """
 
     grid: RadialGrid
@@ -72,6 +65,8 @@ class FlowState:
     t: float = 0.0
     volume_target: float = 2.0
     sigma_tilde: float = field(init=False)
+    scalar: np.ndarray = field(init=False, repr=False)
+    dvol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.v, dtype=float)
@@ -83,9 +78,12 @@ class FlowState:
             raise ValueError("time must be finite")
         if not self.volume_target > 0.0:
             raise ValueError("volume target must be positive")
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "sigma_tilde", _sigma_from(v, self.grid))
+        scalar = scalar_from_v(v, self.grid)
+        dvol = v**4 * self.grid.weights
+        for name, array in (("v", v), ("scalar", scalar), ("dvol", dvol)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "sigma_tilde", float(np.dot(scalar, dvol) / np.sum(dvol)))
 
 
 def constant_state(grid: RadialGrid, value: float | None = None,
@@ -112,17 +110,14 @@ def state_from_table(grid: RadialGrid, x_samples, v_samples,
                      volume_target: float | None = None) -> FlowState:
     """Interpolate tabulated (x, v) samples onto the grid nodes.
 
-    Samples must be strictly increasing in x with positive v; values beyond
-    the tabulated range are held constant.
+    Samples must be finite, strictly increasing in x with positive v;
+    values beyond the tabulated range are held constant.
     """
     x = np.asarray(x_samples, dtype=float)
     v = np.asarray(v_samples, dtype=float)
-    if x.ndim != 1 or x.shape != v.shape or x.size < 2:
-        raise ValueError("need matching 1-d tables with at least two samples")
-    if np.any(np.diff(x) <= 0.0):
-        raise ValueError("x samples must be strictly increasing")
-    if np.any(v <= 0.0) or not np.all(np.isfinite(v)) or not np.all(np.isfinite(x)):
-        raise ValueError("table values must be finite with positive v")
+    if x.ndim != 1 or x.shape != v.shape:
+        raise ValueError("need matching 1-d tables")
+    check_profile(x, v, "the table")
     vi = np.interp(grid.cell_centers, x, v)
     return state_from_samples(grid, vi, volume_target=volume_target)
 
@@ -134,18 +129,7 @@ def state_from_table(grid: RadialGrid, x_samples, v_samples,
 
 def volume_of(state: FlowState) -> float:
     """Discrete volume integral of v^4 against x dx."""
-    return float(np.sum(state.v**4 * state.grid.weights))
-
-
-def energy_of(state: FlowState) -> float:
-    """Discrete curvature energy, i.e. sigma_tilde times the volume."""
-    scal = scalar_from_v(state.v, state.grid)
-    return float(np.dot(scal, state.v**4 * state.grid.weights))
-
-
-def sigma_of(state: FlowState) -> float:
-    """Volume-weighted curvature mean (recomputed; equals state.sigma_tilde)."""
-    return _sigma_from(state.v, state.grid)
+    return float(np.sum(state.dvol))
 
 
 def boundary_value(state: FlowState) -> float:
@@ -171,7 +155,7 @@ def mass_fraction(state: FlowState, x0: float) -> float:
     inner = float(np.dot(v4[:k], state.grid.weights[:k]))
     if x0 > faces[k]:
         inner += v4[k] * 0.5 * (x0**2 - faces[k] ** 2)
-    return inner / float(np.sum(v4 * state.grid.weights))
+    return inner / volume_of(state)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +181,8 @@ def step(state: FlowState, dt: float) -> FlowState:
     """One explicit Euler step on w = v^3 at fixed volume target."""
     if not dt > 0.0 or not np.isfinite(dt):
         raise ValueError(f"step size must be positive and finite, got {dt}")
-    scal = scalar_from_v(state.v, state.grid)
     w = state.v**3
-    w_new = w * (1.0 + dt * (state.sigma_tilde - scal))
+    w_new = w * (1.0 + dt * (state.sigma_tilde - state.scalar))
     if np.any(w_new <= 0.0):
         bad = np.flatnonzero(w_new <= 0.0)
         raise PositivityError(
@@ -226,50 +209,6 @@ def renormalize(state: FlowState) -> FlowState:
 
 
 @dataclass(frozen=True)
-class InitialCondition:
-    """Constant profile or tabulated profile loaded from a two-column file."""
-
-    kind: str = "constant"
-    value: float | None = None
-    path: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "from_file"):
-            raise ValueError(f"unknown initial condition kind {self.kind!r}")
-        if self.kind == "from_file" and not self.path:
-            raise ValueError("from_file initial condition needs a path")
-        if self.kind == "constant" and self.value is not None and not self.value > 0.0:
-            raise ValueError("constant initial value must be positive")
-
-    @classmethod
-    def constant(cls, value: float | None = None) -> "InitialCondition":
-        return cls(kind="constant", value=value)
-
-    @classmethod
-    def from_file(cls, path: str) -> "InitialCondition":
-        return cls(kind="from_file", path=str(path))
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    t_end: float
-    safety: float = 0.4
-    renorm_every: int = 20
-    snapshot_every: float = 0.005
-    initial_condition: InitialCondition = InitialCondition()
-
-    def __post_init__(self):
-        if not self.t_end > 0.0 or not np.isfinite(self.t_end):
-            raise ValueError("t_end must be positive and finite")
-        if not 0.0 < self.safety < 1.0:
-            raise ValueError("safety factor must lie in (0, 1)")
-        if self.renorm_every < 0:
-            raise ValueError("renorm_every must be nonnegative")
-        if self.snapshot_every < 0.0:
-            raise ValueError("snapshot_every must be nonnegative")
-
-
-@dataclass(frozen=True)
 class TimeSeriesRecord:
     t: float
     sigma_tilde: float
@@ -291,57 +230,50 @@ class RunResult:
 
 
 def _make_record(state: FlowState, dt_used: float, cutoffs) -> TimeSeriesRecord:
-    scal = scalar_from_v(state.v, state.grid)
-    dvol = state.v**4 * state.grid.weights
-    dev = np.abs(scal - state.sigma_tilde)
+    dev = np.abs(state.scalar - state.sigma_tilde)
     return TimeSeriesRecord(
         t=state.t,
         sigma_tilde=state.sigma_tilde,
-        volume=float(np.sum(dvol)),
-        f2=float(np.dot(dev**2, dvol)),
-        f3=float(np.dot(dev**3, dvol)),
+        volume=volume_of(state),
+        f2=float(np.dot(dev**2, state.dvol)),
+        f3=float(np.dot(dev**3, state.dvol)),
         v_at_x1=boundary_value(state),
         mass_fractions={x0: mass_fraction(state, x0) for x0 in cutoffs},
         dt_used=dt_used,
     )
 
 
-def initial_state(config: FlowConfig, grid: RadialGrid,
-                  volume_target: float = 2.0) -> FlowState:
-    """Build the starting state described by the config's initial condition.
+def initial_state(scenario: Scenario) -> FlowState:
+    """The starting state of the scenario, on its grid.
 
-    A constant start takes the target as given; a tabulated start preserves
+    A constant start takes the volume target 2; a tabulated start keeps
     its own discrete volume, since the flow is volume-preserving.
     """
-    ic = config.initial_condition
-    if ic.kind == "constant":
-        return constant_state(grid, ic.value, volume_target)
-    table = np.loadtxt(ic.path, delimiter=",", dtype=float, ndmin=2)
-    if table.ndim != 2 or table.shape[1] != 2:
-        raise ValueError(f"profile file {ic.path} must have two columns x,v")
-    state = state_from_table(grid, table[:, 0], table[:, 1])
-    return renormalize(state)
+    grid = scenario.grid()
+    if scenario.init_type == "constant":
+        return constant_state(grid, scenario.init_value)
+    return state_from_samples(grid, load_profile(scenario.init_path, grid.cell_centers))
 
 
-def run(config: FlowConfig, model: EguchiHansonModel, grid: RadialGrid,
-        cutoffs=(0.1, 0.05)) -> RunResult:
-    """Drive the flow to t_end with adaptive stable steps.
+def run(scenario: Scenario) -> RunResult:
+    """Drive the scenario's flow to t_end with adaptive stable steps.
 
     Records are emitted for the initial state and after every step (post
     renormalization when due).  Snapshots are taken at t = 0, at every
     crossing of snapshot_every, and at the final time.  On positivity loss
     the partial history is returned with completed = False.
     """
-    if not isinstance(model, EguchiHansonModel):
-        raise TypeError("run() drives the Eguchi-Hanson reduction")
-    state = initial_state(config, grid)
-    records = [_make_record(state, 0.0, cutoffs)]
+    if scenario.model_type != "eguchi-hanson":
+        raise ValueError("run() drives the eguchi-hanson reduction, "
+                         f"not the {scenario.model_type} model")
+    state = initial_state(scenario)
+    records = [_make_record(state, 0.0, scenario.cutoffs)]
     snapshots = [(state.t, np.array(state.v))]
-    next_snap = config.snapshot_every if config.snapshot_every > 0.0 else np.inf
+    next_snap = scenario.snapshot_every if scenario.snapshot_every > 0.0 else np.inf
     steps = 0
-    t_stop = config.t_end * (1.0 - 1e-12)
+    t_stop = scenario.t_end * (1.0 - 1e-12)
     while state.t < t_stop:
-        dt = min(stable_dt(state, config.safety), config.t_end - state.t)
+        dt = min(stable_dt(state, scenario.safety), scenario.t_end - state.t)
         try:
             state = step(state, dt)
         except PositivityError as err:
@@ -349,12 +281,12 @@ def run(config: FlowConfig, model: EguchiHansonModel, grid: RadialGrid,
                 snapshots.append((state.t, np.array(state.v)))
             return RunResult(records, snapshots, False, str(err), state)
         steps += 1
-        if config.renorm_every > 0 and steps % config.renorm_every == 0:
+        if scenario.renorm_every > 0 and steps % scenario.renorm_every == 0:
             state = renormalize(state)
-        records.append(_make_record(state, dt, cutoffs))
+        records.append(_make_record(state, dt, scenario.cutoffs))
         while state.t >= next_snap * (1.0 - 1e-12):
             snapshots.append((state.t, np.array(state.v)))
-            next_snap += config.snapshot_every
+            next_snap += scenario.snapshot_every
     if snapshots[-1][0] != state.t:
         snapshots.append((state.t, np.array(state.v)))
     return RunResult(records, snapshots, True, None, state)
@@ -374,7 +306,7 @@ def _curvature_sweep(v: np.ndarray, grid: RadialGrid, target: float) -> np.ndarr
     """
     x = grid.cell_centers
     dx = grid.cell_widths
-    sig = _sigma_from(v, grid)
+    sig = FlowState(grid=grid, v=v).sigma_tilde
     back = sig * np.cumsum((dx * v**3)[::-1])[::-1]
     xv = np.empty(grid.n_cells)
     xv[0] = x[0] * back[0]

@@ -33,7 +33,6 @@ __all__ = [
     "x_of_r",
     "r_of_x",
     "eh_scalar_curvature",
-    "eh_laplacian_radial",
     "eh_volume",
     "eh_volume_quadrature",
     "eh_distance_to_infinity",
@@ -42,10 +41,8 @@ __all__ = [
     "face_fluxes",
     "green_kernel",
     "distance_from_singular_point",
-    "cell_arc_lengths",
     "sphere_volume",
     "improper_radial_integral",
-    "ahlfors_mass_ratios",
 ]
 
 _TAIL_RELTOL = 1e-10
@@ -212,33 +209,6 @@ def eh_scalar_curvature(r, a: float = 1.0):
     return out if out.ndim else float(out)
 
 
-def eh_laplacian_radial(r, df_dr2, d2f_dr2, a: float = 1.0):
-    """Laplace-Beltrami operator on radial functions of the Eguchi-Hanson metric.
-
-    The profile is supplied through its first and second derivatives with
-    respect to s = r^2, evaluated at the same radii as ``r``.  The bolt r = 0
-    is excluded: the closed form divides by s there, and smooth profiles need
-    the even-in-s limit instead.
-
-    Parameters
-    ----------
-    r : array_like
-        Radii, strictly positive.
-    df_dr2, d2f_dr2 : array_like
-        Values of dF/ds and d^2F/ds^2 at s = r^2 where f(r) = F(r^2).
-    a : float
-        Core scale.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radius must be strictly positive (bolt excluded)")
-    s = r * r
-    root = np.sqrt(s * s + a**4)
-    out = 4.0 * ((root / s + s / root) * np.asarray(df_dr2, dtype=float)
-                 + root * np.asarray(d2f_dr2, dtype=float))
-    return out if out.ndim else float(out)
-
-
 def eh_volume(a: float = 1.0) -> float:
     """Total volume of the compactified space, pi^2 a^4 / 4."""
     if a <= 0.0:
@@ -371,53 +341,3 @@ def distance_from_singular_point(x, a: float = 1.0):
         raise ValueError("x must lie in [0, 1]")
     out = a * _HALF_BETA * special.betainc(0.25, 0.5, x * x)
     return out if out.ndim else float(out)
-
-
-def cell_arc_lengths(grid: RadialGrid, a: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Exact background arc lengths per cell and from each cell's lower face
-    to its node.
-
-    Returns (full, partial): ``full[i]`` is the length of cell i and
-    ``partial[i]`` the length from faces[i] to cell_centers[i].  Cumulative
-    sums of these drive distance integrals in the evolving metric.
-    """
-    at_faces = distance_from_singular_point(grid.faces, a)
-    at_nodes = distance_from_singular_point(grid.cell_centers, a)
-    return np.diff(at_faces), at_nodes - at_faces[:-1]
-
-
-# ---------------------------------------------------------------------------
-# measure regularity scan
-# ---------------------------------------------------------------------------
-
-
-def ahlfors_mass_ratios(
-    a: float = 1.0,
-    centers=(0.0, 0.1, 0.3, 0.6, 1.0),
-    n_radii: int = 12,
-    n_cells: int = 4096,
-):
-    """Scan mu(B(p, rho)) / rho^4 over centers and radii of the background.
-
-    Balls are modeled as coordinate annuli |d0(x) - d0(center)| < rho times
-    the fraction of the collapsing 3-sphere fibre within reach, so the scan
-    probes 4-uniformity of the measure including the orbifold point at x = 0
-    and the collapsed fibre limit.  Returns (radii, ratios) with ratios of
-    shape (len(centers), n_radii).
-    """
-    grid = build_grid(n_cells, "geometric", 0.97)
-    x = grid.cell_centers
-    mass = np.pi**2 * (a**4 / 2.0) * grid.weights
-    d0 = distance_from_singular_point(x, a)
-    # fibre radius of the collapsing 3-sphere at x, in the compactified metric
-    fibre = 0.5 * a * np.sqrt(x) * (1.0 - x * x) ** 0.25
-    diameter = distance_from_singular_point(1.0, a)
-    radii = diameter * np.logspace(-3.0, np.log10(0.5), n_radii)
-    ratios = np.empty((len(centers), n_radii))
-    for i, c in enumerate(centers):
-        dc = distance_from_singular_point(float(c), a)
-        for j, rho in enumerate(radii):
-            sel = np.abs(d0 - dc) < rho
-            frac = np.minimum(1.0, (rho / (np.pi * fibre[sel])) ** 3)
-            ratios[i, j] = np.sum(mass[sel] * frac) / rho**4
-    return radii, ratios

@@ -21,7 +21,6 @@ __all__ = [
     "Thresholds",
     "QuotientResult",
     "EigenResult",
-    "MinimizeOptions",
     "yamabe_sphere_constant",
     "sphere_thresholds",
     "orbifold_thresholds",
@@ -32,7 +31,6 @@ __all__ = [
     "sphere_first_eigenvalue",
     "eigen_criteria",
     "reduced_pencil",
-    "dense_lambda1",
 ]
 
 
@@ -160,11 +158,9 @@ def yamabe_quotient_sphere(phi, model: SphereModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimizeOptions:
-    max_iters: int = 5000
-    grad_tol: float = 1e-6
-    initial_step: float = 1.0
+_MAX_ITERS = 5000
+_GRAD_TOL = 1e-6
+_INITIAL_STEP = 1.0
 
 
 @dataclass(frozen=True)
@@ -177,7 +173,7 @@ class QuotientResult:
     history: list = field(repr=False, default_factory=list)
 
 
-def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0, opts: MinimizeOptions):
+def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
     """Projected gradient descent on the p-normalized quadratic quotient.
 
     The iterate stays on the unit p-sphere of the volume mass.  The raw
@@ -199,15 +195,15 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0, opts: MinimizeOption
     diag += curv_mass
     v = normalize(np.asarray(v0, dtype=float))
     q = value(v)
-    step = opts.initial_step
+    step = _INITIAL_STEP
     history = [q]
     grad_norm = np.inf
-    for it in range(opts.max_iters):
+    for it in range(_MAX_ITERS):
         av = _apply_form(face_coeff, curv_mass, v)
         # gradient of N(v) / (sum m |v|^p)^(2/p) at a p-normalized iterate
         grad = 2.0 * av - 2.0 * q * vol_mass * np.abs(v) ** (p - 2.0) * v
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= opts.grad_tol * max(1.0, abs(q)):
+        if grad_norm <= _GRAD_TOL * max(1.0, abs(q)):
             return QuotientResult(q, v, it, grad_norm, True, history)
         scaled = grad / (2.0 * diag + 2.0 * q * (p - 1.0) * vol_mass * np.abs(v) ** (p - 2.0))
         moved = False
@@ -217,18 +213,17 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0, opts: MinimizeOption
             if qt <= q - 1e-12 * max(1.0, abs(q)):
                 v, q = trial, qt
                 history.append(q)
-                step = min(step * 1.3, opts.initial_step)
+                step = min(step * 1.3, _INITIAL_STEP)
                 moved = True
                 break
             step *= 0.5
         if not moved:
             # no decrease possible along this direction at any step length
             return QuotientResult(q, v, it, grad_norm, grad_norm <= 1e-3, history)
-    return QuotientResult(q, v, opts.max_iters, grad_norm, False, history)
+    return QuotientResult(q, v, _MAX_ITERS, grad_norm, False, history)
 
 
-def minimize_quotient(model, grid: RadialGrid | None = None, init=None,
-                      opts: MinimizeOptions | None = None) -> QuotientResult:
+def minimize_quotient(model, grid: RadialGrid | None = None, init=None) -> QuotientResult:
     """Descend the conformal quotient for a sphere or Eguchi-Hanson model.
 
     On the sphere the constant is the minimizer and the descent converges to
@@ -239,7 +234,6 @@ def minimize_quotient(model, grid: RadialGrid | None = None, init=None,
     """
     from .geometry import EguchiHansonModel
 
-    opts = opts or MinimizeOptions()
     if isinstance(model, SphereModel):
         fc, cm, vm = _sphere_quotient_forms(model)
         p = 2.0 * model.n / (model.n - 2)
@@ -257,7 +251,7 @@ def minimize_quotient(model, grid: RadialGrid | None = None, init=None,
         raise ValueError("initial profile does not match the model resolution")
     if np.any(v0 <= 0.0):
         raise ValueError("initial profile must be positive")
-    return _minimize_ratio(fc, cm, vm, p, v0, opts)
+    return _minimize_ratio(fc, cm, vm, p, v0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +279,7 @@ def reduced_pencil(state: FlowState) -> tuple[np.ndarray, np.ndarray]:
     v_face = 0.5 * (state.v[:-1] + state.v[1:])
     gaps = np.diff(grid.cell_centers)
     face_coeff = xf * xf * (1.0 - xf * xf) * v_face**2 / (6.0 * gaps)
-    metric = state.v**4 * grid.weights
-    return face_coeff, metric
+    return face_coeff, state.dvol
 
 
 def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray,
@@ -347,25 +340,6 @@ def sphere_first_eigenvalue(model: SphereModel, tol: float = 1e-10,
     band = sphere_volume(model.n - 1)
     face_coeff = band * np.sin(theta_f) ** (model.n - 1) / gaps
     return _lambda1_pencil(face_coeff, model.weights, tol, max_iters)
-
-
-def dense_lambda1(face_coeff: np.ndarray, metric: np.ndarray) -> float:
-    """Dense-solver oracle for the pencil's first nonzero eigenvalue.
-
-    Kept for cross-checks at modest resolution; refuses to densify large
-    problems.
-    """
-    n = metric.size
-    if n > 256:
-        raise ValueError("dense path is for cross-checks at n <= 256")
-    a = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    a[idx, idx] += face_coeff
-    a[idx + 1, idx + 1] += face_coeff
-    a[idx, idx + 1] -= face_coeff
-    a[idx + 1, idx] -= face_coeff
-    vals = linalg.eigh(a, np.diag(metric), eigvals_only=True)
-    return float(vals[1])
 
 
 def eigen_criteria(lambda1: float, sigma_inf: float, n: int,

@@ -16,6 +16,7 @@ from singular_yamabe import diagnostics as diag
 from singular_yamabe import flow
 from singular_yamabe import geometry as geo
 from singular_yamabe import variational as var
+from singular_yamabe.scenario import Scenario
 
 
 def _verdict(name, failures, detail=""):
@@ -72,9 +73,9 @@ def test_criterion_1_closed_form_suite():
 def test_criterion_2_flow_property_suite():
     failures = []
     grid = geo.build_grid(256, "uniform")
-    cfg = flow.FlowConfig(t_end=0.02, safety=0.4, renorm_every=20,
-                          snapshot_every=0.0)
-    result = flow.run(cfg, geo.EguchiHansonModel(a=1.0), grid, cutoffs=(0.1,))
+    cfg = Scenario(n_cells=256, grading="uniform", t_end=0.02, safety=0.4,
+                   renorm_every=20, snapshot_every=0.0, cutoffs=(0.1,))
+    result = flow.run(cfg)
     if not result.completed:
         failures.append(f"run stopped early: {result.failure}")
 

@@ -5,15 +5,18 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import singular_yamabe
 from singular_yamabe import cli, flow
 from singular_yamabe import geometry as geo
+from singular_yamabe import scenario
 
 
 def _scenario(tmp_path, **overrides):
@@ -39,7 +42,9 @@ def _scenario(tmp_path, **overrides):
 def test_dump_default_config_round_trip(capsys):
     assert cli.main(["--dump-default-config"]) == 0
     text = capsys.readouterr().out
-    assert cli.parse_config(yaml.safe_load(text)) == cli.parse_config(cli.DEFAULT_CONFIG)
+    assert cli.parse_config(yaml.safe_load(text)) == cli.parse_config(scenario.DEFAULT_CONFIG)
+    # the dumped defaults and the Scenario field defaults are one and the same
+    assert cli.parse_config(yaml.safe_load(text)) == scenario.Scenario()
 
 
 def test_no_command_prints_usage(capsys):
@@ -128,6 +133,10 @@ def test_flow_rejects_bad_inputs(tmp_path, capsys):
     path.write_text(yaml.safe_dump(data))
     assert cli.main(["flow", str(path), "--quiet"]) == cli.EXIT_INPUT
 
+    for grid in ({"n_cells": math.inf}, {"grading": "geometric", "ratio": 1.0}):
+        bad_grid, _ = _scenario(tmp_path, grid=grid)
+        assert cli.main(["flow", bad_grid, "--quiet"]) == cli.EXIT_INPUT
+
     broken = tmp_path / "broken.yaml"
     broken.write_text("model: [unclosed\n")
     assert cli.main(["flow", str(broken), "--quiet"]) == cli.EXIT_INPUT
@@ -138,8 +147,8 @@ def test_flow_positivity_exit(tmp_path, monkeypatch):
     cfg_path, _ = _scenario(tmp_path, time={"t_end": 0.004, "safety": 0.4,
                                             "renorm_every": 0,
                                             "snapshot_every": 0.0})
-    real = flow.run(flow.FlowConfig(t_end=0.004, renorm_every=0, snapshot_every=0.0),
-                    geo.EguchiHansonModel(a=1.0), geo.build_grid(64, "uniform"))
+    real = flow.run(scenario.Scenario(n_cells=64, t_end=0.004, renorm_every=0,
+                                      snapshot_every=0.0))
     stopped = flow.RunResult(records=real.records, snapshots=real.snapshots,
                              completed=False,
                              failure="conformal cube lost positivity in 1 cells",
@@ -241,6 +250,113 @@ def test_report_rejects_broken_inputs(tmp_path):
     body[0] = "time,sigma,stuff"
     series.write_text("\n".join(body) + "\n")
     assert cli.main(["report", str(outdir), "--quiet"]) == cli.EXIT_INPUT
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A finished flow run directory, to be copied before it is damaged."""
+    tmp_path = tmp_path_factory.mktemp("small_run")
+    cfg_path, _ = _scenario(tmp_path)
+    assert cli.main(["flow", cfg_path, "--quiet"]) == 0
+    return tmp_path / "run"
+
+
+def _rewrite(path, edit):
+    path.write_text(edit(path.read_text()))
+
+
+def _edit_series_row(edit):
+    def apply(run):
+        lines = (run / "series.csv").read_text().splitlines()
+        lines[3] = edit(lines[3])
+        (run / "series.csv").write_text("\n".join(lines) + "\n")
+    return apply
+
+
+def _snapshot(run, index):
+    return run / json.loads((run / "report.json").read_text())["artifacts"]["snapshots"][index]
+
+
+def _negative_first_v(text):
+    lines = text.splitlines()
+    lines[0] = lines[0].split(",")[0] + ",-1.0"
+    return "\n".join(lines) + "\n"
+
+
+def _without_scenario(text):
+    meta = json.loads(text)
+    del meta["scenario"]
+    return json.dumps(meta)
+
+
+REPORT_DAMAGE = {
+    "malformed_report_json": lambda run: (run / "report.json").write_text("{not json"),
+    "report_json_is_a_list": lambda run: (run / "report.json").write_text("[1, 2]"),
+    "no_scenario_key": lambda run: _rewrite(run / "report.json", _without_scenario),
+    "non_numeric_series_cell": _edit_series_row(lambda row: "abc," + row.split(",", 1)[1]),
+    "short_series_row": _edit_series_row(lambda row: ",".join(row.split(",")[:4])),
+    "nonpositive_snapshot_value": lambda run: _rewrite(_snapshot(run, -1), _negative_first_v),
+    "missing_snapshot_file": lambda run: _snapshot(run, 0).unlink(),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(REPORT_DAMAGE))
+def test_report_refuses_damaged_run_dir(small_run, tmp_path, capsys, damage):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    REPORT_DAMAGE[damage](run)
+    assert cli.main(["report", str(run), "--quiet"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@given(target=st.sampled_from(["series.csv", "report.json", 0, -1]),
+       action=st.sampled_from(["truncate", "corrupt", "delete"]),
+       where=st.floats(0.0, 1.0), byte=st.integers(0, 255))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_report_never_raises_on_damaged_run_dir(small_run, capsys, target, action,
+                                                where, byte):
+    with tempfile.TemporaryDirectory(dir=small_run.parent) as tmp:
+        run = Path(tmp) / "run"
+        shutil.copytree(small_run, run)
+        path = run / target if isinstance(target, str) else _snapshot(run, target)
+        data = path.read_bytes()
+        at = int(where * (len(data) - 1))
+        if action == "truncate":
+            path.write_bytes(data[:at])
+        elif action == "corrupt":
+            path.write_bytes(data[:at] + bytes([byte]) + data[at + 1:])
+        else:
+            path.unlink()
+        assert cli.main(["report", str(run), "--quiet"]) in (cli.EXIT_OK, cli.EXIT_INPUT)
+    capsys.readouterr()
+
+
+BAD_PROFILES = {
+    "non_monotone_x": "0.0,1.0\n0.6,1.1\n0.4,1.2\n1.0,1.0\n",
+    "nan_in_v": "0.0,1.0\n0.5,nan\n1.0,1.0\n",
+    "one_row": "0.5,1.0\n",
+    "negative_v": "0.0,1.0\n0.5,-1.0\n1.0,1.0\n",
+    "non_numeric_cell": "0.0,1.0\n0.5,abc\n1.0,1.0\n",
+}
+
+
+@pytest.mark.parametrize("table", sorted(BAD_PROFILES))
+@pytest.mark.parametrize("command, model", [
+    ("flow", {"type": "eguchi-hanson", "a": 1.0}),
+    ("eigen", {"type": "eguchi-hanson", "a": 1.0}),
+    ("yamabe", {"type": "eguchi-hanson", "a": 1.0}),
+    ("yamabe", {"type": "sphere", "n": 4}),
+])
+def test_malformed_profile_is_an_input_error(tmp_path, capsys, table, command, model):
+    profile = tmp_path / "profile.csv"
+    profile.write_text(BAD_PROFILES[table])
+    _, data = _scenario(tmp_path, init={"type": "file", "path": str(profile)})
+    data["model"] = model
+    path = tmp_path / "bad_profile.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert cli.main([command, str(path), "--quiet"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_seed_is_echoed(tmp_path):

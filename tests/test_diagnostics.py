@@ -10,6 +10,7 @@ from singular_yamabe import diagnostics as diag
 from singular_yamabe import flow
 from singular_yamabe import geometry as geo
 from singular_yamabe import variational as var
+from singular_yamabe.scenario import Scenario
 
 GRID_G512 = geo.build_grid(512, "geometric", 0.97)
 D0_G512 = geo.distance_from_singular_point(GRID_G512.cell_centers, 1.0)
@@ -138,18 +139,6 @@ def test_max_bubble_count_monotone(lo, hi):
 # concentration -------------------------------------------------------------
 
 
-def test_concentration_monitor_constant_state():
-    s = flow.constant_state(geo.build_grid(64, "uniform"))
-    fracs = diag.concentration_monitor(s, [0.5, 1.0])
-    assert fracs == pytest.approx([0.25, 1.0], abs=1e-14)
-    nested = diag.concentration_monitor(s, [0.1, 0.2, 0.4, 0.8])
-    assert np.all(np.diff(nested) >= 0)
-    with pytest.raises(ValueError):
-        diag.concentration_monitor(s, [0.0, 0.5])
-    with pytest.raises(ValueError):
-        diag.concentration_monitor(s, [1.5])
-
-
 def test_concentration_threshold_fraction():
     th = var.orbifold_thresholds()
     val = diag.concentration_threshold_fraction(2.0 * th.Y_local, th, 2.0)
@@ -264,8 +253,7 @@ def test_rigidity_profile_constant():
 
 def test_dichotomy_report_of_short_run():
     grid = geo.build_grid(128, "uniform")
-    cfg = flow.FlowConfig(t_end=0.004, snapshot_every=0.0)
-    res = flow.run(cfg, EH, grid)
+    res = flow.run(Scenario(n_cells=128, t_end=0.004, snapshot_every=0.0))
     th = var.orbifold_thresholds()
     rep = diag.build_dichotomy_report(flow.constant_state(grid),
                                       res.final_state, th)

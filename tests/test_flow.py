@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from singular_yamabe import flow
 from singular_yamabe import geometry as geo
+from singular_yamabe.scenario import Scenario
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +25,10 @@ def test_constant_state_curvature_mean(grid256, grid64):
     s = flow.constant_state(grid256)
     assert abs(s.sigma_tilde - 2.0 / 3.0) < 1e-5
     assert abs(flow.constant_state(grid64).sigma_tilde - 2.0 / 3.0) < 1e-4
-    assert flow.sigma_of(s) == s.sigma_tilde
+    # the state carries its curvature and volume element
+    assert np.array_equal(s.scalar, geo.scalar_from_v(s.v, grid256))
+    assert np.array_equal(s.dvol, s.v**4 * grid256.weights)
+    assert s.sigma_tilde == float(np.dot(s.scalar, s.dvol) / np.sum(s.dvol))
     assert math.isclose(flow.volume_of(s), 2.0, rel_tol=1e-14)
 
 
@@ -40,8 +44,9 @@ def test_constant_state_accepts_target_and_value(grid64):
 
 def test_state_is_immutable(grid64):
     s = flow.constant_state(grid64)
-    with pytest.raises(ValueError):
-        s.v[3] = 7.0
+    for array in (s.v, s.scalar, s.dvol):
+        with pytest.raises(ValueError):
+            array[3] = 7.0
     with pytest.raises(AttributeError):
         s.t = 1.0
 
@@ -166,9 +171,8 @@ def test_constant_curvature_state_refuses_graded_grid():
         flow.constant_curvature_state(grid)
 
 
-def test_run_structure(grid64):
-    cfg = flow.FlowConfig(t_end=0.004, snapshot_every=0.002)
-    res = flow.run(cfg, geo.EguchiHansonModel(a=1.0), grid64)
+def test_run_structure():
+    res = flow.run(Scenario(n_cells=64, t_end=0.004, snapshot_every=0.002))
     assert res.completed and res.failure is None
     times = [rec.t for rec in res.records]
     assert times[0] == 0.0
@@ -184,9 +188,8 @@ def test_run_structure(grid64):
     assert res.final_state.t == pytest.approx(0.004)
 
 
-def test_run_record_count_matches_steps(grid64):
-    cfg = flow.FlowConfig(t_end=0.004, snapshot_every=0.0)
-    res = flow.run(cfg, geo.EguchiHansonModel(a=1.0), grid64)
+def test_run_record_count_matches_steps():
+    res = flow.run(Scenario(n_cells=64, t_end=0.004, snapshot_every=0.0))
     # one record per step plus the initial one; no intermediate snapshots
     assert len(res.records) >= 2
     assert res.records[1].dt_used > 0.0
@@ -194,10 +197,9 @@ def test_run_record_count_matches_steps(grid64):
     assert len(res.snapshots) == 2
 
 
-def test_run_rejects_sphere_model(grid64):
-    cfg = flow.FlowConfig(t_end=0.001)
-    with pytest.raises(TypeError):
-        flow.run(cfg, geo.build_sphere_model(4, 32), grid64)
+def test_run_rejects_sphere_model():
+    with pytest.raises(ValueError):
+        flow.run(Scenario(model_type="sphere", n_cells=64, t_end=0.001))
 
 
 def test_initial_state_from_file_keeps_table_volume(tmp_path, grid64):
@@ -205,11 +207,7 @@ def test_initial_state_from_file_keeps_table_volume(tmp_path, grid64):
     vs = 1.2 + 0.1 * xs
     path = tmp_path / "profile.csv"
     np.savetxt(path, np.column_stack([xs, vs]), delimiter=",")
-    cfg = flow.FlowConfig(
-        t_end=0.001,
-        initial_condition=flow.InitialCondition.from_file(str(path)),
-    )
-    s = flow.initial_state(cfg, grid64)
+    s = flow.initial_state(Scenario(n_cells=64, init_type="file", init_path=str(path)))
     direct = flow.state_from_table(grid64, xs, vs)
     assert math.isclose(flow.volume_of(s), flow.volume_of(direct), rel_tol=1e-12)
     assert np.allclose(s.v, direct.v, rtol=1e-12)
@@ -217,21 +215,21 @@ def test_initial_state_from_file_keeps_table_volume(tmp_path, grid64):
 
 def test_initial_condition_validation():
     with pytest.raises(ValueError):
-        flow.InitialCondition(kind="random")
+        Scenario(init_type="random")
     with pytest.raises(ValueError):
-        flow.InitialCondition(kind="from_file")
+        Scenario(init_type="file")
     with pytest.raises(ValueError):
-        flow.InitialCondition.constant(-2.0)
-    ok = flow.InitialCondition.constant()
-    assert ok.kind == "constant" and ok.value is None
+        Scenario(init_value=-2.0)
+    ok = Scenario()
+    assert ok.init_type == "constant" and ok.init_value is None
 
 
 def test_flow_config_validation():
     with pytest.raises(ValueError):
-        flow.FlowConfig(t_end=0.0)
+        Scenario(t_end=0.0)
     with pytest.raises(ValueError):
-        flow.FlowConfig(t_end=0.01, safety=1.0)
+        Scenario(t_end=0.01, safety=1.0)
     with pytest.raises(ValueError):
-        flow.FlowConfig(t_end=0.01, renorm_every=-1)
+        Scenario(t_end=0.01, renorm_every=-1)
     with pytest.raises(ValueError):
-        flow.FlowConfig(t_end=0.01, snapshot_every=-0.1)
+        Scenario(t_end=0.01, snapshot_every=-0.1)
