@@ -105,10 +105,7 @@ def _snapshot_name(t: float, used: set) -> str:
         name = f"snap_{format(t, f'.{digits}g')}.csv"
         if name not in used:
             return name
-    index = 2
-    while f"snap_{format(t, '.17g')}-{index}.csv" in used:
-        index += 1
-    return f"snap_{format(t, '.17g')}-{index}.csv"
+    raise ValueError(f"two snapshots at t={t!r}")
 
 
 def write_snapshots(directory: str, snapshots, grid) -> list:
@@ -162,10 +159,16 @@ def read_series_csv(path: str):
 # ---------------------------------------------------------------------------
 
 
+def _make_outdir(path: str) -> str:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot use output directory {path}: {err}") from err
+    return path
+
+
 def _resolve_outdir(cfg: Scenario, args) -> str:
-    outdir = args.output_dir or cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    return outdir
+    return _make_outdir(args.output_dir or cfg.output_dir)
 
 
 def cmd_validate(args) -> int:
@@ -216,7 +219,7 @@ def cmd_validate(args) -> int:
     if not args.quiet:
         print(json.dumps(payload, indent=2, sort_keys=True))
     if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
+        _make_outdir(args.output_dir)
         _write_json(os.path.join(args.output_dir, "validate.json"), payload)
     return EXIT_OK if all_pass else 1
 
@@ -374,9 +377,9 @@ def cmd_report(args) -> int:
     model = geometry.EguchiHansonModel(a=cfg.a)
 
     def load_state(rel_name: str, t: float) -> flow.FlowState:
-        _x, v = read_profile(os.path.join(run_dir, rel_name))
-        if v.size != cfg.n_cells:
-            raise ConfigError(f"snapshot {rel_name} does not match the grid")
+        x, v = read_profile(os.path.join(run_dir, rel_name))
+        if not np.array_equal(x, grid.cell_centers):
+            raise ConfigError(f"snapshot {rel_name} does not lie on the grid")
         try:
             return flow.state_from_samples(grid, v, t=t,
                                            volume_target=records[0].volume)

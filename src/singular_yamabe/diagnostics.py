@@ -47,11 +47,13 @@ def decay_rate_fit(records: list[TimeSeriesRecord]) -> float:
     """Exponential decay rate of the second deviation moment.
 
     Fits a line to log F2 over the trailing half of the records and
-    returns the negated slope.  A window touching F2 = 0 means the decay
-    has bottomed out at machine level, reported as +inf.
+    returns the negated slope; six records leave three points in that
+    window, the fewest that still leave a residual.  A window touching
+    F2 = 0 means the decay has bottomed out at machine level, reported as
+    +inf.
     """
-    if len(records) < 10:
-        raise ValueError(f"need at least 10 records to fit a rate, got {len(records)}")
+    if len(records) < 6:
+        raise ValueError(f"need at least 6 records to fit a rate, got {len(records)}")
     tail = records[len(records) // 2 :]
     t = np.array([r.t for r in tail])
     f2 = np.array([r.f2 for r in tail])

@@ -1,18 +1,27 @@
 """Volume-normalized curvature flow for radial conformal profiles.
 
-The evolution acts on w = v^3 by explicit Euler: dw/dt = sigma * w + div(flux),
-where the flux divergence is the conservation-form curvature operator from
+The evolution acts on w = v^3: dw/dt = sigma * w + div(flux), where the flux
+divergence is the conservation-form curvature operator from
 :mod:`singular_yamabe.geometry` and sigma is the volume-weighted curvature
 mean.  The semi-discrete flow preserves the discrete volume identically (the
-mean is built from the same fluxes), so all drift is O(dt^2) time error,
-removed periodically by renormalization.
+mean is built from the same fluxes), so all drift is time error, removed
+periodically by renormalization.
+
+:func:`run` integrates with the two-stage linearly implicit Rosenbrock
+method ROS2 (Verwer, Spee, Blom & Hundsdorfer 1999), whose embedded Euler
+solution controls the step size; the flux divergence is tridiagonal, so a
+step costs two banded solves and two curvature evaluations.  The explicit
+Euler :func:`step` under the diffusion bound :func:`stable_dt` is kept as
+the reference the tests replay.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .geometry import RadialGrid, scalar_from_v
 from .scenario import Scenario, check_profile, load_profile
@@ -31,13 +40,15 @@ __all__ = [
     "boundary_value",
     "stable_dt",
     "step",
+    "divergence_bands",
+    "rosenbrock_step",
     "renormalize",
     "run",
 ]
 
 
 class PositivityError(RuntimeError):
-    """An explicit step drove the conformal cube nonpositive somewhere."""
+    """A step drove the conformal cube nonpositive somewhere."""
 
     def __init__(self, message: str, t: float | None = None, cells=None):
         super().__init__(message)
@@ -177,22 +188,89 @@ def stable_dt(state: FlowState, safety: float = 0.4) -> float:
     return float(safety * np.min(limit))
 
 
-def step(state: FlowState, dt: float) -> FlowState:
-    """One explicit Euler step on w = v^3 at fixed volume target."""
-    if not dt > 0.0 or not np.isfinite(dt):
-        raise ValueError(f"step size must be positive and finite, got {dt}")
-    w = state.v**3
-    w_new = w * (1.0 + dt * (state.sigma_tilde - state.scalar))
-    if np.any(w_new <= 0.0):
-        bad = np.flatnonzero(w_new <= 0.0)
+def _cube_state(state: FlowState, w: np.ndarray, t: float) -> FlowState:
+    """The state with conformal cube w at time t; PositivityError unless every
+    cell of w is positive and finite."""
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
+    if bad.size:
         raise PositivityError(
-            f"conformal cube lost positivity in {bad.size} cells at t={state.t + dt:.6g}"
+            f"conformal cube lost positivity in {bad.size} cells at t={t:.6g}"
             f" (first cell {bad[0]}, x={state.grid.cell_centers[bad[0]]:.4g})",
-            t=state.t + dt,
+            t=t,
             cells=bad,
         )
-    return FlowState(grid=state.grid, v=np.cbrt(w_new), t=state.t + dt,
+    return FlowState(grid=state.grid, v=np.cbrt(w), t=t,
                      volume_target=state.volume_target)
+
+
+def _check_step_size(dt: float) -> None:
+    if not dt > 0.0 or not np.isfinite(dt):
+        raise ValueError(f"step size must be positive and finite, got {dt}")
+
+
+def step(state: FlowState, dt: float) -> FlowState:
+    """One explicit Euler step on w = v^3 at fixed volume target."""
+    _check_step_size(dt)
+    w = state.v**3
+    return _cube_state(state, w * (1.0 + dt * (state.sigma_tilde - state.scalar)),
+                       state.t + dt)
+
+
+_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)  # ROS2's stage coefficient, L-stable
+_TOL = 1e-5  # largest accepted error estimate max |w_ros2 - w_euler| / w per step
+
+
+def divergence_bands(grid: RadialGrid) -> np.ndarray:
+    """The flux divergence D, D v = diff(face_fluxes(v)) / dx, as (1, 1) bands.
+
+    Row 0 holds the superdiagonal, row 1 the diagonal and row 2 the
+    subdiagonal, in the layout of :func:`scipy.linalg.solve_banded`.  D is
+    fixed by the grid: interior face i carries c_i (x_i v_i - x_{i-1} v_{i-1})
+    with c_i = (1 - f_i^2) / (x_i - x_{i-1}), the first face carries v_0.
+    """
+    x = grid.cell_centers
+    dx = grid.cell_widths
+    c = (1.0 - grid.faces[1:-1] ** 2) / np.diff(x)
+    bands = np.zeros((3, grid.n_cells))
+    bands[0, 1:] = c * x[1:] / dx[:-1]
+    bands[2, :-1] = c * x[:-1] / dx[1:]
+    bands[1, :-1] -= c * x[:-1] / dx[:-1]
+    bands[1, 1:] -= c * x[1:] / dx[1:]
+    bands[1, 0] -= 1.0 / dx[0]
+    return bands
+
+
+def _rate(state: FlowState) -> np.ndarray:
+    """dw/dt = sigma w + D v = w (sigma - scalar)."""
+    return state.v**3 * (state.sigma_tilde - state.scalar)
+
+
+def rosenbrock_step(state: FlowState, h: float,
+                    bands: np.ndarray | None = None) -> tuple[FlowState, float]:
+    """One ROS2 step on w = v^3; returns the new state and its error estimate.
+
+    With the Jacobian J = sigma I + D diag(1 / (3 v^2)) frozen at the start
+    (sigma included) and W = I - gamma h J,
+
+        W k1 = f(w),  W k2 = f(w + h k1) - 2 k1,  w_new = w + h (3 k1 + k2) / 2.
+
+    The estimate is max |w_new - (w + h k1)| / w against the embedded Euler
+    solution.  ``bands`` are :func:`divergence_bands` of the grid, built
+    here when not given.  Raises PositivityError when the stage or the
+    result is not positive.
+    """
+    _check_step_size(h)
+    if bands is None:
+        bands = divergence_bands(state.grid)
+    gh = _GAMMA * h
+    lhs = bands * (-gh / (3.0 * state.v**2))
+    lhs[1] += 1.0 - gh * state.sigma_tilde
+    w = state.v**3
+    k1 = solve_banded((1, 1), lhs, _rate(state), check_finite=False)
+    stage = _cube_state(state, w + h * k1, state.t + h)
+    k2 = solve_banded((1, 1), lhs, _rate(stage) - 2.0 * k1, check_finite=False)
+    new = _cube_state(state, w + h * (1.5 * k1 + 0.5 * k2), state.t + h)
+    return new, float(np.max(np.abs(0.5 * h * (k1 + k2)) / w))
 
 
 def renormalize(state: FlowState) -> FlowState:
@@ -256,37 +334,59 @@ def initial_state(scenario: Scenario) -> FlowState:
 
 
 def run(scenario: Scenario) -> RunResult:
-    """Drive the scenario's flow to t_end with adaptive stable steps.
+    """Drive the scenario's flow to t_end with error-controlled ROS2 steps.
 
-    Records are emitted for the initial state and after every step (post
-    renormalization when due).  Snapshots are taken at t = 0, at every
-    crossing of snapshot_every, and at the final time.  On positivity loss
+    The first step is the explicit stability bound; after each attempt the
+    step size becomes h * clip(0.9 / sqrt(err / _TOL), 0.2, 2), and only
+    attempts with err <= _TOL are kept.  Steps are clipped to end exactly on
+    t_end and on every multiple of snapshot_every.  An attempt that loses
+    positivity is retried at a fifth of its size, unless it was already
+    within the explicit bound.
+
+    Records are emitted for the initial state and after every accepted step
+    (post renormalization when due).  Snapshots are taken at t = 0, at every
+    multiple of snapshot_every, and at the final time.  On positivity loss
     the partial history is returned with completed = False.
     """
     if scenario.model_type != "eguchi-hanson":
         raise ValueError("run() drives the eguchi-hanson reduction, "
                          f"not the {scenario.model_type} model")
     state = initial_state(scenario)
+    bands = divergence_bands(state.grid)
     records = [_make_record(state, 0.0, scenario.cutoffs)]
     snapshots = [(state.t, np.array(state.v))]
-    next_snap = scenario.snapshot_every if scenario.snapshot_every > 0.0 else np.inf
+    every = scenario.snapshot_every
+    snaps_taken = 1
+    next_snap = every if every > 0.0 else np.inf
     steps = 0
     t_stop = scenario.t_end * (1.0 - 1e-12)
+    h = stable_dt(state, scenario.safety)
     while state.t < t_stop:
-        dt = min(stable_dt(state, scenario.safety), scenario.t_end - state.t)
+        h_try = min(h, next_snap - state.t, scenario.t_end - state.t)
         try:
-            state = step(state, dt)
-        except PositivityError as err:
-            if snapshots[-1][0] != state.t:
-                snapshots.append((state.t, np.array(state.v)))
-            return RunResult(records, snapshots, False, str(err), state)
+            new, err = rosenbrock_step(state, h_try, bands)
+        except PositivityError as exc:
+            if h_try <= stable_dt(state, scenario.safety):
+                if snapshots[-1][0] != state.t:
+                    snapshots.append((state.t, np.array(state.v)))
+                return RunResult(records, snapshots, False, str(exc), state)
+            h = 0.2 * h_try
+            continue
+        factor = min(2.0, max(0.2, 0.9 * math.sqrt(_TOL / err))) if err > 0.0 else 2.0
+        if not err <= _TOL:
+            h = h_try * factor
+            continue
+        # a step cut short by a clip does not shrink the next proposal
+        h = max(h_try * factor, h) if h_try < h else h_try * factor
+        state = new
         steps += 1
         if scenario.renorm_every > 0 and steps % scenario.renorm_every == 0:
             state = renormalize(state)
-        records.append(_make_record(state, dt, scenario.cutoffs))
-        while state.t >= next_snap * (1.0 - 1e-12):
+        records.append(_make_record(state, h_try, scenario.cutoffs))
+        if state.t >= next_snap * (1.0 - 1e-12):
             snapshots.append((state.t, np.array(state.v)))
-            next_snap += scenario.snapshot_every
+            snaps_taken += 1
+            next_snap = snaps_taken * every
     if snapshots[-1][0] != state.t:
         snapshots.append((state.t, np.array(state.v)))
     return RunResult(records, snapshots, True, None, state)

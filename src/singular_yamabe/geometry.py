@@ -46,6 +46,11 @@ __all__ = [
 ]
 
 _TAIL_RELTOL = 1e-10
+# Smallest cell width build_grid accepts, about 4500 ulps of the unit
+# interval.  The curvature operator scales like 1 / dx^2, so narrower cells
+# give it entries some 1e24 times those of a unit cell and leave the grid
+# degenerate in floating point.
+MIN_CELL_WIDTH = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +107,8 @@ def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> R
 
     Geometric grading shrinks cells toward x = 0 by the given width ratio,
     which is where the flow concentrates; uniform grading is the default.
+    Grids whose smallest cell is narrower than MIN_CELL_WIDTH are refused
+    as degenerate in floating point.
     """
     if n_cells < 8:
         raise ValueError(f"need at least 8 cells, got {n_cells}")
@@ -119,6 +126,10 @@ def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> R
         ratio_out = ratio
     else:
         raise ValueError(f"unknown grading {grading!r}")
+    smallest = float(np.min(np.diff(faces)))
+    if not smallest >= MIN_CELL_WIDTH:
+        raise ValueError(f"smallest cell width {smallest:.3g} is below {MIN_CELL_WIDTH:g};"
+                         " the grid is degenerate in floating point")
     lo, hi = faces[:-1], faces[1:]
     # centroid of x dx over [lo, hi]; the (lo^2+lo*hi+hi^2)/(lo+hi) form is
     # safe in the first cell where lo = 0

@@ -142,7 +142,10 @@ class Scenario:
 
     def grid(self) -> geometry.RadialGrid:
         """The radial grid of the eguchi-hanson reduction."""
-        return geometry.build_grid(self.n_cells, grading=self.grading, ratio=self.ratio)
+        try:
+            return geometry.build_grid(self.n_cells, grading=self.grading, ratio=self.ratio)
+        except ValueError as err:
+            raise ConfigError(f"grid: {err}") from err
 
     def echo(self) -> dict:
         """Resolved scenario as a plain dict, the round-trip source of truth."""

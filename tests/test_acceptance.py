@@ -70,6 +70,32 @@ def test_criterion_1_closed_form_suite():
     _verdict("criterion 1: closed-form suite", failures, f"{elapsed:.2f} s")
 
 
+def _replay_failures(name, grid, states):
+    """The pointwise flow invariants along a replayed trajectory, under the
+    bounds the run's records are held to."""
+    failures = []
+    floor = -10.0 * float(np.max(grid.cell_widths)) ** 2
+    sig_rises = drift = worst_drop = 0.0
+    min_scal = math.inf
+    for before, state in zip(states, states[1:]):
+        sig_rises = max(sig_rises, state.sigma_tilde - before.sigma_tilde)
+    for state in states:
+        drift = max(drift, abs(flow.volume_of(state) / state.volume_target - 1.0))
+        min_scal = min(min_scal, float(np.min(geo.scalar_from_v(state.v, grid))))
+        xv = np.concatenate([[0.0], grid.cell_centers * state.v,
+                             [flow.boundary_value(state)]])
+        worst_drop = max(worst_drop, float(np.max(-np.diff(xv))))
+    if sig_rises > 1e-9:
+        failures.append(f"{name}: sigma rose by {sig_rises:.3e}")
+    if drift > 1e-6:
+        failures.append(f"{name}: volume drifted to relative {drift:.2e}")
+    if min_scal < floor:
+        failures.append(f"{name}: curvature dipped to {min_scal:.3e} below {floor:.3e}")
+    if worst_drop > 1e-12:
+        failures.append(f"{name}: x v lost monotonicity by {worst_drop:.3e}")
+    return failures, min_scal
+
+
 def test_criterion_2_flow_property_suite():
     failures = []
     grid = geo.build_grid(256, "uniform")
@@ -88,27 +114,40 @@ def test_criterion_2_flow_property_suite():
     if off_vol > 1e-6:
         failures.append(f"volume drifted to relative {off_vol:.2e}")
 
-    # pointwise checks need the profile at every step, so replay the same
-    # trajectory by hand
-    floor = -10.0 * float(np.max(grid.cell_widths)) ** 2
-    state = flow.constant_state(grid)
-    min_scal = float(np.min(geo.scalar_from_v(state.v, grid)))
-    worst_drop = 0.0
-    steps = 0
-    while state.t < cfg.t_end * (1.0 - 1e-12):
-        dt = min(flow.stable_dt(state, cfg.safety), cfg.t_end - state.t)
-        state = flow.step(state, dt)
-        steps += 1
-        if steps % cfg.renorm_every == 0:
-            state = flow.renormalize(state)
-        min_scal = min(min_scal, float(np.min(geo.scalar_from_v(state.v, grid))))
-        xv = np.concatenate([[0.0], grid.cell_centers * state.v,
-                             [flow.boundary_value(state)]])
-        worst_drop = max(worst_drop, float(np.max(-np.diff(xv))))
-    if min_scal < floor:
-        failures.append(f"curvature dipped to {min_scal:.3e} below {floor:.3e}")
-    if worst_drop > 1e-12:
-        failures.append(f"x v lost monotonicity by {worst_drop:.3e}")
+    # pointwise checks need the profile at every step, so replay the run's
+    # ROS2 trajectory from its accepted step sizes, and the explicit
+    # reference stepper under its stability bound, by hand
+    def replay(advance):
+        states = [flow.constant_state(grid)]
+        while True:
+            nxt = advance(states[-1], len(states))
+            if nxt is None:
+                return states
+            if len(states) % cfg.renorm_every == 0:
+                nxt = flow.renormalize(nxt)
+            states.append(nxt)
+
+    bands = flow.divergence_bands(grid)
+
+    def ros2_step(state, k):
+        if k == len(result.records):
+            return None
+        return flow.rosenbrock_step(state, result.records[k].dt_used, bands)[0]
+
+    def explicit_step(state, k):
+        if state.t >= cfg.t_end * (1.0 - 1e-12):
+            return None
+        return flow.step(state, min(flow.stable_dt(state, cfg.safety), cfg.t_end - state.t))
+
+    ros2 = replay(ros2_step)
+    if not np.array_equal(ros2[-1].v, result.final_state.v):
+        failures.append("the ROS2 replay does not reproduce the run")
+    explicit = replay(explicit_step)
+    min_scal = math.inf
+    for name, states in (("ROS2", ros2), ("explicit", explicit)):
+        found, lowest = _replay_failures(name, grid, states)
+        failures.extend(found)
+        min_scal = min(min_scal, lowest)
 
     first = result.records[0].mass_fractions[0.1]
     last = result.records[-1].mass_fractions[0.1]
@@ -122,7 +161,8 @@ def test_criterion_2_flow_property_suite():
         failures.append(f"F2 did not decay: {f2_head} -> {f2_tail}")
 
     _verdict("criterion 2: flow property suite", failures,
-             f"{steps} steps, min curvature {min_scal:.2e}")
+             f"{len(ros2) - 1} ROS2 and {len(explicit) - 1} explicit steps,"
+             f" min curvature {min_scal:.2e}")
 
 
 def test_criterion_3_discretization_orders():

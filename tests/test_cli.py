@@ -71,7 +71,8 @@ def test_flow_artifacts(tmp_path):
     assert series[0] == "t,sigma_tilde,volume,F2,F3,v_at_x1,dt,mass_frac_0.1,mass_frac_0.05"
     records, cutoffs = cli.read_series_csv(str(outdir / "series.csv"))
     assert cutoffs == [0.1, 0.05]
-    assert len(records) >= 10
+    # the initial record and at least one step per snapshot interval
+    assert len(records) >= 3
     sig = [r.sigma_tilde for r in records]
     assert all(b <= a + 1e-9 for a, b in zip(sig, sig[1:]))
     assert all(abs(r.volume - 2.0) < 1e-6 for r in records)
@@ -133,7 +134,8 @@ def test_flow_rejects_bad_inputs(tmp_path, capsys):
     path.write_text(yaml.safe_dump(data))
     assert cli.main(["flow", str(path), "--quiet"]) == cli.EXIT_INPUT
 
-    for grid in ({"n_cells": math.inf}, {"grading": "geometric", "ratio": 1.0}):
+    for grid in ({"n_cells": math.inf}, {"grading": "geometric", "ratio": 1.0},
+                 {"n_cells": 1024, "grading": "geometric", "ratio": 0.97}):
         bad_grid, _ = _scenario(tmp_path, grid=grid)
         assert cli.main(["flow", bad_grid, "--quiet"]) == cli.EXIT_INPUT
 
@@ -162,6 +164,28 @@ def test_flow_positivity_exit(tmp_path, monkeypatch):
     assert "positivity" in meta["failure"]
     # the partial series is still on disk for post-mortems
     assert (outdir / "series.csv").exists()
+
+
+def test_flow_positivity_loss_in_the_stepper_exits_3(tmp_path, monkeypatch):
+    def lose_positivity(state, h, bands=None):
+        raise flow.PositivityError("conformal cube lost positivity in 1 cells")
+
+    monkeypatch.setattr(flow, "rosenbrock_step", lose_positivity)
+    cfg_path, _ = _scenario(tmp_path)
+    assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_POSITIVITY
+    outdir = tmp_path / "run"
+    assert (outdir / "FAILED").read_text().startswith("conformal cube")
+    assert json.loads((outdir / "report.json").read_text())["completed"] is False
+
+
+@pytest.mark.parametrize("command", ["flow", "yamabe", "eigen", "validate"])
+def test_output_dir_that_is_a_file_is_an_input_error(tmp_path, capsys, command):
+    cfg_path, _ = _scenario(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    argv = [command] + ([] if command == "validate" else [cfg_path])
+    assert cli.main(argv + ["--output-dir", str(afile), "--quiet"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: cannot use output directory")
 
 
 def test_yamabe_sphere(tmp_path):
@@ -283,6 +307,11 @@ def _negative_first_v(text):
     return "\n".join(lines) + "\n"
 
 
+def _off_grid_x(text):
+    rows = [line.split(",") for line in text.splitlines()]
+    return "".join(f"{0.5 + 0.001 * k!r},{v}\n" for k, (_x, v) in enumerate(rows))
+
+
 def _without_scenario(text):
     meta = json.loads(text)
     del meta["scenario"]
@@ -297,6 +326,7 @@ REPORT_DAMAGE = {
     "short_series_row": _edit_series_row(lambda row: ",".join(row.split(",")[:4])),
     "nonpositive_snapshot_value": lambda run: _rewrite(_snapshot(run, -1), _negative_first_v),
     "missing_snapshot_file": lambda run: _snapshot(run, 0).unlink(),
+    "snapshot_off_grid": lambda run: _rewrite(_snapshot(run, 0), _off_grid_x),
 }
 
 

@@ -64,7 +64,7 @@ def test_decay_rate_fit_flat_series_is_zero():
 
 def test_decay_rate_fit_edge_cases():
     with pytest.raises(ValueError):
-        diag.decay_rate_fit([_record(0.0, 1.0)] * 9)
+        diag.decay_rate_fit([_record(0.0, 1.0)] * 5)
     recs = [_record(0.001 * k, 1.0) for k in range(12)]
     recs[-1] = _record(0.011, 0.0)
     assert diag.decay_rate_fit(recs) == math.inf

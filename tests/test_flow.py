@@ -197,6 +197,108 @@ def test_run_record_count_matches_steps():
     assert len(res.snapshots) == 2
 
 
+@pytest.mark.parametrize("grading", ["uniform", "geometric"])
+def test_divergence_bands_apply_the_flux_divergence(grading):
+    grid = geo.build_grid(64, grading, 0.9)
+    bands = flow.divergence_bands(grid)
+    dense = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
+    v = 1.0 + np.random.default_rng(3).random(64)
+    expected = np.diff(geo.face_fluxes(v, grid)) / grid.cell_widths
+    assert np.allclose(dense @ v, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+
+
+def _fixed_step_ros2(grid, t_end, n_steps):
+    state = flow.constant_state(grid)
+    bands = flow.divergence_bands(grid)
+    for _ in range(n_steps):
+        state, _err = flow.rosenbrock_step(state, t_end / n_steps, bands)
+    return state
+
+
+def test_rosenbrock_step_is_second_order(grid64):
+    reference = _fixed_step_ros2(grid64, 0.004, 1024).v
+    errors = [float(np.max(np.abs(_fixed_step_ros2(grid64, 0.004, n).v - reference)))
+              for n in (4, 8, 16)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine >= 3.5
+
+
+def test_rosenbrock_step_estimates_its_error(grid64):
+    s = flow.constant_state(grid64)
+    new, err = flow.rosenbrock_step(s, 1e-3)
+    assert new.t == pytest.approx(1e-3)
+    assert new.volume_target == s.volume_target
+    # the estimate is the distance to the embedded Euler solution w + h k1,
+    # Euler's local error, so it quarters when the step halves
+    _, half = flow.rosenbrock_step(s, 5e-4)
+    assert 3.5 < err / half < 4.5
+    with pytest.raises(ValueError):
+        flow.rosenbrock_step(s, 0.0)
+    with pytest.raises(ValueError):
+        flow.rosenbrock_step(s, math.nan)
+
+
+# the long horizon, free of snapshot clips, is where the error controller
+# sets the step size: at _TOL = 1e-3 its volume drift is 6.6e-5
+@pytest.mark.parametrize("n_cells, t_end", [(256, 0.02), (64, 1.0)])
+def test_run_matches_explicit_reference(n_cells, t_end):
+    cfg = Scenario(n_cells=n_cells, t_end=t_end, renorm_every=20, snapshot_every=0.0)
+    result = flow.run(cfg)
+    assert max(abs(rec.volume / 2.0 - 1.0) for rec in result.records) <= 1e-6
+    grid = cfg.grid()
+    state, steps = flow.constant_state(grid), 0
+    while state.t < cfg.t_end * (1.0 - 1e-12):
+        state = flow.step(state, min(flow.stable_dt(state, 0.1), cfg.t_end - state.t))
+        steps += 1
+        if steps % cfg.renorm_every == 0:
+            state = flow.renormalize(state)
+    error = float(np.max(np.abs(result.final_state.v - state.v)))
+    motion = float(np.max(np.abs(state.v - flow.constant_state(grid).v)))
+    assert error <= 1e-5 * float(np.max(state.v))
+    assert error <= 1e-3 * motion
+    assert len(result.records) - 1 < steps / 10
+
+
+def test_run_snapshots_land_on_distinct_multiples():
+    every = 0.0005
+    res = flow.run(Scenario(n_cells=64, t_end=0.004, snapshot_every=every))
+    times = [t for t, _v in res.snapshots]
+    assert len(times) == 9 and len(set(times)) == 9
+    for k, t in enumerate(times):
+        assert abs(t - k * every) <= 1e-12 * max(k * every, every)
+
+
+def test_run_stops_on_positivity_loss_within_explicit_bound(monkeypatch):
+    def lose_positivity(state, h, bands=None):
+        raise flow.PositivityError("conformal cube lost positivity in 1 cells",
+                                   t=state.t + h, cells=np.array([0]))
+
+    monkeypatch.setattr(flow, "rosenbrock_step", lose_positivity)
+    res = flow.run(Scenario(n_cells=64, t_end=0.004, snapshot_every=0.0))
+    assert not res.completed
+    assert res.failure.startswith("conformal cube lost positivity")
+    assert len(res.records) == 1 and len(res.snapshots) == 1
+
+
+def test_run_retries_positivity_loss_above_explicit_bound(monkeypatch):
+    # an attempt longer than the cap loses positivity; the run shrinks the
+    # step and carries on, because the first failure is above stable_dt
+    real, cap = flow.rosenbrock_step, 2e-3  # stable_dt is 1.5e-3 here
+    rejected = []
+
+    def capped(state, h, bands=None):
+        if h > cap:
+            rejected.append(h)
+            raise flow.PositivityError("conformal cube lost positivity in 1 cells")
+        return real(state, h, bands)
+
+    monkeypatch.setattr(flow, "rosenbrock_step", capped)
+    res = flow.run(Scenario(n_cells=64, t_end=0.004, snapshot_every=0.0))
+    assert res.completed and rejected
+    assert max(rec.dt_used for rec in res.records) <= cap
+    assert res.final_state.t == pytest.approx(0.004)
+
+
 def test_run_rejects_sphere_model():
     with pytest.raises(ValueError):
         flow.run(Scenario(model_type="sphere", n_cells=64, t_end=0.001))

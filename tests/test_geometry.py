@@ -49,6 +49,15 @@ def test_grid_rejects_bad_inputs():
         geo.build_grid(64, grading="geometric", ratio=0.0)
 
 
+def test_grid_refuses_cells_below_the_width_floor():
+    # the benchmark's grid and the finest one above the floor still build
+    for n in (512, 768):
+        smallest = float(np.min(geo.build_grid(n, "geometric", 0.97).cell_widths))
+        assert smallest >= geo.MIN_CELL_WIDTH
+    with pytest.raises(ValueError, match="degenerate"):
+        geo.build_grid(1024, "geometric", 0.97)
+
+
 # ---------------------------------------------------------------------------
 # compactified coordinate and closed forms
 # ---------------------------------------------------------------------------
