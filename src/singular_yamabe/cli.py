@@ -29,7 +29,6 @@ if _THREAD_CAP:
         os.environ[_var] = _THREAD_CAP
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__
 from . import diagnostics, flow, geometry, variational
@@ -172,6 +171,9 @@ def _resolve_outdir(cfg: Scenario, args) -> str:
 
 
 def cmd_validate(args) -> int:
+    from scipy.integrate import quad
+    from scipy.special import gamma
+
     pi = math.pi
     checks = []
     checks.append(("eh_volume_a1", pi**2 / 4.0,
@@ -181,7 +183,6 @@ def cmd_validate(args) -> int:
                        geometry.eh_scalar_l2_energy(a), 1e-6))
     checks.append(("scalar_at_bolt_a1", 48.0,
                    geometry.eh_scalar_curvature(0.0, 1.0), 0.0))
-    from scipy.special import gamma
     dist_oracle = (math.sqrt(pi) / 4.0) * gamma(0.25) / gamma(0.75)
     checks.append(("distance_to_infinity_a1", dist_oracle,
                    geometry.eh_distance_to_infinity(1.0), 1e-8))
@@ -324,14 +325,14 @@ def cmd_eigen(args) -> int:
             result = variational.first_eigenvalue(state)
             sigma_inf = state.sigma_tilde
             n = 4
-    except (OSError, ValueError) as err:
-        raise ConfigError(f"cannot build the eigenproblem: {err}") from err
-    except flow.ConvergenceError as err:
+    except np.linalg.LinAlgError as err:  # a ValueError, so caught first
         payload.update({"lambda1": None, "failure": str(err)})
         _write_json(os.path.join(outdir, "eigen.json"), payload)
         if not args.quiet:
-            print(f"eigen solve did not converge: {err}")
+            print(f"eigen solve failed: {err}")
         return EXIT_NO_CONVERGENCE
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot build the eigenproblem: {err}") from err
     criteria = variational.eigen_criteria(result.lambda1, sigma_inf, n)
     payload.update({
         "lambda1": float(result.lambda1),

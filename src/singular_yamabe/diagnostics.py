@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .flow import FlowState, TimeSeriesRecord, boundary_value, mass_fraction, volume_of
 from .geometry import EguchiHansonModel, distance_from_singular_point, green_kernel
@@ -188,6 +187,8 @@ def green_identity_residual(state: FlowState) -> float:
 def _green_fourth_moment() -> float:
     # int G(x)^4 x dx over (0,1); the integrand ends in an integrable
     # log^4 singularity so a modest subdivision limit is enough.
+    from scipy.integrate import quad
+
     value, err = quad(lambda x: green_kernel(x) ** 4 * x, 0.0, 1.0,
                       limit=300, points=[0.9, 0.99, 0.999])
     if err > 1e-8 * max(1.0, value):

@@ -19,10 +19,10 @@ against x dx to machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
 
 __all__ = [
     "RadialGrid",
@@ -185,7 +185,7 @@ def build_sphere_model(n: int = 4, n_cells: int = 256) -> SphereModel:
 
 def sphere_volume(n: int) -> float:
     """Total measure of the round unit n-sphere."""
-    return 2.0 * np.pi ** ((n + 1) / 2.0) / special.gamma((n + 1) / 2.0)
+    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +233,12 @@ def improper_radial_integral(f, a: float = 1.0, initial_cutoff: float | None = N
     The cutoff starts at a multiple of the core scale and doubles until the
     tail contribution changes the total by less than 1e-10 in relative terms.
     """
+    from scipy.integrate import quad
+
     cutoff = 8.0 * a if initial_cutoff is None else float(initial_cutoff)
-    total, _ = integrate.quad(f, 0.0, cutoff, limit=200)
+    total, _ = quad(f, 0.0, cutoff, limit=200)
     for _ in range(200):
-        tail, _ = integrate.quad(f, cutoff, 2.0 * cutoff, limit=200)
+        tail, _ = quad(f, cutoff, 2.0 * cutoff, limit=200)
         total += tail
         cutoff *= 2.0
         if abs(tail) <= _TAIL_RELTOL * max(abs(total), 1e-300):
@@ -337,8 +339,6 @@ def green_kernel(x):
 # distances
 # ---------------------------------------------------------------------------
 
-_HALF_BETA = 0.25 * special.beta(0.25, 0.5)
-
 
 def distance_from_singular_point(x, a: float = 1.0):
     """Background distance from the singular point to coordinate x, exactly.
@@ -350,5 +350,8 @@ def distance_from_singular_point(x, a: float = 1.0):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("x must lie in [0, 1]")
-    out = a * _HALF_BETA * special.betainc(0.25, 0.5, x * x)
+    from scipy.special import beta, betainc
+
+    half_beta = 0.25 * beta(0.25, 0.5)
+    out = a * half_beta * betainc(0.25, 0.5, x * x)
     return out if out.ndim else float(out)

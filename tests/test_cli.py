@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import singular_yamabe
 from singular_yamabe import cli, flow
 from singular_yamabe import geometry as geo
-from singular_yamabe import scenario
+from singular_yamabe import scenario, variational
 
 
 def _scenario(tmp_path, **overrides):
@@ -235,6 +235,18 @@ def test_eigen_eh(tmp_path):
     assert payload["residual"] < 1e-8
 
 
+def test_eigen_solver_failure_exits_4(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalue solve failed")
+
+    monkeypatch.setattr(variational.linalg, "eigh_tridiagonal", fail)
+    cfg_path, _ = _scenario(tmp_path, grid={"n_cells": 64})
+    assert cli.main(["eigen", cfg_path, "--quiet"]) == cli.EXIT_NO_CONVERGENCE
+    payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
+    assert payload["lambda1"] is None
+    assert payload["failure"] == "eigenvalue solve failed"
+
+
 def test_report_dichotomy(tmp_path):
     cfg_path, _ = _scenario(tmp_path)
     outdir = str(tmp_path / "run")
@@ -444,6 +456,18 @@ def test_thread_cap_env(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=_child_env())
     assert out.stdout.split() == ["3", "3", "3"]
+
+
+def test_cli_import_loads_no_quadrature_or_special_functions():
+    code = (
+        "import sys\n"
+        "import singular_yamabe.cli\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.special')\n"
+        "             if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=_child_env())
+    assert out.stdout.strip() == "[]"
 
 
 def test_console_script_smoke():

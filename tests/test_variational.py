@@ -105,6 +105,28 @@ def test_minimize_sphere_reaches_constant():
     assert all(b <= a + 1e-12 for a, b in zip(res.history, res.history[1:]))
 
 
+@pytest.mark.parametrize("n_cells", [256, 4096])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_minimize_sphere_iterations_do_not_grow_with_resolution(n_cells, k):
+    model = geo.build_sphere_model(4, n_cells)
+    res = var.minimize_quotient(model, init=1.0 + 0.05 * np.cos(k * model.thetas + 0.7))
+    assert res.converged
+    assert res.iterations < 50
+    assert all(b <= a for a, b in zip(res.history, res.history[1:]))
+    y = var.yamabe_sphere_constant(4)
+    assert abs(res.value - y) / y < 1e-6
+
+
+def test_minimize_stall_is_not_convergence(monkeypatch):
+    # with the gradient test out of reach the descent can only end by a
+    # stalled line search, which must not be reported as convergence
+    monkeypatch.setattr(var, "_GRAD_TOL", 0.0)
+    model = geo.build_sphere_model(4, 256)
+    res = var.minimize_quotient(model, init=1.0 + 0.05 * np.cos(model.thetas + 0.7))
+    assert not res.converged
+    assert res.iterations < var._MAX_ITERS // 10
+
+
 def test_minimize_sphere_constant_init_is_immediate():
     model = geo.build_sphere_model(4, 128)
     res = var.minimize_quotient(model, init=np.ones(128))
@@ -122,6 +144,7 @@ def test_minimize_eh_sinks_below_constant_level():
     end = flow.state_from_samples(grid, res.minimizer)
     # the descent piles volume onto the puncture end of the grid
     assert flow.mass_fraction(end, 0.1) > 2.0 * flow.mass_fraction(start, 0.1)
+    assert flow.mass_fraction(end, 0.1) > 0.5
     # and never undercuts the local threshold
     assert res.value > var.orbifold_thresholds().Y_local
 
@@ -146,6 +169,12 @@ def test_sphere_first_eigenvalue(n):
     assert abs(res.lambda1 - n) / n < 1e-2
     assert res.residual < 1e-8
     assert abs(float(np.dot(model.weights, res.eigenfunction))) < 1e-10
+
+
+def test_sphere_first_eigenvalue_fine_grid():
+    res = var.sphere_first_eigenvalue(geo.build_sphere_model(4, 4096))
+    assert abs(res.lambda1 - 4.0) < 1e-6
+    assert res.residual < 1e-8
 
 
 def test_first_eigenvalue_matches_dense_oracle():
