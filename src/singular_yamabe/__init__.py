@@ -25,17 +25,14 @@ from .geometry import (
 )
 from .scenario import Scenario
 from .flow import (
-    ConvergenceError,
     FlowState,
     PositivityError,
     RunResult,
     TimeSeriesRecord,
-    constant_curvature_state,
     constant_state,
     mass_fraction,
     run,
     state_from_samples,
-    state_from_table,
     stable_dt,
     step,
     volume_of,
@@ -48,7 +45,6 @@ from .variational import (
     first_eigenvalue,
     minimize_quotient,
     orbifold_thresholds,
-    sphere_thresholds,
     yamabe_quotient_eh,
     yamabe_quotient_sphere,
     yamabe_sphere_constant,

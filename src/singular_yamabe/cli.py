@@ -34,7 +34,6 @@ from . import __version__
 from . import diagnostics, flow, geometry, variational
 from .scenario import (
     ConfigError,
-    Scenario,
     default_config_text,
     load_config,
     load_profile,
@@ -166,17 +165,13 @@ def _make_outdir(path: str) -> str:
     return path
 
 
-def _resolve_outdir(cfg: Scenario, args) -> str:
-    return _make_outdir(args.output_dir or cfg.output_dir)
-
-
 def cmd_validate(args) -> int:
     from scipy.integrate import quad
     from scipy.special import gamma
 
     pi = math.pi
     checks = []
-    checks.append(("eh_volume_a1", pi**2 / 4.0,
+    checks.append(("eh_volume_a1", geometry.eh_volume(1.0),
                    geometry.eh_volume_quadrature(1.0), 1e-8))
     for a in (0.5, 1.0, 2.0):
         checks.append((f"scalar_l2_energy_a{format(a, 'g')}", 288.0 * pi**2,
@@ -230,11 +225,11 @@ def cmd_flow(args) -> int:
     if cfg.model_type != "eguchi-hanson":
         raise ConfigError("the flow command drives the eguchi-hanson reduction; "
                           "set model.type accordingly")
-    outdir = _resolve_outdir(cfg, args)
     try:
         result = flow.run(cfg)
     except (OSError, ValueError) as err:
         raise ConfigError(f"cannot start the run: {err}") from err
+    outdir = _make_outdir(args.output_dir or cfg.output_dir)
 
     write_series_csv(os.path.join(outdir, "series.csv"), result.records,
                      cfg.cutoffs)
@@ -270,24 +265,33 @@ def cmd_flow(args) -> int:
 
 def cmd_yamabe(args) -> int:
     cfg = load_config(args.config)
-    outdir = _resolve_outdir(cfg, args)
     if cfg.model_type == "sphere":
         model = geometry.build_sphere_model(cfg.sphere_n, cfg.n_cells)
         grid, nodes = None, model.thetas
+        reference = variational.yamabe_sphere_constant(cfg.sphere_n)
     else:
         model = geometry.EguchiHansonModel(a=cfg.a)
         grid = cfg.grid()
         nodes = grid.cell_centers
+        reference = variational.orbifold_thresholds().Y_local
     if cfg.init_type == "file":
         init = load_profile(cfg.init_path, nodes)
     else:  # the quotient is scale-invariant, so a constant start defaults to 1
         init = np.full(cfg.n_cells, cfg.init_value or 1.0)
-    if grid is None:
-        initial_value = variational.yamabe_quotient_sphere(init, model)
-        reference = variational.yamabe_sphere_constant(cfg.sphere_n)
-    else:
-        initial_value = variational.yamabe_quotient_eh(init, grid, a=cfg.a)
-        reference = variational.orbifold_thresholds().Y_local
+    # a start of order 1e100 or 1e-100, or a core scale of order 1e200,
+    # overflows the quotient: refuse it rather than descend from garbage
+    with np.errstate(all="ignore"):
+        try:
+            if grid is None:
+                initial_value = variational.yamabe_quotient_sphere(init, model)
+            else:
+                initial_value = variational.yamabe_quotient_eh(init, grid, a=cfg.a)
+        except (OverflowError, ZeroDivisionError):  # Python float arithmetic
+            initial_value = math.nan
+    if not 0.0 < initial_value < math.inf:
+        raise ConfigError(f"the start's quotient is {initial_value!r}, not finite and "
+                          "positive; rescale init or model.a")
+    outdir = _make_outdir(args.output_dir or cfg.output_dir)
     result = variational.minimize_quotient(model, grid=grid, init=init)
     payload = {
         "scenario": cfg.echo(),
@@ -311,7 +315,7 @@ def cmd_yamabe(args) -> int:
 
 def cmd_eigen(args) -> int:
     cfg = load_config(args.config)
-    outdir = _resolve_outdir(cfg, args)
+    outdir = args.output_dir or cfg.output_dir
     payload = {"scenario": cfg.echo(), "seed": args.seed,
                "package_version": __version__}
     try:
@@ -327,12 +331,13 @@ def cmd_eigen(args) -> int:
             n = 4
     except np.linalg.LinAlgError as err:  # a ValueError, so caught first
         payload.update({"lambda1": None, "failure": str(err)})
-        _write_json(os.path.join(outdir, "eigen.json"), payload)
+        _write_json(os.path.join(_make_outdir(outdir), "eigen.json"), payload)
         if not args.quiet:
             print(f"eigen solve failed: {err}")
         return EXIT_NO_CONVERGENCE
     except (OSError, ValueError) as err:
         raise ConfigError(f"cannot build the eigenproblem: {err}") from err
+    _make_outdir(outdir)
     criteria = variational.eigen_criteria(result.lambda1, sigma_inf, n)
     payload.update({
         "lambda1": float(result.lambda1),

@@ -237,38 +237,16 @@ class BubbleFit:
     window: tuple
 
 
-def _evolving_distance(state: FlowState, model: EguchiHansonModel) -> np.ndarray:
-    # Arc length from the singular end under the current conformal factor:
-    # trapezoidal cumulation of v against the exact background distance
-    # increments, then face-to-center averaging.
-    grid = state.grid
-    bg = distance_from_singular_point(grid.faces, model.a)
-    v_faces = np.empty(grid.n_cells + 1)
-    v_faces[0] = state.v[0]
-    v_faces[-1] = boundary_value(state)
-    v_faces[1:-1] = 0.5 * (state.v[:-1] + state.v[1:])
-    segments = 0.5 * (v_faces[:-1] + v_faces[1:]) * np.diff(bg)
-    cum = np.concatenate([[0.0], np.cumsum(segments)])
-    return 0.5 * (cum[:-1] + cum[1:])
-
-
-def bubble_fit(state: FlowState, model: EguchiHansonModel,
-               distance: str = "background") -> BubbleFit:
+def bubble_fit(state: FlowState, model: EguchiHansonModel) -> BubbleFit:
     """Fit a rescaled spherical profile to the concentrating core.
 
     In four dimensions the reciprocal of the bubble profile is affine in
     the squared distance from the concentration point, so the fit is a
     plain linear least-squares problem on the cells where v exceeds half
-    its maximum.  The distance coordinate is the fixed background one by
-    default; pass distance="evolving" to measure arc length under the
-    current metric instead.
+    its maximum.  The distance is the background one from the singular
+    point.
     """
-    if distance == "background":
-        dist = distance_from_singular_point(state.grid.cell_centers, model.a)
-    elif distance == "evolving":
-        dist = _evolving_distance(state, model)
-    else:
-        raise ValueError(f"unknown distance coordinate {distance!r}")
+    dist = distance_from_singular_point(state.grid.cell_centers, model.a)
     window = np.nonzero(state.v >= 0.5 * state.v.max())[0]
     if len(window) < 8:
         raise BubbleFitError(

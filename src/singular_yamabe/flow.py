@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .geometry import RadialGrid, scalar_from_v
-from .scenario import Scenario, check_profile, load_profile
+from .scenario import Scenario, load_profile
 
 __all__ = [
     "PositivityError",
@@ -33,14 +33,11 @@ __all__ = [
     "RunResult",
     "constant_state",
     "state_from_samples",
-    "state_from_table",
-    "constant_curvature_state",
     "volume_of",
     "mass_fraction",
     "boundary_value",
     "stable_dt",
     "step",
-    "divergence_bands",
     "rosenbrock_step",
     "renormalize",
     "run",
@@ -56,10 +53,6 @@ class PositivityError(RuntimeError):
         self.cells = cells
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative construction failed to reach its tolerance."""
-
-
 @dataclass(frozen=True)
 class FlowState:
     """Immutable flow snapshot: profile v > 0 on a grid at time t.
@@ -68,7 +61,8 @@ class FlowState:
     the discrete curvature :func:`~singular_yamabe.geometry.scalar_from_v`,
     dvol the volume element v^4 x dx of each cell, and sigma_tilde the
     dvol-weighted mean of scalar, which makes it equal to the
-    summation-by-parts energy quotient exactly.
+    summation-by-parts energy quotient exactly.  A profile whose discrete
+    volume overflows or underflows (v of order 1e100 or 1e-100) is refused.
     """
 
     grid: RadialGrid
@@ -87,14 +81,18 @@ class FlowState:
             raise ValueError("profile must be positive and finite")
         if not np.isfinite(self.t):
             raise ValueError("time must be finite")
-        if not self.volume_target > 0.0:
-            raise ValueError("volume target must be positive")
+        with np.errstate(over="ignore"):  # an infinite volume is refused below
+            dvol = v**4 * self.grid.weights
+            volume = float(np.sum(dvol))
+        if not 0.0 < volume < math.inf:
+            raise ValueError(f"profile volume {volume:g} must be finite and positive")
+        if not 0.0 < self.volume_target < math.inf:
+            raise ValueError("volume target must be finite and positive")
         scalar = scalar_from_v(v, self.grid)
-        dvol = v**4 * self.grid.weights
         for name, array in (("v", v), ("scalar", scalar), ("dvol", dvol)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "sigma_tilde", float(np.dot(scalar, dvol) / np.sum(dvol)))
+        object.__setattr__(self, "sigma_tilde", float(np.dot(scalar, dvol) / volume))
 
 
 def constant_state(grid: RadialGrid, value: float | None = None,
@@ -113,24 +111,9 @@ def state_from_samples(grid: RadialGrid, v, t: float = 0.0,
     """Wrap a sampled profile; the default target is its own discrete volume."""
     v = np.asarray(v, dtype=float)
     if volume_target is None:
-        volume_target = float(np.sum(v**4 * grid.weights))
+        with np.errstate(over="ignore"):  # FlowState refuses an infinite volume
+            volume_target = float(np.sum(v**4 * grid.weights))
     return FlowState(grid=grid, v=v, t=t, volume_target=volume_target)
-
-
-def state_from_table(grid: RadialGrid, x_samples, v_samples,
-                     volume_target: float | None = None) -> FlowState:
-    """Interpolate tabulated (x, v) samples onto the grid nodes.
-
-    Samples must be finite, strictly increasing in x with positive v;
-    values beyond the tabulated range are held constant.
-    """
-    x = np.asarray(x_samples, dtype=float)
-    v = np.asarray(v_samples, dtype=float)
-    if x.ndim != 1 or x.shape != v.shape:
-        raise ValueError("need matching 1-d tables")
-    check_profile(x, v, "the table")
-    vi = np.interp(grid.cell_centers, x, v)
-    return state_from_samples(grid, vi, volume_target=volume_target)
 
 
 # ---------------------------------------------------------------------------
@@ -220,33 +203,12 @@ _GAMMA = 1.0 + 1.0 / math.sqrt(2.0)  # ROS2's stage coefficient, L-stable
 _TOL = 1e-5  # largest accepted error estimate max |w_ros2 - w_euler| / w per step
 
 
-def divergence_bands(grid: RadialGrid) -> np.ndarray:
-    """The flux divergence D, D v = diff(face_fluxes(v)) / dx, as (1, 1) bands.
-
-    Row 0 holds the superdiagonal, row 1 the diagonal and row 2 the
-    subdiagonal, in the layout of :func:`scipy.linalg.solve_banded`.  D is
-    fixed by the grid: interior face i carries c_i (x_i v_i - x_{i-1} v_{i-1})
-    with c_i = (1 - f_i^2) / (x_i - x_{i-1}), the first face carries v_0.
-    """
-    x = grid.cell_centers
-    dx = grid.cell_widths
-    c = (1.0 - grid.faces[1:-1] ** 2) / np.diff(x)
-    bands = np.zeros((3, grid.n_cells))
-    bands[0, 1:] = c * x[1:] / dx[:-1]
-    bands[2, :-1] = c * x[:-1] / dx[1:]
-    bands[1, :-1] -= c * x[:-1] / dx[:-1]
-    bands[1, 1:] -= c * x[1:] / dx[1:]
-    bands[1, 0] -= 1.0 / dx[0]
-    return bands
-
-
 def _rate(state: FlowState) -> np.ndarray:
     """dw/dt = sigma w + D v = w (sigma - scalar)."""
     return state.v**3 * (state.sigma_tilde - state.scalar)
 
 
-def rosenbrock_step(state: FlowState, h: float,
-                    bands: np.ndarray | None = None) -> tuple[FlowState, float]:
+def rosenbrock_step(state: FlowState, h: float) -> tuple[FlowState, float]:
     """One ROS2 step on w = v^3; returns the new state and its error estimate.
 
     With the Jacobian J = sigma I + D diag(1 / (3 v^2)) frozen at the start
@@ -254,16 +216,15 @@ def rosenbrock_step(state: FlowState, h: float,
 
         W k1 = f(w),  W k2 = f(w + h k1) - 2 k1,  w_new = w + h (3 k1 + k2) / 2.
 
-    The estimate is max |w_new - (w + h k1)| / w against the embedded Euler
-    solution.  ``bands`` are :func:`divergence_bands` of the grid, built
-    here when not given.  Raises PositivityError when the stage or the
-    result is not positive.
+    D is the grid's fixed flux divergence
+    :attr:`~singular_yamabe.geometry.RadialGrid.divergence_bands`.  The
+    estimate is max |w_new - (w + h k1)| / w against the embedded Euler
+    solution.  Raises PositivityError when the stage or the result is not
+    positive.
     """
     _check_step_size(h)
-    if bands is None:
-        bands = divergence_bands(state.grid)
     gh = _GAMMA * h
-    lhs = bands * (-gh / (3.0 * state.v**2))
+    lhs = state.grid.divergence_bands * (-gh / (3.0 * state.v**2))
     lhs[1] += 1.0 - gh * state.sigma_tilde
     w = state.v**3
     k1 = solve_banded((1, 1), lhs, _rate(state), check_finite=False)
@@ -352,7 +313,6 @@ def run(scenario: Scenario) -> RunResult:
         raise ValueError("run() drives the eguchi-hanson reduction, "
                          f"not the {scenario.model_type} model")
     state = initial_state(scenario)
-    bands = divergence_bands(state.grid)
     records = [_make_record(state, 0.0, scenario.cutoffs)]
     snapshots = [(state.t, np.array(state.v))]
     every = scenario.snapshot_every
@@ -364,7 +324,7 @@ def run(scenario: Scenario) -> RunResult:
     while state.t < t_stop:
         h_try = min(h, next_snap - state.t, scenario.t_end - state.t)
         try:
-            new, err = rosenbrock_step(state, h_try, bands)
+            new, err = rosenbrock_step(state, h_try)
         except PositivityError as exc:
             if h_try <= stable_dt(state, scenario.safety):
                 if snapshots[-1][0] != state.t:
@@ -390,80 +350,3 @@ def run(scenario: Scenario) -> RunResult:
     if snapshots[-1][0] != state.t:
         snapshots.append((state.t, np.array(state.v)))
     return RunResult(records, snapshots, True, None, state)
-
-
-# ---------------------------------------------------------------------------
-# manufactured constant-curvature profile
-# ---------------------------------------------------------------------------
-
-
-def _curvature_sweep(v: np.ndarray, grid: RadialGrid, target: float) -> np.ndarray:
-    """One fixed-point sweep toward constant curvature.
-
-    Integrates the source sigma * v^3 from the outer face inward to get the
-    fluxes of a profile with cellwise-constant curvature, rebuilds that
-    profile, and fixes its volume.
-    """
-    x = grid.cell_centers
-    dx = grid.cell_widths
-    sig = FlowState(grid=grid, v=v).sigma_tilde
-    back = sig * np.cumsum((dx * v**3)[::-1])[::-1]
-    xv = np.empty(grid.n_cells)
-    xv[0] = x[0] * back[0]
-    xv[1:] = xv[0] + np.cumsum(back[1:] / (1.0 - grid.faces[1:-1] ** 2) * np.diff(x))
-    if np.any(xv <= 0.0) or not np.all(np.isfinite(xv)):
-        raise ConvergenceError("curvature fixed point left the positive cone")
-    v_new = xv / x
-    v_new *= (target / np.sum(v_new**4 * grid.weights)) ** 0.25
-    return v_new
-
-
-def constant_curvature_state(grid: RadialGrid, volume_target: float = 2.0,
-                             tol: float = 1e-12, max_iters: int = 500) -> FlowState:
-    """Profile whose discrete curvature is constant across cells.
-
-    Anderson-accelerated fixed point on the sweep that integrates the source
-    from the outer face inward and rebuilds the profile at fixed volume.  The
-    result is deterministic for a given grid and target, has cellwise
-    curvature deviation at the tolerance scale, and is stationary under
-    :func:`step` to round-off.
-
-    Converges on uniform grids at any tested resolution.  On strongly graded
-    grids no discrete equilibrium short of the concentration threshold seems
-    to exist (the would-be profile runs away toward ever-taller bubbles at
-    the puncture as the resolved scales shrink), and the iteration reports
-    ConvergenceError rather than returning a near-miss.
-    """
-    depth = 3
-    v = np.full(grid.n_cells, (2.0 * volume_target) ** 0.25)
-    residuals: list[np.ndarray] = []
-    iterates: list[np.ndarray] = []
-    for _ in range(max_iters):
-        swept = _curvature_sweep(v, grid, volume_target)
-        res = swept - v
-        if np.max(np.abs(res)) <= tol * np.max(np.abs(v)):
-            return state_from_samples(grid, swept, volume_target=volume_target)
-        residuals.append(res)
-        iterates.append(v)
-        if len(residuals) > depth + 1:
-            residuals.pop(0)
-            iterates.pop(0)
-        m = len(residuals) - 1
-        if m == 0:
-            v_next = swept
-        else:
-            d_res = np.stack([residuals[i + 1] - residuals[i] for i in range(m)], axis=1)
-            d_it = np.stack([iterates[i + 1] - iterates[i] for i in range(m)], axis=1)
-            gamma, *_ = np.linalg.lstsq(d_res, res, rcond=None)
-            v_next = v + res - (d_it + d_res) @ gamma
-        if np.any(v_next <= 0.0) or not np.all(np.isfinite(v_next)):
-            # safeguard: drop the extrapolation history and take a plain sweep
-            v_next = swept
-            residuals.clear()
-            iterates.clear()
-        v = v_next
-    raise ConvergenceError(
-        f"constant-curvature profile did not converge in {max_iters} sweeps"
-        f" (last update {np.max(np.abs(res)):.3e}); strongly graded grids admit"
-        " no such equilibrium at resolved concentration scales"
-    )

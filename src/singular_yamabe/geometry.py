@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,28 @@ class RadialGrid:
     @property
     def cell_widths(self) -> np.ndarray:
         return np.diff(self.faces)
+
+    @cached_property
+    def divergence_bands(self) -> np.ndarray:
+        """The flux divergence D, D v = diff(face_fluxes(v)) / dx, as (1, 1) bands.
+
+        Row 0 holds the superdiagonal, row 1 the diagonal and row 2 the
+        subdiagonal, in the layout of :func:`scipy.linalg.solve_banded`.  The
+        fluxes of :func:`face_fluxes` are linear in v: interior face i carries
+        c_i (x_i v_i - x_{i-1} v_{i-1}) with c_i = (1 - f_i^2) / (x_i - x_{i-1}),
+        the first face carries v_0.  Built on first use, then read-only.
+        """
+        x = self.cell_centers
+        dx = self.cell_widths
+        c = (1.0 - self.faces[1:-1] ** 2) / np.diff(x)
+        bands = np.zeros((3, self.n_cells))
+        bands[0, 1:] = c * x[1:] / dx[:-1]
+        bands[2, :-1] = c * x[:-1] / dx[1:]
+        bands[1, :-1] -= c * x[:-1] / dx[:-1]
+        bands[1, 1:] -= c * x[1:] / dx[1:]
+        bands[1, 0] -= 1.0 / dx[0]
+        bands.setflags(write=False)
+        return bands
 
 
 def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> RadialGrid:

@@ -24,7 +24,6 @@ __all__ = [
     "QuotientResult",
     "EigenResult",
     "yamabe_sphere_constant",
-    "sphere_thresholds",
     "orbifold_thresholds",
     "yamabe_quotient_eh",
     "yamabe_quotient_sphere",
@@ -61,11 +60,6 @@ class Thresholds:
             raise ValueError(f"dimension must be at least 3, got {self.n}")
         if not self.Y_local > 0.0:
             raise ValueError("local threshold must be positive")
-
-
-def sphere_thresholds(n: int = 4) -> Thresholds:
-    y = yamabe_sphere_constant(n)
-    return Thresholds(Y=y, Y_local=y, n=n)
 
 
 def orbifold_thresholds(group_order: int = 2, n: int = 4) -> Thresholds:

@@ -127,12 +127,10 @@ def test_criterion_2_flow_property_suite():
                 nxt = flow.renormalize(nxt)
             states.append(nxt)
 
-    bands = flow.divergence_bands(grid)
-
     def ros2_step(state, k):
         if k == len(result.records):
             return None
-        return flow.rosenbrock_step(state, result.records[k].dt_used, bands)[0]
+        return flow.rosenbrock_step(state, result.records[k].dt_used)[0]
 
     def explicit_step(state, k):
         if state.t >= cfg.t_end * (1.0 - 1e-12):

@@ -119,7 +119,7 @@ def test_flow_file_init(tmp_path):
     assert cli.main(["flow", cfg_path, "--quiet"]) == 0
     records, _ = cli.read_series_csv(str(tmp_path / "run" / "series.csv"))
     grid = geo.build_grid(64, "uniform")
-    expect = flow.state_from_table(grid, xs, vs)
+    expect = flow.state_from_samples(grid, np.interp(grid.cell_centers, xs, vs))
     assert records[0].volume == pytest.approx(flow.volume_of(expect), rel=1e-12)
 
 
@@ -134,8 +134,7 @@ def test_flow_rejects_bad_inputs(tmp_path, capsys):
     path.write_text(yaml.safe_dump(data))
     assert cli.main(["flow", str(path), "--quiet"]) == cli.EXIT_INPUT
 
-    for grid in ({"n_cells": math.inf}, {"grading": "geometric", "ratio": 1.0},
-                 {"n_cells": 1024, "grading": "geometric", "ratio": 0.97}):
+    for grid in ({"n_cells": math.inf}, {"grading": "geometric", "ratio": 1.0}):
         bad_grid, _ = _scenario(tmp_path, grid=grid)
         assert cli.main(["flow", bad_grid, "--quiet"]) == cli.EXIT_INPUT
 
@@ -143,6 +142,22 @@ def test_flow_rejects_bad_inputs(tmp_path, capsys):
     broken.write_text("model: [unclosed\n")
     assert cli.main(["flow", str(broken), "--quiet"]) == cli.EXIT_INPUT
     assert cli.main(["flow", str(tmp_path / "absent.yaml"), "--quiet"]) == cli.EXIT_INPUT
+    capsys.readouterr()
+
+    # a degenerate grid, a start whose volume or quotient overflows, and a
+    # core scale whose quotient overflows are refused before the output
+    # directory is made
+    degenerate = {"grid": {"n_cells": 1024, "grading": "geometric", "ratio": 0.97}}
+    huge = {"init": {"type": "constant", "value": 1e100}}
+    refused = [(command, overrides) for command in ("flow", "yamabe", "eigen")
+               for overrides in (degenerate, huge)]
+    refused += [("yamabe", {"init": {"type": "constant", "value": 1e-100}}),
+                ("yamabe", {"model": {"a": 1e200}})]
+    for command, overrides in refused:
+        cfg_path, _ = _scenario(tmp_path, **overrides)
+        assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_INPUT, (command, overrides)
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
 
 
 def test_flow_positivity_exit(tmp_path, monkeypatch):
@@ -167,7 +182,7 @@ def test_flow_positivity_exit(tmp_path, monkeypatch):
 
 
 def test_flow_positivity_loss_in_the_stepper_exits_3(tmp_path, monkeypatch):
-    def lose_positivity(state, h, bands=None):
+    def lose_positivity(state, h):
         raise flow.PositivityError("conformal cube lost positivity in 1 cells")
 
     monkeypatch.setattr(flow, "rosenbrock_step", lose_positivity)
@@ -380,6 +395,9 @@ BAD_PROFILES = {
     "one_row": "0.5,1.0\n",
     "negative_v": "0.0,1.0\n0.5,-1.0\n1.0,1.0\n",
     "non_numeric_cell": "0.0,1.0\n0.5,abc\n1.0,1.0\n",
+    "repeated_x": "0.0,1.0\n0.5,1.0\n0.5,1.2\n1.0,1.0\n",
+    "huge_v": "0.0,1e100\n1.0,1e100\n",
+    "tiny_v": "0.0,1e-100\n1.0,1e-100\n",
 }
 
 

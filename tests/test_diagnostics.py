@@ -40,10 +40,9 @@ def test_moments_of_constant_start():
     assert abs(diag.f_p(s, 4.0) - 2.0 / 135.0) < 1e-6
 
 
-def test_moments_vanish_at_constant_curvature():
-    cc = flow.constant_curvature_state(geo.build_grid(128, "uniform"))
-    assert diag.f_p(cc, 2.0) < 1e-20
-    assert diag.f_p(cc, 3.0) < 1e-28
+def test_moments_vanish_at_constant_curvature(constant_curvature_state):
+    assert diag.f_p(constant_curvature_state, 2.0) < 1e-20
+    assert diag.f_p(constant_curvature_state, 3.0) < 1e-28
 
 
 def test_moment_order_validation():
@@ -230,15 +229,6 @@ def test_bubble_fit_under_noise():
                     abs(fit.scale_eps_lambda - 0.05) / 0.05,
                     abs(fit.c_fit - 2.0) / 2.0)
     assert worst < 0.025
-
-
-def test_bubble_fit_evolving_distance():
-    fit = diag.bubble_fit(_bubble_state(0.05, 2.0), EH, distance="evolving")
-    assert fit.scale_eps_lambda > 0.0
-    assert fit.c_fit > 0.0
-    assert math.isfinite(fit.residual)
-    with pytest.raises(ValueError):
-        diag.bubble_fit(_bubble_state(0.05, 2.0), EH, distance="comoving")
 
 
 def test_rigidity_profile_constant():

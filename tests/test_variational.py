@@ -39,8 +39,6 @@ def test_threshold_values():
     # halving the sphere constant in the n/2 power: order 2 divides by sqrt(2)
     assert math.isclose(th.Y_local, var.yamabe_sphere_constant(4) / math.sqrt(2.0),
                         rel_tol=1e-14)
-    sph = var.sphere_thresholds(4)
-    assert sph.Y == sph.Y_local == var.yamabe_sphere_constant(4)
 
 
 def test_threshold_validation():
