@@ -29,13 +29,10 @@ from .flow import (
     PositivityError,
     RunResult,
     TimeSeriesRecord,
-    constant_state,
     mass_fraction,
     run,
-    state_from_samples,
     stable_dt,
     step,
-    volume_of,
 )
 from .variational import (
     EigenResult,

@@ -39,6 +39,7 @@ from .scenario import (
     load_profile,
     parse_config,
     read_profile,
+    value_name,
 )
 
 EXIT_OK = 0
@@ -69,26 +70,14 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _np_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _write_json(path: str, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_np_default)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     _atomic_write(path, text + "\n")
 
 
 def write_series_csv(path: str, records, cutoffs) -> None:
     header = "t,sigma_tilde,volume,F2,F3,v_at_x1,dt"
-    header += "".join(f",mass_frac_{format(c, 'g')}" for c in cutoffs)
+    header += "".join(f",mass_frac_{value_name(c)}" for c in cutoffs)
     lines = [header]
     for rec in records:
         cells = [_fmt(rec.t), _fmt(rec.sigma_tilde), _fmt(rec.volume),
@@ -238,7 +227,6 @@ def cmd_flow(args) -> int:
     final = result.records[-1]
     payload = {
         "scenario": cfg.echo(),
-        "seed": args.seed,
         "package_version": __version__,
         "completed": result.completed,
         "failure": result.failure,
@@ -295,7 +283,6 @@ def cmd_yamabe(args) -> int:
     result = variational.minimize_quotient(model, grid=grid, init=init)
     payload = {
         "scenario": cfg.echo(),
-        "seed": args.seed,
         "package_version": __version__,
         "initial_value": float(initial_value),
         "value": float(result.value),
@@ -316,8 +303,7 @@ def cmd_yamabe(args) -> int:
 def cmd_eigen(args) -> int:
     cfg = load_config(args.config)
     outdir = args.output_dir or cfg.output_dir
-    payload = {"scenario": cfg.echo(), "seed": args.seed,
-               "package_version": __version__}
+    payload = {"scenario": cfg.echo(), "package_version": __version__}
     try:
         if cfg.model_type == "sphere":
             model = geometry.build_sphere_model(cfg.sphere_n, cfg.n_cells)
@@ -387,8 +373,7 @@ def cmd_report(args) -> int:
         if not np.array_equal(x, grid.cell_centers):
             raise ConfigError(f"snapshot {rel_name} does not lie on the grid")
         try:
-            return flow.state_from_samples(grid, v, t=t,
-                                           volume_target=records[0].volume)
+            return flow.FlowState(grid, v, t=t, volume_target=records[0].volume)
         except ValueError as err:
             raise ConfigError(f"snapshot {rel_name} at t={t!r}: {err}") from err
 
@@ -404,8 +389,7 @@ def cmd_report(args) -> int:
     except ValueError as err:
         decay_payload = {"rate": None, "error": str(err)}
 
-    moments = {format(p, "g"): diagnostics.f_p(final, p)
-               for p in cfg.f_p_exponents}
+    moments = {value_name(p): diagnostics.f_p(final, p) for p in cfg.f_p_exponents}
     sup = diagnostics.sup_bound_check(final, diagnostics.scalar_l2_bound(initial))
 
     bubble_payload = None
@@ -481,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sub):
         sub.add_argument("--output-dir", default=None,
                          help="override the config's output directory")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="recorded in result files for reproducibility")
         sub.add_argument("--quiet", action="store_true",
                          help="suppress progress output")
 

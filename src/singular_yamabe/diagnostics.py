@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import FlowState, TimeSeriesRecord, boundary_value, mass_fraction, volume_of
+from .flow import FlowState, TimeSeriesRecord, boundary_value, mass_fraction
 from .geometry import EguchiHansonModel, distance_from_singular_point, green_kernel
 from .variational import Thresholds
 
@@ -144,20 +144,20 @@ def concentration_threshold_fraction(sigma_inf_phys: float, thresholds: Threshol
 
 
 def detect_concentration(state: FlowState, sigma_inf_phys: float,
-                         thresholds: Thresholds, x0: float = 0.1):
+                         thresholds: Thresholds):
     """Decide whether volume has concentrated near the singular end.
 
-    The cutoff is halved twice and the fraction inside must clear the
-    quantization threshold at all three scales.  Demanding persistence
-    under refinement separates genuine point-mass formation from a profile
-    that merely leans toward small x.  Returns the flag and the evidence
-    as (t, cutoff, fraction) triples.
+    The fraction inside each of the cutoffs x = 0.1, 0.05 and 0.025 must
+    clear the quantization threshold.  Demanding persistence under
+    refinement separates genuine point-mass formation from a profile that
+    merely leans toward small x.  Returns the flag and the evidence as
+    (t, cutoff, fraction) triples.
     """
     frac_needed = concentration_threshold_fraction(sigma_inf_phys, thresholds,
                                                   state.volume_target)
     history = []
     flagged = True
-    for cutoff in (x0, 0.5 * x0, 0.25 * x0):
+    for cutoff in (0.1, 0.05, 0.025):
         frac = mass_fraction(state, cutoff)
         history.append((state.t, cutoff, frac))
         if frac <= frac_needed:
@@ -268,11 +268,12 @@ def bubble_fit(state: FlowState, model: EguchiHansonModel) -> BubbleFit:
                      window=(int(window[0]), int(window[-1]) + 1))
 
 
-def rigidity_profile_constant(sigma_inf_phys: float, n: int = 4) -> float:
-    """Profile amplitude sqrt(n(n-1)/sigma) the limiting bubble should carry."""
+def rigidity_profile_constant(sigma_inf_phys: float) -> float:
+    """Profile amplitude sqrt(n(n-1)/sigma) = sqrt(12/sigma) the limiting
+    bubble should carry in dimension n = 4."""
     if sigma_inf_phys <= 0.0:
         raise ValueError("needs a positive limiting average")
-    return math.sqrt(n * (n - 1) / sigma_inf_phys)
+    return math.sqrt(12.0 / sigma_inf_phys)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +295,12 @@ class DichotomyReport:
 
 
 def build_dichotomy_report(initial_state: FlowState, final_state: FlowState,
-                           thresholds: Thresholds, x0: float = 0.1) -> DichotomyReport:
+                           thresholds: Thresholds) -> DichotomyReport:
     """Classify a run against the energy thresholds and concentration rule."""
     s0_plus = positive_scalar_l2_norm(initial_state)
-    sigma0 = physical_sigma(initial_state.sigma_tilde, volume_of(initial_state))
-    sigma_inf = physical_sigma(final_state.sigma_tilde, volume_of(final_state))
-    flagged, history = detect_concentration(final_state, sigma_inf, thresholds, x0=x0)
+    sigma0 = physical_sigma(initial_state.sigma_tilde, initial_state.volume)
+    sigma_inf = physical_sigma(final_state.sigma_tilde, final_state.volume)
+    flagged, history = detect_concentration(final_state, sigma_inf, thresholds)
     return DichotomyReport(
         small_energy_ok=small_energy_test(s0_plus, thresholds.Y_local),
         low_average_ok=low_average_test(sigma0, thresholds.Y, thresholds.Y_local,

@@ -31,9 +31,6 @@ __all__ = [
     "FlowState",
     "TimeSeriesRecord",
     "RunResult",
-    "constant_state",
-    "state_from_samples",
-    "volume_of",
     "mass_fraction",
     "boundary_value",
     "stable_dt",
@@ -59,16 +56,18 @@ class FlowState:
 
     The rest is computed once, at construction, and read-only: scalar is
     the discrete curvature :func:`~singular_yamabe.geometry.scalar_from_v`,
-    dvol the volume element v^4 x dx of each cell, and sigma_tilde the
-    dvol-weighted mean of scalar, which makes it equal to the
-    summation-by-parts energy quotient exactly.  A profile whose discrete
-    volume overflows or underflows (v of order 1e100 or 1e-100) is refused.
+    dvol the volume element v^4 x dx of each cell, volume their sum, and
+    sigma_tilde the dvol-weighted mean of scalar, which makes it equal to
+    the summation-by-parts energy quotient exactly.  The volume target
+    defaults to the state's own volume.  A profile whose discrete volume
+    overflows or underflows (v of order 1e100 or 1e-100) is refused.
     """
 
     grid: RadialGrid
     v: np.ndarray
     t: float = 0.0
-    volume_target: float = 2.0
+    volume_target: float | None = None
+    volume: float = field(init=False)
     sigma_tilde: float = field(init=False)
     scalar: np.ndarray = field(init=False, repr=False)
     dvol: np.ndarray = field(init=False, repr=False)
@@ -86,44 +85,21 @@ class FlowState:
             volume = float(np.sum(dvol))
         if not 0.0 < volume < math.inf:
             raise ValueError(f"profile volume {volume:g} must be finite and positive")
-        if not 0.0 < self.volume_target < math.inf:
+        if self.volume_target is None:
+            object.__setattr__(self, "volume_target", volume)
+        elif not 0.0 < self.volume_target < math.inf:
             raise ValueError("volume target must be finite and positive")
         scalar = scalar_from_v(v, self.grid)
         for name, array in (("v", v), ("scalar", scalar), ("dvol", dvol)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+        object.__setattr__(self, "volume", volume)
         object.__setattr__(self, "sigma_tilde", float(np.dot(scalar, dvol) / volume))
-
-
-def constant_state(grid: RadialGrid, value: float | None = None,
-                   volume_target: float = 2.0) -> FlowState:
-    """Constant initial profile; by default the one matching the volume target."""
-    if value is None:
-        value = (2.0 * volume_target) ** 0.25
-    if not value > 0.0:
-        raise ValueError("constant profile must be positive")
-    v = np.full(grid.n_cells, float(value))
-    return state_from_samples(grid, v, volume_target=volume_target)
-
-
-def state_from_samples(grid: RadialGrid, v, t: float = 0.0,
-                       volume_target: float | None = None) -> FlowState:
-    """Wrap a sampled profile; the default target is its own discrete volume."""
-    v = np.asarray(v, dtype=float)
-    if volume_target is None:
-        with np.errstate(over="ignore"):  # FlowState refuses an infinite volume
-            volume_target = float(np.sum(v**4 * grid.weights))
-    return FlowState(grid=grid, v=v, t=t, volume_target=volume_target)
 
 
 # ---------------------------------------------------------------------------
 # observables
 # ---------------------------------------------------------------------------
-
-
-def volume_of(state: FlowState) -> float:
-    """Discrete volume integral of v^4 against x dx."""
-    return float(np.sum(state.dvol))
 
 
 def boundary_value(state: FlowState) -> float:
@@ -149,7 +125,7 @@ def mass_fraction(state: FlowState, x0: float) -> float:
     inner = float(np.dot(v4[:k], state.grid.weights[:k]))
     if x0 > faces[k]:
         inner += v4[k] * 0.5 * (x0**2 - faces[k] ** 2)
-    return inner / volume_of(state)
+    return inner / state.volume
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +212,7 @@ def rosenbrock_step(state: FlowState, h: float) -> tuple[FlowState, float]:
 
 def renormalize(state: FlowState) -> FlowState:
     """Rescale the profile so the discrete volume matches the target exactly."""
-    vol = volume_of(state)
-    scale = (state.volume_target / vol) ** 0.25
+    scale = (state.volume_target / state.volume) ** 0.25
     return FlowState(grid=state.grid, v=state.v * scale, t=state.t,
                      volume_target=state.volume_target)
 
@@ -273,7 +248,7 @@ def _make_record(state: FlowState, dt_used: float, cutoffs) -> TimeSeriesRecord:
     return TimeSeriesRecord(
         t=state.t,
         sigma_tilde=state.sigma_tilde,
-        volume=volume_of(state),
+        volume=state.volume,
         f2=float(np.dot(dev**2, state.dvol)),
         f3=float(np.dot(dev**3, state.dvol)),
         v_at_x1=boundary_value(state),
@@ -285,13 +260,15 @@ def _make_record(state: FlowState, dt_used: float, cutoffs) -> TimeSeriesRecord:
 def initial_state(scenario: Scenario) -> FlowState:
     """The starting state of the scenario, on its grid.
 
-    A constant start takes the volume target 2; a tabulated start keeps
-    its own discrete volume, since the flow is volume-preserving.
+    The flow preserves volume, so a start's target is its own discrete
+    volume, except the default constant 4^(1/4), whose target is exactly 2.
     """
     grid = scenario.grid()
-    if scenario.init_type == "constant":
-        return constant_state(grid, scenario.init_value)
-    return state_from_samples(grid, load_profile(scenario.init_path, grid.cell_centers))
+    if scenario.init_type == "file":
+        return FlowState(grid, load_profile(scenario.init_path, grid.cell_centers))
+    if scenario.init_value is None:
+        return FlowState(grid, np.full(grid.n_cells, 4.0**0.25), volume_target=2.0)
+    return FlowState(grid, np.full(grid.n_cells, scenario.init_value))
 
 
 def run(scenario: Scenario) -> RunResult:

@@ -250,15 +250,15 @@ def eh_volume(a: float = 1.0) -> float:
     return np.pi**2 * a**4 / 4.0
 
 
-def improper_radial_integral(f, a: float = 1.0, initial_cutoff: float | None = None) -> float:
+def improper_radial_integral(f, a: float = 1.0) -> float:
     """Integrate f over (0, infinity), doubling the cutoff until converged.
 
-    The cutoff starts at a multiple of the core scale and doubles until the
-    tail contribution changes the total by less than 1e-10 in relative terms.
+    The cutoff starts at 8 a and doubles until the tail contribution changes
+    the total by less than 1e-10 in relative terms.
     """
     from scipy.integrate import quad
 
-    cutoff = 8.0 * a if initial_cutoff is None else float(initial_cutoff)
+    cutoff = 8.0 * a
     total, _ = quad(f, 0.0, cutoff, limit=200)
     for _ in range(200):
         tail, _ = quad(f, cutoff, 2.0 * cutoff, limit=200)

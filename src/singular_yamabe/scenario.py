@@ -52,6 +52,12 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def value_name(value: float) -> str:
+    """The name a cutoff or exponent goes by in series.csv columns and
+    dichotomy.json keys."""
+    return format(value, "g")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One run's model, grid, time stepping, start, diagnostics and output.
@@ -105,12 +111,10 @@ class Scenario:
                 raise ConfigError("init.path must name a profile file")
         else:
             raise ConfigError(f"init.type must be constant or file, got {self.init_type!r}")
-        self._number_list("cutoffs",
-                          "diagnostics.cutoffs must be a nonempty list in (0, 1]",
+        self._number_list("cutoffs", "diagnostics.cutoffs", "a nonempty list in (0, 1]",
                           lambda c: 0.0 < c <= 1.0)
-        self._number_list("f_p_exponents",
-                          "diagnostics.f_p_exponents must be a nonempty list of numbers >= 1",
-                          lambda p: p >= 1.0)
+        self._number_list("f_p_exponents", "diagnostics.f_p_exponents",
+                          "a nonempty list of numbers >= 1", lambda p: p >= 1.0)
         if not self.output_dir or not isinstance(self.output_dir, str):
             raise ConfigError("output.dir must be a nonempty path")
 
@@ -133,12 +137,17 @@ class Scenario:
             raise ConfigError(f"{where} must be {'<' if hi_strict else '<='} {hi}")
         object.__setattr__(self, name, value)
 
-    def _number_list(self, name, message, accept):
+    def _number_list(self, name, where, what, accept):
         values = getattr(self, name)
         if (not isinstance(values, (list, tuple)) or not values
                 or not all(_is_number(c) and accept(c) for c in values)):
-            raise ConfigError(message)
-        object.__setattr__(self, name, tuple(float(c) for c in values))
+            raise ConfigError(f"{where} must be {what}")
+        values = tuple(float(c) for c in values)
+        names = [value_name(c) for c in values]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"{where} values {list(values)} go by the names {names}, "
+                              "which must differ")
+        object.__setattr__(self, name, values)
 
     def grid(self) -> geometry.RadialGrid:
         """The radial grid of the eguchi-hanson reduction."""

@@ -62,16 +62,14 @@ class Thresholds:
             raise ValueError("local threshold must be positive")
 
 
-def orbifold_thresholds(group_order: int = 2, n: int = 4) -> Thresholds:
-    """Thresholds at an isolated quotient singularity of the given order.
+def orbifold_thresholds() -> Thresholds:
+    """Thresholds at the Z/2 orbifold point of the four-dimensional space.
 
-    The local threshold divides the sphere constant by order^(2/n); for the
-    geometry simulated here the global invariant coincides with it.
+    The local threshold divides the sphere constant by order^(2/n) = 2^(1/2);
+    for the geometry simulated here the global invariant coincides with it.
     """
-    if group_order < 1:
-        raise ValueError(f"group order must be at least 1, got {group_order}")
-    y = yamabe_sphere_constant(n) / group_order ** (2.0 / n)
-    return Thresholds(Y=y, Y_local=y, n=n)
+    y = yamabe_sphere_constant(4) / 2 ** (2.0 / 4)
+    return Thresholds(Y=y, Y_local=y, n=4)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +225,7 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
     return QuotientResult(q, v, _MAX_ITERS, grad_norm, False, history)
 
 
-def minimize_quotient(model, grid: RadialGrid | None = None, init=None) -> QuotientResult:
+def minimize_quotient(model, grid: RadialGrid | None = None, *, init) -> QuotientResult:
     """Descend the conformal quotient for a sphere or Eguchi-Hanson model.
 
     On the sphere the constant is the minimizer and the descent converges to
@@ -252,7 +250,7 @@ def minimize_quotient(model, grid: RadialGrid | None = None, init=None) -> Quoti
         size = grid.n_cells
     else:
         raise TypeError(f"unsupported model {type(model).__name__}")
-    v0 = np.ones(size) if init is None else np.asarray(init, dtype=float)
+    v0 = np.asarray(init, dtype=float)
     if v0.shape != (size,):
         raise ValueError("initial profile does not match the model resolution")
     if np.any(v0 <= 0.0):
@@ -335,17 +333,17 @@ def sphere_first_eigenvalue(model: SphereModel) -> EigenResult:
     return _lambda1_pencil(face_coeff, model.weights)
 
 
-def eigen_criteria(lambda1: float, sigma_inf: float, n: int,
-                   tol: float = 1e-8) -> dict:
+def eigen_criteria(lambda1: float, sigma_inf: float, n: int) -> dict:
     """Spectral gap tests against the limit curvature mean.
 
-    uniqueness holds when lambda1 stays away from sigma_inf / (n - 1);
-    no_concentration when it sits strictly above that level.
+    uniqueness holds when lambda1 stays more than 1e-8 away from
+    sigma_inf / (n - 1); no_concentration when it sits more than 1e-8
+    above that level.
     """
     if n < 3:
         raise ValueError(f"dimension must be at least 3, got {n}")
     gap_level = sigma_inf / (n - 1)
     return {
-        "uniqueness": bool(abs(lambda1 - gap_level) > tol),
-        "no_concentration": bool(lambda1 > gap_level + tol),
+        "uniqueness": bool(abs(lambda1 - gap_level) > 1e-8),
+        "no_concentration": bool(lambda1 > gap_level + 1e-8),
     }

@@ -21,12 +21,12 @@ def constant_curvature_state():
     conductance = (1.0 - grid.faces[1:-1] ** 2) / np.diff(x)
     v = np.full(grid.n_cells, 4.0**0.25)
     for _ in range(500):
-        sigma = flow.state_from_samples(grid, v).sigma_tilde
+        sigma = flow.FlowState(grid, v).sigma_tilde
         flux = sigma * np.cumsum((dx * v**3)[::-1])[::-1]
         xv = x[0] * flux[0] + np.concatenate(([0.0], np.cumsum(flux[1:] / conductance)))
         swept = xv / x
         swept *= (2.0 / np.sum(swept**4 * grid.weights)) ** 0.25
         if np.max(np.abs(swept - v)) <= 1e-12 * np.max(v):
-            return flow.state_from_samples(grid, swept, volume_target=2.0)
+            return flow.FlowState(grid, swept, volume_target=2.0)
         v = swept
     raise AssertionError("the constant-curvature sweeps did not settle in 500 steps")

@@ -80,7 +80,7 @@ def _replay_failures(name, grid, states):
     for before, state in zip(states, states[1:]):
         sig_rises = max(sig_rises, state.sigma_tilde - before.sigma_tilde)
     for state in states:
-        drift = max(drift, abs(flow.volume_of(state) / state.volume_target - 1.0))
+        drift = max(drift, abs(state.volume / state.volume_target - 1.0))
         min_scal = min(min_scal, float(np.min(geo.scalar_from_v(state.v, grid))))
         xv = np.concatenate([[0.0], grid.cell_centers * state.v,
                              [flow.boundary_value(state)]])
@@ -118,7 +118,7 @@ def test_criterion_2_flow_property_suite():
     # ROS2 trajectory from its accepted step sizes, and the explicit
     # reference stepper under its stability bound, by hand
     def replay(advance):
-        states = [flow.constant_state(grid)]
+        states = [flow.initial_state(cfg)]
         while True:
             nxt = advance(states[-1], len(states))
             if nxt is None:
@@ -179,7 +179,7 @@ def test_criterion_3_discretization_orders():
         if r < 3.5:
             failures.append(f"curvature error ratio {r:.3f} below 3.5")
 
-    greens = [diag.green_identity_residual(flow.constant_state(geo.build_grid(n, "uniform")))
+    greens = [diag.green_identity_residual(flow.initial_state(Scenario(n_cells=n)))
               for n in (256, 512, 1024, 2048)]
     gratios = [a / b for a, b in zip(greens, greens[1:])]
     # first-order residual with a positive next-order term: the halving
@@ -200,7 +200,7 @@ def test_criterion_4_diagnostics_suite():
     model = geo.EguchiHansonModel(a=1.0)
 
     eps, c = 0.05, 2.0
-    clean = flow.state_from_samples(grid, c * eps / (eps**2 + d0**2))
+    clean = flow.FlowState(grid, c * eps / (eps**2 + d0**2))
     fit = diag.bubble_fit(clean, model)
     if abs(fit.scale_eps_lambda - eps) / eps > 1e-8 or abs(fit.c_fit - c) / c > 1e-8:
         failures.append(f"noise-free recovery off: {fit}")
@@ -209,7 +209,7 @@ def test_criterion_4_diagnostics_suite():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         noisy = clean.v * (1.0 + 0.01 * rng.standard_normal(512))
-        nfit = diag.bubble_fit(flow.state_from_samples(grid, noisy), model)
+        nfit = diag.bubble_fit(flow.FlowState(grid, noisy), model)
         worst = max(worst, abs(nfit.scale_eps_lambda - eps) / eps,
                     abs(nfit.c_fit - c) / c)
     if worst > 0.02:

@@ -119,8 +119,8 @@ def test_flow_file_init(tmp_path):
     assert cli.main(["flow", cfg_path, "--quiet"]) == 0
     records, _ = cli.read_series_csv(str(tmp_path / "run" / "series.csv"))
     grid = geo.build_grid(64, "uniform")
-    expect = flow.state_from_samples(grid, np.interp(grid.cell_centers, xs, vs))
-    assert records[0].volume == pytest.approx(flow.volume_of(expect), rel=1e-12)
+    expect = flow.FlowState(grid, np.interp(grid.cell_centers, xs, vs))
+    assert records[0].volume == pytest.approx(expect.volume, rel=1e-12)
 
 
 def test_flow_rejects_bad_inputs(tmp_path, capsys):
@@ -158,6 +158,12 @@ def test_flow_rejects_bad_inputs(tmp_path, capsys):
         assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_INPUT, (command, overrides)
         assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "run").exists()
+
+    # distinct cutoffs or exponents whose names in the outputs would collide
+    for key, values in (("cutoffs", [0.1, 0.1000001]), ("f_p_exponents", [2, 2.0000001, 3])):
+        cfg_path, _ = _scenario(tmp_path, diagnostics={key: values})
+        assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: diagnostics.{key} ")
 
 
 def test_flow_positivity_exit(tmp_path, monkeypatch):
@@ -417,15 +423,6 @@ def test_malformed_profile_is_an_input_error(tmp_path, capsys, table, command, m
     path.write_text(yaml.safe_dump(data))
     assert cli.main([command, str(path), "--quiet"]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_seed_is_echoed(tmp_path):
-    cfg_path, _ = _scenario(tmp_path, time={"t_end": 0.002, "safety": 0.4,
-                                            "renorm_every": 0,
-                                            "snapshot_every": 0.0})
-    assert cli.main(["flow", cfg_path, "--quiet", "--seed", "7"]) == 0
-    meta = json.loads((tmp_path / "run" / "report.json").read_text())
-    assert meta["seed"] == 7
 
 
 def _child_env():

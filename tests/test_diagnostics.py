@@ -25,7 +25,7 @@ def _record(t, f2):
 
 def _bubble_state(eps, c, volume_target=None):
     v = c * eps / (eps**2 + D0_G512**2)
-    return flow.state_from_samples(GRID_G512, v, volume_target=volume_target)
+    return flow.FlowState(GRID_G512, v, volume_target=volume_target)
 
 
 # deviation moments ---------------------------------------------------------
@@ -34,7 +34,7 @@ def _bubble_state(eps, c, volume_target=None):
 def test_moments_of_constant_start():
     # with v = 2^(1/4) the curvature is x and its mean 2/3, so the moments
     # are beta-type integrals with rational values
-    s = flow.constant_state(geo.build_grid(512, "uniform"))
+    s = flow.initial_state(Scenario(n_cells=512))
     assert abs(diag.f_p(s, 2.0) - 1.0 / 9.0) < 1e-5
     assert abs(diag.f_p(s, 3.0) - 46.0 / 1215.0) < 1e-6
     assert abs(diag.f_p(s, 4.0) - 2.0 / 135.0) < 1e-6
@@ -46,7 +46,7 @@ def test_moments_vanish_at_constant_curvature(constant_curvature_state):
 
 
 def test_moment_order_validation():
-    s = flow.constant_state(geo.build_grid(32, "uniform"))
+    s = flow.initial_state(Scenario(n_cells=32))
     with pytest.raises(ValueError):
         diag.f_p(s, 0.5)
 
@@ -92,7 +92,7 @@ def test_physical_sigma_of_default_start():
 
 
 def test_positive_scalar_norm_of_default_start():
-    s = flow.constant_state(geo.build_grid(512, "uniform"))
+    s = flow.initial_state(Scenario(n_cells=512))
     assert math.isclose(diag.positive_scalar_l2_norm(s),
                         12.0 * math.sqrt(2.0) * math.pi, rel_tol=1e-5)
 
@@ -158,7 +158,7 @@ def test_detect_concentration_fires_on_bubble():
 
 def test_detect_concentration_quiet_on_constant():
     th = var.orbifold_thresholds()
-    s = flow.constant_state(GRID_G512)
+    s = flow.initial_state(Scenario(n_cells=512, grading="geometric"))
     flag, hist = diag.detect_concentration(s, 16.0 * math.pi, th)
     assert not flag
     assert len(hist) == 3
@@ -169,20 +169,20 @@ def test_detect_concentration_quiet_on_constant():
 
 def test_green_identity_residual_smooth():
     assert diag.green_identity_residual(
-        flow.constant_state(geo.build_grid(512, "uniform"))) < 1e-3
+        flow.initial_state(Scenario(n_cells=512))) < 1e-3
     assert diag.green_identity_residual(
-        flow.constant_state(geo.build_grid(256, "uniform"))) < 2e-3
+        flow.initial_state(Scenario(n_cells=256))) < 2e-3
 
 
 def test_green_identity_residual_is_finite_on_rough_data():
     rng = np.random.default_rng(11)
     grid = geo.build_grid(64, "uniform")
-    s = flow.state_from_samples(grid, 0.5 + rng.random(64))
+    s = flow.FlowState(grid, 0.5 + rng.random(64))
     assert math.isfinite(diag.green_identity_residual(s))
 
 
 def test_sup_bound_clears_constant_start():
-    s = flow.constant_state(geo.build_grid(512, "uniform"))
+    s = flow.initial_state(Scenario(n_cells=512))
     rep = diag.sup_bound_check(s, diag.scalar_l2_bound(s))
     assert rep.C > float(np.max(s.grid.cell_centers * s.v))
     assert rep.max_violation == 0.0
@@ -209,13 +209,13 @@ def test_bubble_fit_window_too_small():
     d0 = geo.distance_from_singular_point(grid.cell_centers, 1.0)
     v = 1e-3 / (1e-6 + d0**2)
     with pytest.raises(diag.BubbleFitError):
-        diag.bubble_fit(flow.state_from_samples(grid, v), EH)
+        diag.bubble_fit(flow.FlowState(grid, v), EH)
 
 
 def test_bubble_fit_rejects_growing_profile():
     v = 1.0 + D0_G512**2
     with pytest.raises(diag.BubbleFitError):
-        diag.bubble_fit(flow.state_from_samples(GRID_G512, v), EH)
+        diag.bubble_fit(flow.FlowState(GRID_G512, v), EH)
 
 
 def test_bubble_fit_under_noise():
@@ -224,7 +224,7 @@ def test_bubble_fit_under_noise():
         rng = np.random.default_rng(seed)
         v = 2.0 * 0.05 / (0.05**2 + D0_G512**2)
         v = v * (1.0 + 0.01 * rng.standard_normal(512))
-        fit = diag.bubble_fit(flow.state_from_samples(GRID_G512, v), EH)
+        fit = diag.bubble_fit(flow.FlowState(GRID_G512, v), EH)
         worst = max(worst,
                     abs(fit.scale_eps_lambda - 0.05) / 0.05,
                     abs(fit.c_fit - 2.0) / 2.0)
@@ -242,11 +242,10 @@ def test_rigidity_profile_constant():
 
 
 def test_dichotomy_report_of_short_run():
-    grid = geo.build_grid(128, "uniform")
-    res = flow.run(Scenario(n_cells=128, t_end=0.004, snapshot_every=0.0))
+    cfg = Scenario(n_cells=128, t_end=0.004, snapshot_every=0.0)
+    res = flow.run(cfg)
     th = var.orbifold_thresholds()
-    rep = diag.build_dichotomy_report(flow.constant_state(grid),
-                                      res.final_state, th)
+    rep = diag.build_dichotomy_report(flow.initial_state(cfg), res.final_state, th)
     assert rep.small_energy_ok is False
     assert rep.low_average_ok is True
     assert rep.max_bubble_count == 1

@@ -66,3 +66,45 @@ def test_public_definitions_are_used_or_traced():
     src = Path(__file__).parents[1] / "src" / "singular_yamabe"
     unused = [name for name in _unreferenced_public_definitions(src) if name not in traced]
     assert not unused, f"public definitions nothing in src/ calls: {unused}"
+
+
+def _unpassed_defaulted_parameters(sources: list) -> list:
+    """Defaulted parameters of the package's public top-level functions that
+    no call in ``sources`` passes, by position or by keyword; a call is
+    matched to a function by its name or attribute."""
+    functions, calls = [], {}
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent.name == "singular_yamabe":
+            functions += [(path.stem, node) for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                calls.setdefault(name, []).append(call)
+
+    def passes(call, position, name):
+        keywords = {kw.arg for kw in call.keywords}
+        by_position = position is not None and (
+            len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+        return by_position or name in keywords or None in keywords
+
+    unpassed = []
+    for module, node in functions:
+        spec = node.args
+        positional = spec.posonlyargs + spec.args
+        defaulted = [(k, arg.arg) for k, arg in enumerate(positional)
+                     if k >= len(positional) - len(spec.defaults)]
+        defaulted += [(None, arg.arg) for arg, default in zip(spec.kwonlyargs, spec.kw_defaults)
+                      if default is not None]
+        unpassed += [f"{module}.{node.name}.{name}" for position, name in defaulted
+                     if not any(passes(call, position, name) for call in calls.get(node.name, ()))]
+    return unpassed
+
+
+def test_defaulted_parameters_are_passed():
+    # an option no caller sets is a constant in disguise: make it one
+    root = Path(__file__).parents[1]
+    sources = sorted((root / "src" / "singular_yamabe").glob("*.py"))
+    unpassed = _unpassed_defaulted_parameters(sources + [root / "perfbench" / "traced_cli.py"])
+    assert not unpassed, f"defaulted parameters no call in src/ or the tracer passes: {unpassed}"

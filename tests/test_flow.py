@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from singular_yamabe import flow
 from singular_yamabe import geometry as geo
-from singular_yamabe.scenario import Scenario
+from singular_yamabe.scenario import ConfigError, Scenario
 
 
 @pytest.fixture(scope="module")
@@ -19,36 +19,46 @@ def grid256():
     return geo.build_grid(256, "uniform")
 
 
-def test_constant_state_curvature_mean(grid256, grid64):
+def test_constant_state_curvature_mean(grid256):
     # the volume-weighted mean of 2x/c^2 at unit volume density is 2/3,
     # up to the quadrature error of the flux form
-    s = flow.constant_state(grid256)
+    s = flow.initial_state(Scenario(n_cells=256))
     assert abs(s.sigma_tilde - 2.0 / 3.0) < 1e-5
-    assert abs(flow.constant_state(grid64).sigma_tilde - 2.0 / 3.0) < 1e-4
+    assert abs(flow.initial_state(Scenario(n_cells=64)).sigma_tilde - 2.0 / 3.0) < 1e-4
     # the state carries its curvature and volume element
     assert np.array_equal(s.scalar, geo.scalar_from_v(s.v, grid256))
     assert np.array_equal(s.dvol, s.v**4 * grid256.weights)
-    assert s.sigma_tilde == float(np.dot(s.scalar, s.dvol) / np.sum(s.dvol))
-    assert math.isclose(flow.volume_of(s), 2.0, rel_tol=1e-14)
+    assert s.volume == float(np.sum(s.dvol))
+    assert s.sigma_tilde == float(np.dot(s.scalar, s.dvol) / s.volume)
+    assert math.isclose(s.volume, 2.0, rel_tol=1e-14)
 
 
 def test_constant_state_accepts_target_and_value(grid64):
-    s = flow.constant_state(grid64, volume_target=8.0)
-    assert math.isclose(flow.volume_of(s), 8.0, rel_tol=1e-14)
-    assert math.isclose(s.v[0], 2.0, rel_tol=1e-14)
-    explicit = flow.constant_state(grid64, value=1.5)
+    # the volume target defaults to the state's own volume
+    s = flow.FlowState(grid64, np.full(64, 2.0))
+    assert s.volume_target == s.volume
+    assert math.isclose(s.volume, 8.0, rel_tol=1e-14)
+    assert flow.FlowState(grid64, s.v, volume_target=2.0).volume_target == 2.0
+    # the default constant start has target exactly 2; an explicit value
+    # keeps its own volume
+    default = flow.initial_state(Scenario(n_cells=64))
+    assert np.all(default.v == 4.0**0.25) and default.volume_target == 2.0
+    explicit = flow.initial_state(Scenario(n_cells=64, init_value=1.5))
     assert np.all(explicit.v == 1.5)
+    assert explicit.volume_target == explicit.volume
+    assert math.isclose(explicit.volume, 1.5**4 / 2.0, rel_tol=1e-14)
     with pytest.raises(ValueError):
-        flow.constant_state(grid64, value=-1.0)
+        flow.FlowState(grid64, np.full(64, -1.0))
 
 
-def test_state_is_immutable(grid64):
-    s = flow.constant_state(grid64)
+def test_state_is_immutable():
+    s = flow.initial_state(Scenario(n_cells=64))
     for array in (s.v, s.scalar, s.dvol):
         with pytest.raises(ValueError):
             array[3] = 7.0
-    with pytest.raises(AttributeError):
-        s.t = 1.0
+    for name in ("t", "volume", "sigma_tilde"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1.0)
 
 
 def test_state_validation(grid64):
@@ -71,12 +81,12 @@ def test_state_validation(grid64):
 
 
 def test_boundary_value_extrapolates_linearly(grid64):
-    s = flow.state_from_samples(grid64, 2.0 + 3.0 * grid64.cell_centers)
+    s = flow.FlowState(grid64, 2.0 + 3.0 * grid64.cell_centers)
     assert math.isclose(flow.boundary_value(s), 5.0, rel_tol=1e-13)
 
 
-def test_mass_fraction_constant_profile(grid64):
-    s = flow.constant_state(grid64)
+def test_mass_fraction_constant_profile():
+    s = flow.initial_state(Scenario(n_cells=64))
     assert math.isclose(flow.mass_fraction(s, 0.5), 0.25, abs_tol=1e-14)
     assert math.isclose(flow.mass_fraction(s, 1.0), 1.0, rel_tol=1e-14)
     with pytest.raises(ValueError):
@@ -90,13 +100,13 @@ def test_mass_fraction_constant_profile(grid64):
 def test_mass_fraction_monotone(x0, x1):
     grid = geo.build_grid(48, "geometric", 0.97)
     rng = np.random.default_rng(7)
-    s = flow.state_from_samples(grid, 1.0 + rng.random(48))
+    s = flow.FlowState(grid, 1.0 + rng.random(48))
     lo, hi = sorted((x0, x1))
     assert flow.mass_fraction(s, lo) <= flow.mass_fraction(s, hi) + 1e-15
 
 
-def test_stable_dt_scales_with_safety(grid64):
-    s = flow.constant_state(grid64)
+def test_stable_dt_scales_with_safety():
+    s = flow.initial_state(Scenario(n_cells=64))
     base = flow.stable_dt(s, 0.4)
     assert base > 0.0
     assert math.isclose(flow.stable_dt(s, 0.8), 2.0 * base, rel_tol=1e-14)
@@ -106,16 +116,16 @@ def test_stable_dt_scales_with_safety(grid64):
         flow.stable_dt(s, 1.0)
 
 
-def test_step_rejects_bad_dt(grid64):
-    s = flow.constant_state(grid64)
+def test_step_rejects_bad_dt():
+    s = flow.initial_state(Scenario(n_cells=64))
     with pytest.raises(ValueError):
         flow.step(s, 0.0)
     with pytest.raises(ValueError):
         flow.step(s, math.inf)
 
 
-def test_step_positivity_error_carries_context(grid64):
-    s = flow.constant_state(grid64)
+def test_step_positivity_error_carries_context():
+    s = flow.initial_state(Scenario(n_cells=64))
     with pytest.raises(flow.PositivityError) as info:
         flow.step(s, 5.0)
     err = info.value
@@ -126,22 +136,22 @@ def test_step_positivity_error_carries_context(grid64):
     assert err.cells[-1] == 63
 
 
-def test_step_reduces_curvature_mean(grid256):
-    s = flow.constant_state(grid256)
+def test_step_reduces_curvature_mean():
+    s = flow.initial_state(Scenario(n_cells=256))
     after = flow.step(s, flow.stable_dt(s))
     assert after.sigma_tilde < s.sigma_tilde
     assert after.t == pytest.approx(flow.stable_dt(s))
     # the explicit step preserves the volume only approximately
-    assert abs(flow.volume_of(after) - 2.0) < 1e-6
+    assert abs(after.volume - 2.0) < 1e-6
 
 
 def test_renormalize_restores_volume_and_scales_sigma(grid256):
     v = math.sqrt(2.0) * (1.0 + 0.2 * np.sin(3.0 * grid256.cell_centers))
-    s = flow.state_from_samples(grid256, v, volume_target=2.0)
+    s = flow.FlowState(grid256, v, volume_target=2.0)
     r = flow.renormalize(s)
-    assert math.isclose(flow.volume_of(r), 2.0, rel_tol=1e-12)
+    assert math.isclose(r.volume, 2.0, rel_tol=1e-12)
     # v -> cv rescales the curvature by 1/c^2
-    expected = s.sigma_tilde * (flow.volume_of(s) / 2.0) ** 0.5
+    expected = s.sigma_tilde * (s.volume / 2.0) ** 0.5
     assert math.isclose(r.sigma_tilde, expected, rel_tol=1e-12)
 
 
@@ -193,7 +203,7 @@ def test_divergence_bands_apply_the_flux_divergence(grading):
 
 
 def _fixed_step_ros2(grid, t_end, n_steps):
-    state = flow.constant_state(grid)
+    state = flow.FlowState(grid, np.full(grid.n_cells, 4.0**0.25))
     for _ in range(n_steps):
         state, _err = flow.rosenbrock_step(state, t_end / n_steps)
     return state
@@ -207,8 +217,8 @@ def test_rosenbrock_step_is_second_order(grid64):
         assert coarse / fine >= 3.5
 
 
-def test_rosenbrock_step_estimates_its_error(grid64):
-    s = flow.constant_state(grid64)
+def test_rosenbrock_step_estimates_its_error():
+    s = flow.initial_state(Scenario(n_cells=64))
     new, err = flow.rosenbrock_step(s, 1e-3)
     assert new.t == pytest.approx(1e-3)
     assert new.volume_target == s.volume_target
@@ -229,18 +239,28 @@ def test_run_matches_explicit_reference(n_cells, t_end):
     cfg = Scenario(n_cells=n_cells, t_end=t_end, renorm_every=20, snapshot_every=0.0)
     result = flow.run(cfg)
     assert max(abs(rec.volume / 2.0 - 1.0) for rec in result.records) <= 1e-6
-    grid = cfg.grid()
-    state, steps = flow.constant_state(grid), 0
+    state, steps = flow.initial_state(cfg), 0
     while state.t < cfg.t_end * (1.0 - 1e-12):
         state = flow.step(state, min(flow.stable_dt(state, 0.1), cfg.t_end - state.t))
         steps += 1
         if steps % cfg.renorm_every == 0:
             state = flow.renormalize(state)
     error = float(np.max(np.abs(result.final_state.v - state.v)))
-    motion = float(np.max(np.abs(state.v - flow.constant_state(grid).v)))
+    motion = float(np.max(np.abs(state.v - flow.initial_state(cfg).v)))
     assert error <= 1e-5 * float(np.max(state.v))
     assert error <= 1e-3 * motion
     assert len(result.records) - 1 < steps / 10
+
+
+def test_constant_start_with_a_value_keeps_its_volume():
+    # an explicit init.value is its own volume target, so no renormalization
+    # jumps the run: every row keeps the criterion-2 bounds
+    result = flow.run(Scenario(init_value=1.5, renorm_every=5))
+    assert result.completed
+    records = result.records
+    assert records[0].volume == pytest.approx(1.5**4 / 2.0, rel=1e-14)
+    assert all(b.sigma_tilde <= a.sigma_tilde + 1e-9 for a, b in zip(records, records[1:]))
+    assert max(abs(rec.volume / records[0].volume - 1.0) for rec in records) <= 1e-6
 
 
 def test_run_snapshots_land_on_distinct_multiples():
@@ -294,8 +314,9 @@ def test_initial_state_from_file_keeps_table_volume(tmp_path, grid64):
     path = tmp_path / "profile.csv"
     np.savetxt(path, np.column_stack([xs, vs]), delimiter=",")
     s = flow.initial_state(Scenario(n_cells=64, init_type="file", init_path=str(path)))
-    direct = flow.state_from_samples(grid64, np.interp(grid64.cell_centers, xs, vs))
-    assert math.isclose(flow.volume_of(s), flow.volume_of(direct), rel_tol=1e-12)
+    direct = flow.FlowState(grid64, np.interp(grid64.cell_centers, xs, vs))
+    assert math.isclose(s.volume, direct.volume, rel_tol=1e-12)
+    assert s.volume_target == s.volume
     assert np.allclose(s.v, direct.v, rtol=1e-12)
 
 
@@ -319,3 +340,9 @@ def test_flow_config_validation():
         Scenario(t_end=0.01, renorm_every=-1)
     with pytest.raises(ValueError):
         Scenario(t_end=0.01, snapshot_every=-0.1)
+    # distinct values that would share a series column or a moment key
+    with pytest.raises(ConfigError, match="diagnostics.cutoffs"):
+        Scenario(cutoffs=[0.1, 0.1000001])
+    with pytest.raises(ConfigError, match="diagnostics.f_p_exponents"):
+        Scenario(f_p_exponents=[2, 2.0000001, 3])
+    assert Scenario(cutoffs=[0.1, 0.100001]).cutoffs == (0.1, 0.100001)

@@ -8,6 +8,7 @@ from scipy import linalg
 from singular_yamabe import flow
 from singular_yamabe import geometry as geo
 from singular_yamabe import variational as var
+from singular_yamabe.scenario import Scenario
 
 
 def dense_lambda1(face_coeff, metric):
@@ -46,8 +47,6 @@ def test_threshold_validation():
         var.Thresholds(Y=1.0, Y_local=1.0, n=2)
     with pytest.raises(ValueError):
         var.Thresholds(Y=1.0, Y_local=0.0, n=4)
-    with pytest.raises(ValueError):
-        var.orbifold_thresholds(group_order=0)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -135,11 +134,11 @@ def test_minimize_sphere_constant_init_is_immediate():
 
 def test_minimize_eh_sinks_below_constant_level():
     grid = geo.build_grid(512, "geometric", 0.97)
-    res = var.minimize_quotient(geo.EguchiHansonModel(a=1.0), grid=grid)
+    res = var.minimize_quotient(geo.EguchiHansonModel(a=1.0), grid=grid, init=np.ones(512))
     assert res.value < 16.0 * math.pi
     assert not res.converged
-    start = flow.state_from_samples(grid, np.ones(512))
-    end = flow.state_from_samples(grid, res.minimizer)
+    start = flow.FlowState(grid, np.ones(512))
+    end = flow.FlowState(grid, res.minimizer)
     # the descent piles volume onto the puncture end of the grid
     assert flow.mass_fraction(end, 0.1) > 2.0 * flow.mass_fraction(start, 0.1)
     assert flow.mass_fraction(end, 0.1) > 0.5
@@ -151,13 +150,13 @@ def test_minimize_validation():
     grid = geo.build_grid(64, "uniform")
     model = geo.EguchiHansonModel(a=1.0)
     with pytest.raises(ValueError):
-        var.minimize_quotient(model)
+        var.minimize_quotient(model, init=np.ones(64))
     with pytest.raises(ValueError):
         var.minimize_quotient(model, grid=grid, init=np.ones(10))
     with pytest.raises(ValueError):
         var.minimize_quotient(model, grid=grid, init=-np.ones(64))
     with pytest.raises(TypeError):
-        var.minimize_quotient(object())
+        var.minimize_quotient(object(), init=np.ones(64))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -176,7 +175,7 @@ def test_sphere_first_eigenvalue_fine_grid():
 
 
 def test_first_eigenvalue_matches_dense_oracle():
-    state = flow.constant_state(geo.build_grid(128, "uniform"))
+    state = flow.initial_state(Scenario(n_cells=128))
     fc, metric = var.reduced_pencil(state)
     res = var.first_eigenvalue(state)
     assert abs(res.lambda1 - dense_lambda1(fc, metric)) < 1e-10
@@ -184,16 +183,15 @@ def test_first_eigenvalue_matches_dense_oracle():
 
 
 def test_first_eigenvalue_scaling_law():
-    grid = geo.build_grid(128, "uniform")
-    base = flow.constant_state(grid)
+    base = flow.initial_state(Scenario(n_cells=128))
     lam = var.first_eigenvalue(base).lambda1
-    doubled = flow.state_from_samples(grid, 2.0 * base.v)
+    doubled = flow.FlowState(base.grid, 2.0 * base.v)
     assert math.isclose(var.first_eigenvalue(doubled).lambda1, lam / 4.0,
                         rel_tol=1e-12)
 
 
 def test_first_eigenvalue_regression():
-    res = var.first_eigenvalue(flow.constant_state(geo.build_grid(256, "uniform")))
+    res = var.first_eigenvalue(flow.initial_state(Scenario(n_cells=256)))
     assert math.isclose(res.lambda1, 0.3890777, rel_tol=1e-5)
 
 
