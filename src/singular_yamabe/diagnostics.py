@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import FlowState, TimeSeriesRecord, boundary_value, mass_fraction
+from .flow import FlowState, TimeSeriesRecord, boundary_value, mass_fraction, moment
 from .geometry import EguchiHansonModel, distance_from_singular_point, green_kernel
 from .variational import Thresholds
 
@@ -39,7 +39,7 @@ def f_p(state: FlowState, p: float) -> float:
     """
     if p < 1.0:
         raise ValueError(f"moment order must be >= 1, got {p}")
-    return float(np.dot(np.abs(state.scalar - state.sigma_tilde) ** p, state.dvol))
+    return moment(state.scalar - state.sigma_tilde, state.dvol, p)
 
 
 def decay_rate_fit(records: list[TimeSeriesRecord]) -> float:
@@ -85,13 +85,13 @@ def positive_scalar_l2_norm(state: FlowState) -> float:
     sits above the local threshold 8 sqrt(3) pi, so the small-energy test
     fails on this geometry by a genuine margin rather than a tie.
     """
-    reduced_sq = float(np.dot(np.maximum(state.scalar, 0.0) ** 2, state.dvol))
+    reduced_sq = moment(np.maximum(state.scalar, 0.0), state.dvol, 2.0)
     return 12.0 * math.sqrt(2.0) * math.pi * math.sqrt(reduced_sq)
 
 
 def scalar_l2_bound(state: FlowState) -> float:
     """Reduced quadratic curvature integral, the quantity the sup bound needs."""
-    return float(np.dot(state.scalar**2, state.dvol))
+    return moment(state.scalar, state.dvol, 2.0)
 
 
 # ---------------------------------------------------------------------------

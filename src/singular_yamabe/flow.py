@@ -1,18 +1,18 @@
 """Volume-normalized curvature flow for radial conformal profiles.
 
-The evolution acts on w = v^3: dw/dt = sigma * w + div(flux), where the flux
-divergence is the conservation-form curvature operator from
-:mod:`singular_yamabe.geometry` and sigma is the volume-weighted curvature
-mean.  The semi-discrete flow preserves the discrete volume identically (the
-mean is built from the same fluxes), so all drift is time error, removed
-periodically by renormalization.
+The evolution acts on w = v^3: dw/dt = sigma * w + D v, where D is the
+conservation-form flux divergence of :mod:`singular_yamabe.geometry`,
+D v = -A(x v) / dx with the grid's tridiagonal curvature form A, and sigma
+is the volume-weighted curvature mean.  The semi-discrete flow preserves the
+discrete volume identically (the mean is built from the same fluxes), so all
+drift is time error, removed periodically by renormalization.
 
 :func:`run` integrates with the two-stage linearly implicit Rosenbrock
 method ROS2 (Verwer, Spee, Blom & Hundsdorfer 1999), whose embedded Euler
-solution controls the step size; the flux divergence is tridiagonal, so a
-step costs two banded solves and two curvature evaluations.  The explicit
-Euler :func:`step` under the diffusion bound :func:`stable_dt` is kept as
-the reference the tests replay.
+solution controls the step size; its Jacobian is built from the same form A
+as the rate, so a step costs two banded solves and two curvature
+evaluations.  The explicit Euler :func:`step` under the diffusion bound
+:func:`stable_dt` is kept as the reference the tests replay.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .geometry import RadialGrid, scalar_from_v
+from .geometry import RadialGrid, form_bands, scalar_from_v
 from .scenario import Scenario, load_profile
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "TimeSeriesRecord",
     "RunResult",
     "mass_fraction",
+    "moment",
     "boundary_value",
     "stable_dt",
     "step",
@@ -108,6 +109,13 @@ def boundary_value(state: FlowState) -> float:
     v = state.v
     slope = (v[-1] - v[-2]) / (x[-1] - x[-2])
     return float(v[-1] + slope * (1.0 - x[-1]))
+
+
+def moment(g: np.ndarray, dvol: np.ndarray, p: float) -> float:
+    """The moment sum |g|^p dvol as sum (|g| dvol^(1/p))^p: weighted before
+    the power, it cannot overflow while the moment is finite (at amplitude
+    1e-60, |g|^3 overflows but the third moment is about 1e117)."""
+    return float(np.sum((np.abs(g) * dvol ** (1.0 / p)) ** p))
 
 
 def mass_fraction(state: FlowState, x0: float) -> float:
@@ -192,20 +200,24 @@ def rosenbrock_step(state: FlowState, h: float) -> tuple[FlowState, float]:
 
         W k1 = f(w),  W k2 = f(w + h k1) - 2 k1,  w_new = w + h (3 k1 + k2) / 2.
 
-    D is the grid's fixed flux divergence
-    :attr:`~singular_yamabe.geometry.RadialGrid.divergence_bands`.  The
-    estimate is max |w_new - (w + h k1)| / w against the embedded Euler
-    solution.  Raises PositivityError when the stage or the result is not
-    positive.
+    The flux divergence is D = -diag(1 / dx) A diag(x) with the grid's
+    :attr:`~singular_yamabe.geometry.RadialGrid.curvature_form` A, the form
+    the rate is evaluated with, so each stage solves the symmetric-pattern
+    system dx W = diag(dx (1 - gamma h sigma)) + gamma h A diag(x / (3 v^2))
+    against dx times its right-hand side.  The estimate is
+    max |w_new - (w + h k1)| / w against the embedded Euler solution.
+    Raises PositivityError when the stage or the result is not positive.
     """
     _check_step_size(h)
     gh = _GAMMA * h
-    lhs = state.grid.divergence_bands * (-gh / (3.0 * state.v**2))
-    lhs[1] += 1.0 - gh * state.sigma_tilde
+    grid = state.grid
+    dx = grid.cell_widths
+    lhs = form_bands(*grid.curvature_form) * (gh * grid.cell_centers / (3.0 * state.v**2))
+    lhs[1] += dx * (1.0 - gh * state.sigma_tilde)
     w = state.v**3
-    k1 = solve_banded((1, 1), lhs, _rate(state), check_finite=False)
+    k1 = solve_banded((1, 1), lhs, dx * _rate(state), check_finite=False)
     stage = _cube_state(state, w + h * k1, state.t + h)
-    k2 = solve_banded((1, 1), lhs, _rate(stage) - 2.0 * k1, check_finite=False)
+    k2 = solve_banded((1, 1), lhs, dx * (_rate(stage) - 2.0 * k1), check_finite=False)
     new = _cube_state(state, w + h * (1.5 * k1 + 0.5 * k2), state.t + h)
     return new, float(np.max(np.abs(0.5 * h * (k1 + k2)) / w))
 
@@ -244,13 +256,13 @@ class RunResult:
 
 
 def _make_record(state: FlowState, dt_used: float, cutoffs) -> TimeSeriesRecord:
-    dev = np.abs(state.scalar - state.sigma_tilde)
+    dev = state.scalar - state.sigma_tilde
     return TimeSeriesRecord(
         t=state.t,
         sigma_tilde=state.sigma_tilde,
         volume=state.volume,
-        f2=float(np.dot(dev**2, state.dvol)),
-        f3=float(np.dot(dev**3, state.dvol)),
+        f2=moment(dev, state.dvol, 2.0),
+        f3=moment(dev, state.dvol, 3.0),
         v_at_x1=boundary_value(state),
         mass_fractions={x0: mass_fraction(state, x0) for x0 in cutoffs},
         dt_used=dt_used,

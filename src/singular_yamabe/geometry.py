@@ -38,8 +38,10 @@ __all__ = [
     "eh_volume_quadrature",
     "eh_distance_to_infinity",
     "eh_scalar_l2_energy",
+    "apply_form",
+    "form_energy",
+    "form_bands",
     "scalar_from_v",
-    "face_fluxes",
     "green_kernel",
     "distance_from_singular_point",
     "sphere_volume",
@@ -103,26 +105,22 @@ class RadialGrid:
         return np.diff(self.faces)
 
     @cached_property
-    def divergence_bands(self) -> np.ndarray:
-        """The flux divergence D, D v = diff(face_fluxes(v)) / dx, as (1, 1) bands.
+    def curvature_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """The form A, face conductances c and diagonal d, of the flux divergence.
 
-        Row 0 holds the superdiagonal, row 1 the diagonal and row 2 the
-        subdiagonal, in the layout of :func:`scipy.linalg.solve_banded`.  The
-        fluxes of :func:`face_fluxes` are linear in v: interior face i carries
-        c_i (x_i v_i - x_{i-1} v_{i-1}) with c_i = (1 - f_i^2) / (x_i - x_{i-1}),
-        the first face carries v_0.  Built on first use, then read-only.
+        The flux divergence is D v = -A(x v) / dx: interior face i carries
+        the flux c_i (x_i v_i - x_{i-1} v_{i-1}) with
+        c_i = (1 - f_i^2) / (x_i - x_{i-1}), the diagonal d = e_0 / x_0
+        gives the first face the flux v_0, and the last face carries none.
+        Built on first use, then read-only.
         """
         x = self.cell_centers
-        dx = self.cell_widths
         c = (1.0 - self.faces[1:-1] ** 2) / np.diff(x)
-        bands = np.zeros((3, self.n_cells))
-        bands[0, 1:] = c * x[1:] / dx[:-1]
-        bands[2, :-1] = c * x[:-1] / dx[1:]
-        bands[1, :-1] -= c * x[:-1] / dx[:-1]
-        bands[1, 1:] -= c * x[1:] / dx[1:]
-        bands[1, 0] -= 1.0 / dx[0]
-        bands.setflags(write=False)
-        return bands
+        d = np.zeros(self.n_cells)
+        d[0] = 1.0 / x[0]
+        for array in (c, d):
+            array.setflags(write=False)
+        return c, d
 
 
 def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> RadialGrid:
@@ -301,42 +299,64 @@ def eh_scalar_l2_energy(a: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# discrete curvature operator
+# tridiagonal forms and the curvature operator
 # ---------------------------------------------------------------------------
 
 
-def face_fluxes(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Fluxes (1 - x^2) d(x v)/dx at all faces of the grid.
+def apply_form(c: np.ndarray, d: np.ndarray | float, u: np.ndarray) -> np.ndarray:
+    """Product A u of the form (c, d): (A u)_i = d_i u_i + sum_j c_ij (u_i - u_j).
 
-    The product x*v extends continuously by zero to x = 0, which closes the
-    first face without a boundary condition; the factor (1 - x^2) vanishes at
-    x = 1, closing the last.
+    A form on n nodes has one conductance per face between consecutive nodes
+    and a diagonal d, an array or a scalar.  The curvature operator, the
+    quotient energies and the spectral pencils are all forms.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (grid.n_cells,):
-        raise ValueError("profile shape does not match grid")
-    xv = grid.cell_centers * v
-    flux = np.empty(grid.n_cells + 1)
-    flux[0] = v[0]  # (1 - 0) * (x v - 0) / (x - 0) at the first node
-    dxc = np.diff(grid.cell_centers)
-    flux[1:-1] = (1.0 - grid.faces[1:-1] ** 2) * np.diff(xv) / dxc
-    flux[-1] = 0.0
-    return flux
+    out = d * u
+    flux = c * (u[:-1] - u[1:])
+    out[:-1] += flux
+    out[1:] -= flux
+    return out
+
+
+def form_energy(c: np.ndarray, d: np.ndarray | float, u: np.ndarray) -> float:
+    """The quadratic form u^T A u = sum c (u_i - u_j)^2 + sum d u^2."""
+    du = u[:-1] - u[1:]
+    return float(np.dot(c, du * du) + np.sum(d * u * u))
+
+
+def form_bands(c: np.ndarray, d: np.ndarray | float) -> np.ndarray:
+    """The matrix of the form (c, d) as (1, 1) bands, a new writable array.
+
+    Row 0 holds the superdiagonal, row 1 the diagonal and row 2 the
+    subdiagonal, in the layout of :func:`scipy.linalg.solve_banded`; row 1
+    and row 0 from column 1 on are the diagonal and off-diagonal that
+    ``dptsv`` and ``eigh_tridiagonal`` read.
+    """
+    bands = np.zeros((3, c.size + 1))
+    bands[0, 1:] = -c
+    bands[1, :-1] += c
+    bands[1, 1:] += c
+    bands[1] += d
+    bands[2, :-1] = -c
+    return bands
 
 
 def scalar_from_v(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """Reduced scalar curvature of the conformal profile v on the grid.
 
-    Discretizes -(d/dx)[(1 - x^2) d(xv)/dx] / v^3 in conservation form: the
-    divergence of the face fluxes over the cell width, divided by v^3 at the
-    cell node.  Constant profiles c map to 2 x / c^2 up to the centroid
-    truncation error.
+    Discretizes -(d/dx)[(1 - x^2) d(xv)/dx] / v^3 in conservation form, as
+    A(x v) / (dx v^3) with the grid's :attr:`RadialGrid.curvature_form` A:
+    the fluxes (1 - x^2) d(x v)/dx at the faces, differenced over the cell
+    width and divided by v^3 at the cell node.  The product x v extends
+    continuously by zero to x = 0, which closes the first face with the flux
+    v_0; the factor (1 - x^2) vanishes at x = 1, closing the last.  Constant
+    profiles c map to 2 x / c^2 up to the centroid truncation error.
     """
     v = np.asarray(v, dtype=float)
     if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
         raise ValueError("profile must be positive and finite")
-    flux = face_fluxes(v, grid)
-    return -np.diff(flux) / (grid.cell_widths * v**3)
+    if v.shape != (grid.n_cells,):
+        raise ValueError("profile shape does not match grid")
+    return apply_form(*grid.curvature_form, grid.cell_centers * v) / (grid.cell_widths * v**3)
 
 
 def green_kernel(x):

@@ -1,10 +1,13 @@
 """Variational quotients, threshold constants, and spectral gap estimates.
 
-Two geometries share one algebraic core.  A quotient is a tridiagonal
-quadratic form (face conductances plus a diagonal mass) over a p-norm
-denominator; an eigenvalue problem is the same form paired with a diagonal
-metric.  The Eguchi-Hanson forms are assembled on the squared-radius grid
-induced by the compactified coordinate, the sphere forms on a polar grid.
+Two geometries share one algebraic core, the tridiagonal form layer of
+:mod:`singular_yamabe.geometry`.  A quotient is a form (face conductances
+plus a diagonal mass) over a p-norm denominator; an eigenvalue problem is a
+form paired with a diagonal metric.  One builder chooses each model's
+coefficients: the Eguchi-Hanson forms are assembled on the squared-radius
+grid induced by the compactified coordinate, the sphere forms on a polar
+grid.  The descent's preconditioner and the eigen solves read their
+matrices from :func:`~singular_yamabe.geometry.form_bands`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from scipy import linalg
 from scipy.linalg import lapack
 
 from .flow import FlowState
-from .geometry import RadialGrid, SphereModel, r_of_x, sphere_volume
+from .geometry import (EguchiHansonModel, RadialGrid, SphereModel, apply_form, form_bands,
+                       form_energy, r_of_x, sphere_volume)
 
 __all__ = [
     "Thresholds",
@@ -77,47 +81,41 @@ def orbifold_thresholds() -> Thresholds:
 # ---------------------------------------------------------------------------
 
 
-def _apply_form(face_coeff: np.ndarray, diag: np.ndarray | float, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product of the tridiagonal form c, d against v."""
-    out = diag * v
-    flux = face_coeff * (v[:-1] - v[1:])
-    out[:-1] += flux
-    out[1:] -= flux
-    return out
+def _quotient_forms(model, grid: RadialGrid | None):
+    """Conductances, curvature mass, volume mass and exponent p of the
+    model's conformal quotient form(c, curvature mass) / |v|_p^2.
 
-
-def _form_energy(face_coeff: np.ndarray, diag: np.ndarray | float, v: np.ndarray) -> float:
-    dv = v[:-1] - v[1:]
-    return float(np.dot(face_coeff, dv * dv) + np.sum(diag * v * v))
-
-
-def _eh_quotient_forms(grid: RadialGrid, a: float):
-    """Conductances, curvature mass, and volume mass of the full quotient.
-
-    The gradient part lives on the squared-radius grid induced by the nodes
-    (differences of v over neighboring nodes, conductance from the area
-    element at the interface); the zeroth-order and volume parts use the
-    exact per-cell integrals of the compactified measure.
+    The Eguchi-Hanson gradient part lives on the squared-radius grid induced
+    by the nodes (differences of v over neighboring nodes, conductance from
+    the area element at the interface); its zeroth-order and volume parts use
+    the exact per-cell integrals of the compactified measure.  The sphere
+    conductances are the polar Laplacian's times 4 (n - 1) / (n - 2).
     """
-    x = grid.cell_centers
+    if isinstance(model, SphereModel):
+        n = model.n
+        cn = 4.0 * (n - 1) / (n - 2)
+        face_coeff = (cn * sphere_volume(n - 1) * np.sin(model.faces[1:-1]) ** (n - 1)
+                      / np.diff(model.thetas))
+        return face_coeff, n * (n - 1) * model.weights, model.weights, 2.0 * n / (n - 2)
+    if not isinstance(model, EguchiHansonModel):
+        raise TypeError(f"unsupported model {type(model).__name__}")
+    if grid is None:
+        raise ValueError("the Eguchi-Hanson quotient needs a radial grid")
+    a = model.a
     xf = grid.faces[1:-1]
-    s_nodes = (r_of_x(x, a)) ** 2
+    s_nodes = (r_of_x(grid.cell_centers, a)) ** 2
     gaps = s_nodes[:-1] - s_nodes[1:]  # s decreases as x grows
     face_coeff = 12.0 * np.pi**2 * a**4 * np.sqrt(1.0 - xf * xf) / gaps
-    f3 = grid.faces**3
-    curv_mass = 8.0 * np.pi**2 * a**2 * np.diff(f3)
-    vol_mass = np.pi**2 * (a**4 / 2.0) * grid.weights
-    return face_coeff, curv_mass, vol_mass
+    curv_mass = 8.0 * np.pi**2 * a**2 * np.diff(grid.faces**3)
+    return face_coeff, curv_mass, np.pi**2 * (a**4 / 2.0) * grid.weights, 4.0
 
 
-def _sphere_quotient_forms(model: SphereModel):
-    theta_f = model.faces[1:-1]
-    gaps = np.diff(model.thetas)
-    band = sphere_volume(model.n - 1)
-    cn = 4.0 * (model.n - 1) / (model.n - 2)
-    face_coeff = cn * band * np.sin(theta_f) ** (model.n - 1) / gaps
-    curv_mass = model.n * (model.n - 1) * model.weights
-    return face_coeff, curv_mass, model.weights
+def _quotient(v, model, grid: RadialGrid | None) -> float:
+    fc, cm, vm, p = _quotient_forms(model, grid)
+    v = np.asarray(v, dtype=float)
+    if v.shape != vm.shape:
+        raise ValueError("profile shape does not match the model resolution")
+    return form_energy(fc, cm, v) / float(np.dot(vm, np.abs(v) ** p)) ** (2.0 / p)
 
 
 def yamabe_quotient_eh(v, grid: RadialGrid, a: float = 1.0) -> float:
@@ -126,25 +124,12 @@ def yamabe_quotient_eh(v, grid: RadialGrid, a: float = 1.0) -> float:
     The constant profile gives 16 pi for every core scale; profiles that
     pile up near the puncture push the value below it.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (grid.n_cells,):
-        raise ValueError("profile shape does not match grid")
-    fc, cm, vm = _eh_quotient_forms(grid, a)
-    num = _form_energy(fc, cm, v)
-    den = float(np.dot(vm, v**4)) ** 0.5
-    return num / den
+    return _quotient(v, EguchiHansonModel(a), grid)
 
 
 def yamabe_quotient_sphere(phi, model: SphereModel) -> float:
     """Conformal quotient of a polar test profile on the round n-sphere."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (model.n_cells,):
-        raise ValueError("profile shape does not match the polar grid")
-    fc, cm, vm = _sphere_quotient_forms(model)
-    p = 2.0 * model.n / (model.n - 2)
-    num = _form_energy(fc, cm, phi)
-    den = float(np.dot(vm, np.abs(phi) ** p)) ** (2.0 / p)
-    return num / den
+    return _quotient(phi, model, None)
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +164,14 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
     initial step guarantees the value sequence is nonincreasing.  A line
     search that finds no decrease ends the descent unconverged.
     """
-    a_diag = np.zeros(face_coeff.size + 1)
-    a_diag[:-1] += face_coeff
-    a_diag[1:] += face_coeff
-    a_diag += curv_mass
-    a_off = -face_coeff
+    bands = form_bands(face_coeff, curv_mass)
 
     def project(u):
         """u on the unit p-sphere, with |u|^(p-2) and the form product A u."""
         uu = u * u
         w = uu ** (0.5 * p - 1.0)
         scale = float(np.dot(vol_mass, w * uu)) ** (-1.0 / p)
-        au = _apply_form(face_coeff, curv_mass, u)
+        au = apply_form(face_coeff, curv_mass, u)
         return u * scale, w * scale ** (p - 2.0), au * scale
 
     v, w, av = project(np.asarray(v0, dtype=float))
@@ -207,7 +188,7 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
             return QuotientResult(q, v, it, grad_norm, True, history)
         # H is strictly diagonally dominant with a positive diagonal, so the
         # SPD tridiagonal solve cannot break down
-        direction = lapack.dptsv(a_diag + (q * (p - 1.0)) * mass, a_off, half_grad)[2]
+        direction = lapack.dptsv(bands[1] + (q * (p - 1.0)) * mass, bands[0, 1:], half_grad)[2]
         moved = False
         while step >= 1e-12:
             trial, w_t, av_t = project(v - step * direction)
@@ -236,22 +217,9 @@ def minimize_quotient(model, grid: RadialGrid | None = None, *, init) -> Quotien
     minimizer; on coarse uniform grids the discrete quotient can go below
     the continuum local threshold and the descent converge there.
     """
-    from .geometry import EguchiHansonModel
-
-    if isinstance(model, SphereModel):
-        fc, cm, vm = _sphere_quotient_forms(model)
-        p = 2.0 * model.n / (model.n - 2)
-        size = model.n_cells
-    elif isinstance(model, EguchiHansonModel):
-        if grid is None:
-            raise ValueError("the Eguchi-Hanson quotient needs a radial grid")
-        fc, cm, vm = _eh_quotient_forms(grid, model.a)
-        p = 4.0
-        size = grid.n_cells
-    else:
-        raise TypeError(f"unsupported model {type(model).__name__}")
+    fc, cm, vm, p = _quotient_forms(model, grid)
     v0 = np.asarray(init, dtype=float)
-    if v0.shape != (size,):
+    if v0.shape != vm.shape:
         raise ValueError("initial profile does not match the model resolution")
     if np.any(v0 <= 0.0):
         raise ValueError("initial profile must be positive")
@@ -295,23 +263,16 @@ def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray) -> EigenResult:
     against the constant nullspace and B-normalized, and lambda is its
     Rayleigh quotient.  A failed LAPACK solve raises LinAlgError.
     """
-    n = metric.size
     root = np.sqrt(metric)
-    diag = np.zeros(n)
-    diag[:-1] += face_coeff
-    diag[1:] += face_coeff
-    _, vecs = linalg.eigh_tridiagonal(diag / metric, -face_coeff / (root[:-1] * root[1:]),
+    bands = form_bands(face_coeff, 0.0)
+    _, vecs = linalg.eigh_tridiagonal(bands[1] / metric, bands[0, 1:] / (root[:-1] * root[1:]),
                                       select="i", select_range=(1, 1))
     x = vecs[:, 0] / root
-    lam = float(np.dot(x, _apply_form(face_coeff, 0.0, x)) / np.dot(metric, x * x))
-    bands = np.zeros((3, n))
-    bands[0, 1:] = -face_coeff
-    bands[1] = diag - lam * metric
-    bands[2, :-1] = -face_coeff
-    y = linalg.solve_banded((1, 1), bands, metric * x)
+    lam = float(np.dot(x, apply_form(face_coeff, 0.0, x)) / np.dot(metric, x * x))
+    y = linalg.solve_banded((1, 1), form_bands(face_coeff, -lam * metric), metric * x)
     y -= np.dot(metric, y) / np.sum(metric)
     y /= math.sqrt(float(np.dot(metric, y * y)))
-    ay = _apply_form(face_coeff, 0.0, y)
+    ay = apply_form(face_coeff, 0.0, y)
     lam = float(np.dot(y, ay))
     my = metric * y
     res = float(np.linalg.norm(ay - lam * my) / np.linalg.norm(my))
@@ -326,11 +287,9 @@ def first_eigenvalue(state: FlowState) -> EigenResult:
 
 def sphere_first_eigenvalue(model: SphereModel) -> EigenResult:
     """First nonzero Laplace eigenvalue of the round n-sphere (exactly n)."""
-    theta_f = model.faces[1:-1]
-    gaps = np.diff(model.thetas)
-    band = sphere_volume(model.n - 1)
-    face_coeff = band * np.sin(theta_f) ** (model.n - 1) / gaps
-    return _lambda1_pencil(face_coeff, model.weights)
+    face_coeff, _, weights, _ = _quotient_forms(model, None)
+    # the quotient's conductances are the Laplacian's times 4 (n - 1) / (n - 2)
+    return _lambda1_pencil(face_coeff * ((model.n - 2) / (4.0 * (model.n - 1))), weights)
 
 
 def eigen_criteria(lambda1: float, sigma_inf: float, n: int) -> dict:

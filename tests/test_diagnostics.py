@@ -45,6 +45,21 @@ def test_moments_vanish_at_constant_curvature(constant_curvature_state):
     assert diag.f_p(constant_curvature_state, 3.0) < 1e-28
 
 
+def test_moments_of_a_tiny_amplitude_are_finite():
+    # curvature about 1e120 and dvol about 1e-243: |deviation|^3 overflows,
+    # the weighted third moment (about 1e117) does not
+    s = flow.initial_state(Scenario(init_value=1e-60))
+    record = flow._make_record(s, 0.0, ())
+    dev = np.abs(s.scalar - s.sigma_tilde)
+    for p, value in ((2.0, record.f2), (3.0, record.f3), (2.0, diag.f_p(s, 2.0)),
+                     (3.0, diag.f_p(s, 3.0))):
+        assert 0.0 < value < math.inf
+        with np.errstate(over="ignore"):
+            unweighted = float(np.dot(dev**p, s.dvol))
+        if math.isfinite(unweighted):
+            assert math.isclose(value, unweighted, rel_tol=1e-13)
+
+
 def test_moment_order_validation():
     s = flow.initial_state(Scenario(n_cells=32))
     with pytest.raises(ValueError):

@@ -190,18 +190,6 @@ def test_run_record_count_matches_steps():
     assert len(res.snapshots) == 2
 
 
-@pytest.mark.parametrize("grading", ["uniform", "geometric"])
-def test_divergence_bands_apply_the_flux_divergence(grading):
-    grid = geo.build_grid(64, grading, 0.9)
-    bands = grid.divergence_bands
-    assert bands is grid.divergence_bands and not bands.flags.writeable
-    dense = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
-    v = 1.0 + np.random.default_rng(3).random(64)
-    # the curvature is minus the flux divergence over v^3
-    expected = -geo.scalar_from_v(v, grid) * v**3
-    assert np.allclose(dense @ v, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
-
-
 def _fixed_step_ros2(grid, t_end, n_steps):
     state = flow.FlowState(grid, np.full(grid.n_cells, 4.0**0.25))
     for _ in range(n_steps):

@@ -128,13 +128,31 @@ def test_distance_from_singular_point_matches_incomplete_beta():
 # ---------------------------------------------------------------------------
 
 
-def test_face_fluxes_boundary_conditions():
-    g = geo.build_grid(64)
-    v = 1.0 + 0.3 * g.cell_centers
-    flux = geo.face_fluxes(v, g)
-    assert flux.shape == (65,)
-    assert flux[0] == v[0]
-    assert flux[-1] == 0.0
+@pytest.mark.parametrize("grading", ["uniform", "geometric"])
+def test_curvature_form_is_the_flux_divergence(grading):
+    g = geo.build_grid(64, grading, 0.9)
+    x = g.cell_centers
+    rng = np.random.default_rng(3)
+    v = 1.0 + rng.random(64)
+    # fluxes (1 - x^2) d(x v)/dx: v_0 at the first face, c_i diff(x v)
+    # inside, none at the last
+    conductance = (1.0 - g.faces[1:-1] ** 2) / np.diff(x)
+    flux = np.concatenate(([v[0]], conductance * np.diff(x * v), [0.0]))
+    expected = -np.diff(flux) / (g.cell_widths * v**3)
+    scalar = geo.scalar_from_v(v, g)
+    assert np.allclose(scalar, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+    c, d = g.curvature_form
+    assert g.curvature_form is g.curvature_form
+    assert not c.flags.writeable and not d.flags.writeable
+    # the bands are the matrix of the form
+    bands = geo.form_bands(c, d)
+    dense = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
+    u = rng.standard_normal(64)
+    product = geo.apply_form(c, d, u)
+    assert np.allclose(dense @ u, product, rtol=1e-12, atol=1e-12 * np.max(np.abs(product)))
+    assert math.isclose(geo.form_energy(c, d, u), float(u @ dense @ u), rel_tol=1e-12)
+    with pytest.raises(ValueError, match="does not match grid"):
+        geo.scalar_from_v(v[:-1], g)
 
 
 def test_scalar_from_v_constant_profile_converges_in_weighted_l2():
