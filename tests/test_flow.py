@@ -190,6 +190,27 @@ def test_run_record_count_matches_steps():
     assert len(res.snapshots) == 2
 
 
+@pytest.mark.parametrize("grading", ["uniform", "geometric"])
+def test_divergence_bands_apply_the_flux_divergence(grading):
+    grid = geo.build_grid(64, grading, 0.9)
+    c, d = grid.curvature_form
+    assert grid.curvature_form is grid.curvature_form
+    assert not c.flags.writeable and not d.flags.writeable
+    bands = geo.form_bands(c, d)
+    dense = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
+    rng = np.random.default_rng(3)
+    v = 1.0 + rng.random(64)
+    # the curvature is minus the flux divergence over v^3
+    expected = geo.scalar_from_v(v, grid) * grid.cell_widths * v**3
+    got = dense @ (grid.cell_centers * v)
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+    # the bands are the matrix of the form
+    u = rng.standard_normal(64)
+    product = geo.apply_form(c, d, u)
+    assert np.allclose(dense @ u, product, rtol=1e-12, atol=1e-12 * np.max(np.abs(product)))
+    assert math.isclose(geo.form_energy(c, d, u), float(u @ dense @ u), rel_tol=1e-12)
+
+
 def _fixed_step_ros2(grid, t_end, n_steps):
     state = flow.FlowState(grid, np.full(grid.n_cells, 4.0**0.25))
     for _ in range(n_steps):
