@@ -37,19 +37,16 @@ from .flow import (
 from .variational import (
     EigenResult,
     QuotientResult,
-    Thresholds,
+    Y_LOCAL,
     eigen_criteria,
     first_eigenvalue,
     minimize_quotient,
-    orbifold_thresholds,
     yamabe_quotient_eh,
     yamabe_quotient_sphere,
     yamabe_sphere_constant,
 )
 from .diagnostics import (
-    BubbleFit,
     BubbleFitError,
-    DichotomyReport,
     bubble_fit,
     build_dichotomy_report,
     decay_rate_fit,

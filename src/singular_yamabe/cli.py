@@ -112,7 +112,8 @@ def write_snapshots(directory: str, snapshots, grid) -> list:
 def read_series_csv(path: str):
     """Parse a series file back into records; inverse of write_series_csv.
 
-    Raises ConfigError when the file cannot be read or is not a series.
+    Raises ConfigError when the file cannot be read or is not a series of
+    finite numbers.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -131,6 +132,8 @@ def read_series_csv(path: str):
             values = [float(cell) for cell in row]
             if len(values) != len(header):
                 raise ValueError(f"a row of {len(values)} cells under {len(header)} columns")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"a cell that is not a finite number in {','.join(row)}")
             records.append(flow.TimeSeriesRecord(
                 t=values[0], sigma_tilde=values[1], volume=values[2],
                 f2=values[3], f3=values[4], v_at_x1=values[5], dt_used=values[6],
@@ -138,7 +141,7 @@ def read_series_csv(path: str):
             ))
     except ValueError as err:
         raise ConfigError(f"unusable series {path}: {err}") from err
-    return records, cutoffs
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +178,9 @@ def cmd_validate(args) -> int:
         model = geometry.build_sphere_model(n, 512)
         value = variational.yamabe_quotient_sphere(np.ones(512), model)
         checks.append((f"sphere_quotient_n{n}", expected, value, 1e-6))
-    thresholds = variational.orbifold_thresholds()
     checks.append(("orbifold_local_threshold", 8.0 * math.sqrt(3.0) * pi,
-                   thresholds.Y_local, 1e-12))
-    small = diagnostics.small_energy_test(12.0 * math.sqrt(2.0) * pi,
-                                          thresholds.Y_local)
+                   variational.Y_LOCAL, 1e-12))
+    small = diagnostics.small_energy_test(12.0 * math.sqrt(2.0) * pi)
     checks.append(("small_energy_on_initial_data", 0.0, float(small), 0.0))
     checks.append(("green_kernel_origin", 2.0,
                    geometry.green_kernel(np.array([1e-13]))[0], 1e-9))
@@ -261,7 +262,7 @@ def cmd_yamabe(args) -> int:
         model = geometry.EguchiHansonModel(a=cfg.a)
         grid = cfg.grid()
         nodes = grid.cell_centers
-        reference = variational.orbifold_thresholds().Y_local
+        reference = variational.Y_LOCAL
     if cfg.init_type == "file":
         init = load_profile(cfg.init_path, nodes)
     else:  # the quotient is scale-invariant, so a constant start defaults to 1
@@ -356,7 +357,7 @@ def cmd_report(args) -> int:
     cfg = parse_config(run_meta["scenario"])
     if cfg.model_type != "eguchi-hanson":
         raise ConfigError("reports cover eguchi-hanson runs")
-    records, _cutoffs = read_series_csv(series_path)
+    records = read_series_csv(series_path)
     if not records:
         raise ConfigError(f"{series_path} holds no records")
     artifacts = run_meta.get("artifacts")
@@ -366,7 +367,6 @@ def cmd_report(args) -> int:
         raise ConfigError("the run report lists no snapshots")
 
     grid = cfg.grid()
-    model = geometry.EguchiHansonModel(a=cfg.a)
 
     def load_state(rel_name: str, t: float) -> flow.FlowState:
         x, v = read_profile(os.path.join(run_dir, rel_name))
@@ -379,62 +379,11 @@ def cmd_report(args) -> int:
 
     initial = load_state(snapshot_files[0], records[0].t)
     final = load_state(snapshot_files[-1], records[-1].t)
-    thresholds = variational.orbifold_thresholds()
-    dichotomy = diagnostics.build_dichotomy_report(initial, final, thresholds)
-
-    try:
-        decay = diagnostics.decay_rate_fit(records)
-        decay_payload = {"rate": None if math.isinf(decay) else decay,
-                         "window_records": len(records) - len(records) // 2}
-    except ValueError as err:
-        decay_payload = {"rate": None, "error": str(err)}
-
-    moments = {value_name(p): diagnostics.f_p(final, p) for p in cfg.f_p_exponents}
-    sup = diagnostics.sup_bound_check(final, diagnostics.scalar_l2_bound(initial))
-
-    bubble_payload = None
-    if dichotomy.concentration_detected:
-        try:
-            fit = diagnostics.bubble_fit(final, model)
-            ratio = None
-            if dichotomy.sigma_inf_phys > 0.0:
-                rigid = diagnostics.rigidity_profile_constant(dichotomy.sigma_inf_phys)
-                ratio = fit.c_fit / rigid
-            bubble_payload = {
-                "scale_eps_lambda": fit.scale_eps_lambda,
-                "c_fit": fit.c_fit,
-                "residual": fit.residual,
-                "window": list(fit.window),
-                "c_over_rigidity_constant": ratio,
-            }
-        except diagnostics.BubbleFitError as err:
-            bubble_payload = {"error": str(err)}
-
     payload = {
         "scenario": cfg.echo(),
         "completed": run_meta.get("completed"),
         "failure": run_meta.get("failure"),
-        "dichotomy": {
-            "small_energy_ok": dichotomy.small_energy_ok,
-            "low_average_ok": dichotomy.low_average_ok,
-            "max_bubble_count": dichotomy.max_bubble_count,
-            "concentration_detected": dichotomy.concentration_detected,
-            "concentration_cutoff_history": [
-                {"t": t, "cutoff": x0, "fraction": frac}
-                for t, x0, frac in dichotomy.concentration_cutoff_history],
-            "s0_plus_norm": dichotomy.s0_plus_norm,
-            "sigma0": dichotomy.sigma0_phys,
-            "sigma_inf": dichotomy.sigma_inf_phys,
-            "thresholds": {"Y": thresholds.Y, "Y_local": thresholds.Y_local,
-                           "n": thresholds.n},
-        },
-        "alternate_flags": diagnostics.alternate_flag_variants(thresholds),
-        "decay_rate_fit": decay_payload,
-        "deviation_moments_final": moments,
-        "green_identity_residual": diagnostics.green_identity_residual(final),
-        "sup_bound": {"C": sup.C, "max_violation": sup.max_violation,
-                      "monotonicity_violation": sup.monotonicity_violation},
-        "bubble_fit": bubble_payload,
+        **diagnostics.build_dichotomy_report(initial, final, records, cfg),
     }
     _write_json(os.path.join(run_dir, "dichotomy.json"), payload)
     if not args.quiet:
@@ -442,7 +391,7 @@ def cmd_report(args) -> int:
         print("dichotomy: " + " ".join(
             f"{k}={d[k]}" for k in ("small_energy_ok", "low_average_ok",
                                     "max_bubble_count", "concentration_detected")))
-        rate = decay_payload.get("rate")
+        rate = payload["decay_rate_fit"]["rate"]
         print(f"decay rate estimate: {'n/a' if rate is None else _fmt(rate)}")
         print(f"report in {run_dir}/dichotomy.json")
     return EXIT_OK

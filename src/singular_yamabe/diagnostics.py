@@ -10,15 +10,14 @@ numbers; nothing mutates its inputs.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .flow import FlowState, TimeSeriesRecord, boundary_value, mass_fraction, moment
 from .geometry import EguchiHansonModel, distance_from_singular_point, green_kernel
-from .variational import Thresholds
+from .scenario import Scenario, value_name
+from .variational import Y_LOCAL
 
 
 class BubbleFitError(RuntimeError):
@@ -98,35 +97,37 @@ def scalar_l2_bound(state: FlowState) -> float:
 # threshold tests
 # ---------------------------------------------------------------------------
 
+# The tests below compare against Y_LOCAL in dimension n = 4, where the global
+# threshold Y equals the local one and every n/2 power is a square; the
+# combined threshold Y^(n/2) + Y_local^(n/2) is then:
+_COMBINED_THRESHOLD = Y_LOCAL**2.0 + Y_LOCAL**2.0
 
-def small_energy_test(s0_plus_norm: float, y_local: float) -> bool:
+
+def small_energy_test(s0_plus_norm: float) -> bool:
     """Strict comparison of the initial positive-curvature mass with the local threshold."""
-    if s0_plus_norm < 0.0 or y_local < 0.0:
-        raise ValueError("norms and thresholds must be nonnegative")
-    return bool(s0_plus_norm < y_local)
+    if s0_plus_norm < 0.0:
+        raise ValueError("norms must be nonnegative")
+    return bool(s0_plus_norm < Y_LOCAL)
 
 
-def low_average_test(sigma0: float, y: float, y_local: float, n: int) -> bool:
+def low_average_test(sigma0: float) -> bool:
     """Non-strict comparison of sigma0^(n/2) against the combined threshold."""
-    if min(sigma0, y, y_local) < 0.0:
+    if sigma0 < 0.0:
         raise ValueError("inputs must be nonnegative")
-    half = 0.5 * n
-    return bool(sigma0**half <= y**half + y_local**half)
+    return bool(sigma0**2.0 <= _COMBINED_THRESHOLD)
 
 
-def max_bubble_count(sigma_inf: float, y_local: float, n: int) -> int:
+def max_bubble_count(sigma_inf: float) -> int:
     """Largest number of quantized concentration points the energy allows.
 
-    Each concentration point costs volume at least (y_local / sigma_inf)
+    Each concentration point costs volume at least (Y_local / sigma_inf)
     to the power n/2, so the count is the floor of the inverse ratio.  A
     tiny relative nudge absorbs cases like ratio 2^(2/n) whose power is an
     exact integer that floating point may represent from below.
     """
-    if y_local <= 0.0:
-        raise ValueError("the local threshold must be positive")
     if sigma_inf < 0.0:
         raise ValueError("the limiting average must be nonnegative")
-    value = (sigma_inf / y_local) ** (0.5 * n)
+    value = (sigma_inf / Y_LOCAL) ** 2.0
     return int(math.floor(value * (1.0 + 1e-12) + 1e-12))
 
 
@@ -135,31 +136,28 @@ def max_bubble_count(sigma_inf: float, y_local: float, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def concentration_threshold_fraction(sigma_inf_phys: float, thresholds: Thresholds,
-                                     volume_target: float) -> float:
+def concentration_threshold_fraction(sigma_inf_phys: float, volume_target: float) -> float:
     """Volume fraction a single concentration point must at least carry."""
     if sigma_inf_phys <= 0.0:
         return math.inf
-    return (thresholds.Y_local / sigma_inf_phys) ** (0.5 * thresholds.n) / volume_target
+    return (Y_LOCAL / sigma_inf_phys) ** 2.0 / volume_target
 
 
-def detect_concentration(state: FlowState, sigma_inf_phys: float,
-                         thresholds: Thresholds):
+def detect_concentration(state: FlowState, sigma_inf_phys: float):
     """Decide whether volume has concentrated near the singular end.
 
     The fraction inside each of the cutoffs x = 0.1, 0.05 and 0.025 must
     clear the quantization threshold.  Demanding persistence under
     refinement separates genuine point-mass formation from a profile that
     merely leans toward small x.  Returns the flag and the evidence as
-    (t, cutoff, fraction) triples.
+    {"t", "cutoff", "fraction"} entries.
     """
-    frac_needed = concentration_threshold_fraction(sigma_inf_phys, thresholds,
-                                                  state.volume_target)
+    frac_needed = concentration_threshold_fraction(sigma_inf_phys, state.volume_target)
     history = []
     flagged = True
     for cutoff in (0.1, 0.05, 0.025):
         frac = mass_fraction(state, cutoff)
-        history.append((state.t, cutoff, frac))
+        history.append({"t": state.t, "cutoff": cutoff, "fraction": frac})
         if frac <= frac_needed:
             flagged = False
     return flagged, history
@@ -183,45 +181,31 @@ def green_identity_residual(state: FlowState) -> float:
     return abs(lhs - integral) / max(1.0, abs(lhs))
 
 
-@functools.cache
-def _green_fourth_moment() -> float:
-    # int G(x)^4 x dx over (0,1); the integrand ends in an integrable
-    # log^4 singularity so a modest subdivision limit is enough.
-    from scipy.integrate import quad
-
-    value, err = quad(lambda x: green_kernel(x) ** 4 * x, 0.0, 1.0,
-                      limit=300, points=[0.9, 0.99, 0.999])
-    if err > 1e-8 * max(1.0, value):
-        raise RuntimeError(f"kernel moment quadrature failed: err={err:g}")
-    return float(value)
+# int G(x)^4 x dx over (0, 1), the kernel's fourth moment.  The integrand ends
+# in an integrable log^4 singularity; adaptive quadrature with limit=300 and
+# break points 0.9, 0.99, 0.999 gives this value with an error estimate far
+# below 1e-8.
+GREEN_FOURTH_MOMENT = 57.69873135644655
 
 
-@dataclass(frozen=True)
-class SupBoundReport:
-    C: float
-    max_violation: float
-    monotonicity_violation: float
-
-
-def sup_bound_check(state: FlowState, lam: float) -> SupBoundReport:
+def sup_bound_check(state: FlowState, lam: float) -> dict:
     """Check the kernel-derived ceiling x v(x) <= C and the slope it rests on.
 
     C combines the fourth moment of the kernel with the quadratic
-    curvature integral lam carried by the initial data.  The second
-    number reports the worst face-wise decrease of x v, which must stay
-    nonnegative for data that started with nonnegative curvature.
+    curvature integral lam carried by the initial data.  The worst
+    face-wise decrease of x v, which must stay nonnegative for data that
+    started with nonnegative curvature, is the monotonicity violation.
     """
     if lam < 0.0:
         raise ValueError("the curvature integral bound must be nonnegative")
-    ceiling = (_green_fourth_moment() ** 0.25 * math.sqrt(lam)
+    ceiling = (GREEN_FOURTH_MOMENT ** 0.25 * math.sqrt(lam)
                * state.volume_target**0.25 / 2.0)
     xv_cells = state.grid.cell_centers * state.v
     over = np.maximum(xv_cells - ceiling, 0.0)
     xv_faces = np.concatenate([[0.0], xv_cells, [boundary_value(state)]])
     drops = np.maximum(-np.diff(xv_faces), 0.0)
-    return SupBoundReport(C=float(ceiling),
-                          max_violation=float(over.max()),
-                          monotonicity_violation=float(drops.max()))
+    return {"C": float(ceiling), "max_violation": float(over.max()),
+            "monotonicity_violation": float(drops.max())}
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +213,15 @@ def sup_bound_check(state: FlowState, lam: float) -> SupBoundReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BubbleFit:
-    scale_eps_lambda: float
-    c_fit: float
-    residual: float
-    window: tuple
-
-
-def bubble_fit(state: FlowState, model: EguchiHansonModel) -> BubbleFit:
+def bubble_fit(state: FlowState, model: EguchiHansonModel) -> dict:
     """Fit a rescaled spherical profile to the concentrating core.
 
     In four dimensions the reciprocal of the bubble profile is affine in
     the squared distance from the concentration point, so the fit is a
     plain linear least-squares problem on the cells where v exceeds half
     its maximum.  The distance is the background one from the singular
-    point.
+    point.  Returns the scale, amplitude, relative rms residual and the
+    [first, past-last] cell window.
     """
     dist = distance_from_singular_point(state.grid.cell_centers, model.a)
     window = np.nonzero(state.v >= 0.5 * state.v.max())[0]
@@ -263,9 +240,8 @@ def bubble_fit(state: FlowState, model: EguchiHansonModel) -> BubbleFit:
     c_fit = 1.0 / (slope * scale)
     fitted = 1.0 / (slope * dsq + intercept)
     residual = float(np.sqrt(np.mean(((fitted - state.v[window]) / state.v[window]) ** 2)))
-    return BubbleFit(scale_eps_lambda=float(scale), c_fit=float(c_fit),
-                     residual=residual,
-                     window=(int(window[0]), int(window[-1]) + 1))
+    return {"scale_eps_lambda": float(scale), "c_fit": float(c_fit),
+            "residual": residual, "window": [int(window[0]), int(window[-1]) + 1]}
 
 
 def rigidity_profile_constant(sigma_inf_phys: float) -> float:
@@ -281,60 +257,73 @@ def rigidity_profile_constant(sigma_inf_phys: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DichotomyReport:
-    small_energy_ok: bool
-    low_average_ok: bool
-    max_bubble_count: int
-    concentration_detected: bool
-    concentration_cutoff_history: tuple
-    s0_plus_norm: float
-    sigma0_phys: float
-    sigma_inf_phys: float
-    thresholds: Thresholds = field(repr=False)
-
-
 def build_dichotomy_report(initial_state: FlowState, final_state: FlowState,
-                           thresholds: Thresholds) -> DichotomyReport:
-    """Classify a run against the energy thresholds and concentration rule."""
+                           records: list[TimeSeriesRecord], scenario: Scenario) -> dict:
+    """Classify a run against the energy thresholds and concentration rule.
+
+    Returns the report as plain JSON data: the threshold flags and the
+    concentration evidence, the decay rate of the series ``records``, the
+    final deviation moments, the kernel identity and sup bound checks, and
+    a bubble fit when concentration is detected (``None`` otherwise).  A
+    fit or a rate that cannot be made is reported as an ``error`` entry.
+    """
     s0_plus = positive_scalar_l2_norm(initial_state)
     sigma0 = physical_sigma(initial_state.sigma_tilde, initial_state.volume)
     sigma_inf = physical_sigma(final_state.sigma_tilde, final_state.volume)
-    flagged, history = detect_concentration(final_state, sigma_inf, thresholds)
-    return DichotomyReport(
-        small_energy_ok=small_energy_test(s0_plus, thresholds.Y_local),
-        low_average_ok=low_average_test(sigma0, thresholds.Y, thresholds.Y_local,
-                                        thresholds.n),
-        max_bubble_count=max_bubble_count(sigma_inf, thresholds.Y_local, thresholds.n),
-        concentration_detected=flagged,
-        concentration_cutoff_history=tuple(history),
-        s0_plus_norm=s0_plus,
-        sigma0_phys=sigma0,
-        sigma_inf_phys=sigma_inf,
-        thresholds=thresholds,
-    )
+    flagged, history = detect_concentration(final_state, sigma_inf)
+
+    try:
+        rate = decay_rate_fit(records)
+        decay = {"rate": None if math.isinf(rate) else rate,
+                 "window_records": len(records) - len(records) // 2}
+    except ValueError as err:
+        decay = {"rate": None, "error": str(err)}
+
+    bubble = None
+    if flagged:
+        try:
+            bubble = bubble_fit(final_state, EguchiHansonModel(a=scenario.a))
+            bubble["c_over_rigidity_constant"] = (
+                bubble["c_fit"] / rigidity_profile_constant(sigma_inf)
+                if sigma_inf > 0.0 else None)
+        except BubbleFitError as err:
+            bubble = {"error": str(err)}
+
+    return {
+        "dichotomy": {
+            "small_energy_ok": small_energy_test(s0_plus),
+            "low_average_ok": low_average_test(sigma0),
+            "max_bubble_count": max_bubble_count(sigma_inf),
+            "concentration_detected": flagged,
+            "concentration_cutoff_history": history,
+            "s0_plus_norm": s0_plus,
+            "sigma0": sigma0,
+            "sigma_inf": sigma_inf,
+            "thresholds": {"Y": Y_LOCAL, "Y_local": Y_LOCAL, "n": 4},
+        },
+        "alternate_flags": alternate_flag_variants(),
+        "decay_rate_fit": decay,
+        "deviation_moments_final": {value_name(p): f_p(final_state, p)
+                                    for p in scenario.f_p_exponents},
+        "green_identity_residual": green_identity_residual(final_state),
+        "sup_bound": sup_bound_check(final_state, scalar_l2_bound(initial_state)),
+        "bubble_fit": bubble,
+    }
 
 
-def alternate_flag_variants(thresholds: Thresholds) -> dict:
+def alternate_flag_variants() -> dict:
     """Re-run the average test with the fixed constants pi^4/12 and pi^10.
 
     These two numbers circulate as quoted values for the initial averages
     on this geometry but they do not fit the unit chain every other
     quantity in this module satisfies, so reports carry both evaluations
     side by side with an explicit consistency marker instead of silently
-    choosing one.
+    choosing one.  In dimension 4 the squared variant is the one compared.
     """
-    sigma0_variant = math.pi**4 / 12.0
     sigma0_sq_variant = math.pi**10
-    half = 0.5 * thresholds.n
-    combined = thresholds.Y**half + thresholds.Y_local**half
-    if thresholds.n == 4:
-        ok = sigma0_sq_variant <= combined
-    else:
-        ok = sigma0_variant**half <= combined
     return {
-        "sigma0_variant": sigma0_variant,
+        "sigma0_variant": math.pi**4 / 12.0,
         "sigma0_squared_variant": sigma0_sq_variant,
-        "low_average_ok_variant": bool(ok),
+        "low_average_ok_variant": bool(sigma0_sq_variant <= _COMBINED_THRESHOLD),
         "consistent_with_derived_units": False,
     }

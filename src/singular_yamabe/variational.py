@@ -24,11 +24,10 @@ from .geometry import (EguchiHansonModel, RadialGrid, SphereModel, apply_form, f
                        form_energy, r_of_x, sphere_volume)
 
 __all__ = [
-    "Thresholds",
+    "Y_LOCAL",
     "QuotientResult",
     "EigenResult",
     "yamabe_sphere_constant",
-    "orbifold_thresholds",
     "yamabe_quotient_eh",
     "yamabe_quotient_sphere",
     "minimize_quotient",
@@ -51,29 +50,10 @@ def yamabe_sphere_constant(n: int) -> float:
     return n * (n - 1) * sphere_volume(n) ** (2.0 / n)
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Global and local conformal invariants steering the dichotomy tests."""
-
-    Y: float
-    Y_local: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"dimension must be at least 3, got {self.n}")
-        if not self.Y_local > 0.0:
-            raise ValueError("local threshold must be positive")
-
-
-def orbifold_thresholds() -> Thresholds:
-    """Thresholds at the Z/2 orbifold point of the four-dimensional space.
-
-    The local threshold divides the sphere constant by order^(2/n) = 2^(1/2);
-    for the geometry simulated here the global invariant coincides with it.
-    """
-    y = yamabe_sphere_constant(4) / 2 ** (2.0 / 4)
-    return Thresholds(Y=y, Y_local=y, n=4)
+# The local threshold at the Z/2 orbifold point of the four-dimensional space:
+# the sphere constant divided by order^(2/n) = 2^(1/2), that is 8 sqrt(3) pi.
+# For the geometry simulated here the global invariant Y coincides with it.
+Y_LOCAL = yamabe_sphere_constant(4) / 2 ** (2.0 / 4)
 
 
 # ---------------------------------------------------------------------------

@@ -55,13 +55,12 @@ def test_criterion_1_closed_form_suite():
         if abs(q - expected) / expected > 1e-6:
             failures.append(f"sphere quotient off at n={n}: {q!r}")
 
-    th = var.orbifold_thresholds()
-    if not math.isclose(th.Y_local, 8.0 * math.sqrt(3.0) * math.pi, rel_tol=1e-12):
+    if not math.isclose(var.Y_LOCAL, 8.0 * math.sqrt(3.0) * math.pi, rel_tol=1e-12):
         failures.append("local threshold is not 8 sqrt(3) pi")
     s0 = 12.0 * math.sqrt(2.0) * math.pi
-    if not s0 > th.Y_local:
+    if not s0 > var.Y_LOCAL:
         failures.append("initial curvature norm does not exceed the local threshold")
-    if diag.small_energy_test(s0, th.Y_local) is not False:
+    if diag.small_energy_test(s0) is not False:
         failures.append("small-energy test unexpectedly passed")
 
     elapsed = time.perf_counter() - started
@@ -202,7 +201,8 @@ def test_criterion_4_diagnostics_suite():
     eps, c = 0.05, 2.0
     clean = flow.FlowState(grid, c * eps / (eps**2 + d0**2))
     fit = diag.bubble_fit(clean, model)
-    if abs(fit.scale_eps_lambda - eps) / eps > 1e-8 or abs(fit.c_fit - c) / c > 1e-8:
+    if (abs(fit["scale_eps_lambda"] - eps) / eps > 1e-8
+            or abs(fit["c_fit"] - c) / c > 1e-8):
         failures.append(f"noise-free recovery off: {fit}")
 
     worst = 0.0
@@ -210,8 +210,8 @@ def test_criterion_4_diagnostics_suite():
         rng = np.random.default_rng(seed)
         noisy = clean.v * (1.0 + 0.01 * rng.standard_normal(512))
         nfit = diag.bubble_fit(flow.FlowState(grid, noisy), model)
-        worst = max(worst, abs(nfit.scale_eps_lambda - eps) / eps,
-                    abs(nfit.c_fit - c) / c)
+        worst = max(worst, abs(nfit["scale_eps_lambda"] - eps) / eps,
+                    abs(nfit["c_fit"] - c) / c)
     if worst > 0.02:
         failures.append(f"noisy recovery spread {worst:.4f} above 2%")
 
@@ -223,10 +223,10 @@ def test_criterion_4_diagnostics_suite():
     if abs(rate - 3.0) > 1e-6:
         failures.append(f"decay rate {rate!r} misses 3 by more than 1e-6")
 
-    y = var.orbifold_thresholds().Y_local
-    counts = (diag.max_bubble_count(y, y, 4),
-              diag.max_bubble_count(0.9 * y, y, 4),
-              diag.max_bubble_count(y * 2.0 ** 0.5, y, 4))
+    y = var.Y_LOCAL
+    counts = (diag.max_bubble_count(y),
+              diag.max_bubble_count(0.9 * y),
+              diag.max_bubble_count(y * 2.0 ** 0.5))
     if counts != (1, 0, 2):
         failures.append(f"bubble count arithmetic gave {counts}")
 

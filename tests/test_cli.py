@@ -69,8 +69,8 @@ def test_flow_artifacts(tmp_path):
 
     series = (outdir / "series.csv").read_text().splitlines()
     assert series[0] == "t,sigma_tilde,volume,F2,F3,v_at_x1,dt,mass_frac_0.1,mass_frac_0.05"
-    records, cutoffs = cli.read_series_csv(str(outdir / "series.csv"))
-    assert cutoffs == [0.1, 0.05]
+    records = cli.read_series_csv(str(outdir / "series.csv"))
+    assert list(records[0].mass_fractions) == [0.1, 0.05]
     # the initial record and at least one step per snapshot interval
     assert len(records) >= 3
     sig = [r.sigma_tilde for r in records]
@@ -117,7 +117,7 @@ def test_flow_file_init(tmp_path):
         time={"t_end": 0.004, "safety": 0.4, "renorm_every": 0,
               "snapshot_every": 0.0})
     assert cli.main(["flow", cfg_path, "--quiet"]) == 0
-    records, _ = cli.read_series_csv(str(tmp_path / "run" / "series.csv"))
+    records = cli.read_series_csv(str(tmp_path / "run" / "series.csv"))
     grid = geo.build_grid(64, "uniform")
     expect = flow.FlowState(grid, np.interp(grid.cell_centers, xs, vs))
     assert records[0].volume == pytest.approx(expect.volume, rel=1e-12)
@@ -268,12 +268,17 @@ def test_eigen_solver_failure_exits_4(tmp_path, monkeypatch):
     assert payload["failure"] == "eigenvalue solve failed"
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def test_report_dichotomy(tmp_path):
     cfg_path, _ = _scenario(tmp_path)
     outdir = str(tmp_path / "run")
     assert cli.main(["flow", cfg_path, "--quiet"]) == 0
     assert cli.main(["report", outdir, "--quiet"]) == 0
-    payload = json.loads((tmp_path / "run" / "dichotomy.json").read_text())
+    payload = json.loads((tmp_path / "run" / "dichotomy.json").read_text(),
+                         parse_constant=_refuse_constant)
 
     d = payload["dichotomy"]
     assert d["small_energy_ok"] is False
@@ -334,6 +339,12 @@ def _snapshot(run, index):
     return run / json.loads((run / "report.json").read_text())["artifacts"]["snapshots"][index]
 
 
+def _set_f2(row, cell):
+    cells = row.split(",")
+    cells[3] = cell
+    return ",".join(cells)
+
+
 def _negative_first_v(text):
     lines = text.splitlines()
     lines[0] = lines[0].split(",")[0] + ",-1.0"
@@ -357,6 +368,8 @@ REPORT_DAMAGE = {
     "no_scenario_key": lambda run: _rewrite(run / "report.json", _without_scenario),
     "non_numeric_series_cell": _edit_series_row(lambda row: "abc," + row.split(",", 1)[1]),
     "short_series_row": _edit_series_row(lambda row: ",".join(row.split(",")[:4])),
+    "nan_series_cell": _edit_series_row(lambda row: _set_f2(row, "nan")),
+    "overflowing_series_cell": _edit_series_row(lambda row: _set_f2(row, "1e400")),
     "nonpositive_snapshot_value": lambda run: _rewrite(_snapshot(run, -1), _negative_first_v),
     "missing_snapshot_file": lambda run: _snapshot(run, 0).unlink(),
     "snapshot_off_grid": lambda run: _rewrite(_snapshot(run, 0), _off_grid_x),
@@ -483,6 +496,22 @@ def test_cli_import_loads_no_quadrature_or_special_functions():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=_child_env())
     assert out.stdout.strip() == "[]"
+
+
+def test_report_loads_no_quadrature(small_run, tmp_path):
+    # the sup bound's kernel moment is a constant, not a report-time integral
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    code = (
+        "import sys\n"
+        "from singular_yamabe import cli\n"
+        f"assert cli.main(['report', {str(run)!r}, '--quiet']) == 0\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=_child_env())
+    assert out.stdout.strip() == "False"
+    assert json.loads((run / "dichotomy.json").read_text())["bubble_fit"] is None
 
 
 def test_console_script_smoke():

@@ -103,7 +103,7 @@ def test_physical_sigma_of_default_start():
                         rel_tol=1e-14)
     # the reduced local level 1/sqrt(3) maps onto the orbifold threshold
     assert math.isclose(diag.physical_sigma(1.0 / math.sqrt(3.0), 2.0),
-                        var.orbifold_thresholds().Y_local, rel_tol=1e-13)
+                        var.Y_LOCAL, rel_tol=1e-13)
 
 
 def test_positive_scalar_norm_of_default_start():
@@ -113,68 +113,64 @@ def test_positive_scalar_norm_of_default_start():
 
 
 def test_small_energy_test_comparisons():
-    y_local = var.orbifold_thresholds().Y_local
-    assert diag.small_energy_test(12.0 * math.sqrt(2.0) * math.pi, y_local) is False
-    assert diag.small_energy_test(0.5 * y_local, y_local) is True
+    assert diag.small_energy_test(12.0 * math.sqrt(2.0) * math.pi) is False
+    assert diag.small_energy_test(0.5 * var.Y_LOCAL) is True
     # strict: a tie does not pass
-    assert diag.small_energy_test(y_local, y_local) is False
+    assert diag.small_energy_test(var.Y_LOCAL) is False
     with pytest.raises(ValueError):
-        diag.small_energy_test(-1.0, y_local)
+        diag.small_energy_test(-1.0)
 
 
 def test_low_average_test_comparisons():
-    th = var.orbifold_thresholds()
     # 256 pi^2 against 384 pi^2
-    assert diag.low_average_test(16.0 * math.pi, th.Y, th.Y_local, 4) is True
-    assert diag.low_average_test(100.0 * math.pi, th.Y, th.Y_local, 4) is False
-    combined = (th.Y**2 + th.Y_local**2) ** 0.5
-    assert diag.low_average_test(combined, th.Y, th.Y_local, 4) is True
+    assert diag.low_average_test(16.0 * math.pi) is True
+    assert diag.low_average_test(100.0 * math.pi) is False
+    combined = (var.Y_LOCAL**2 + var.Y_LOCAL**2) ** 0.5
+    assert diag.low_average_test(combined) is True
+    with pytest.raises(ValueError):
+        diag.low_average_test(-1.0)
 
 
 def test_max_bubble_count_arithmetic():
-    y = var.orbifold_thresholds().Y_local
-    assert diag.max_bubble_count(y, y, 4) == 1
-    assert diag.max_bubble_count(0.9 * y, y, 4) == 0
+    y = var.Y_LOCAL
+    assert diag.max_bubble_count(y) == 1
+    assert diag.max_bubble_count(0.9 * y) == 0
     # ratio 2^(2/n) squares to exactly two bubbles worth of volume
-    assert diag.max_bubble_count(y * 2.0 ** 0.5, y, 4) == 2
-    assert diag.max_bubble_count(0.0, y, 4) == 0
+    assert diag.max_bubble_count(y * 2.0 ** 0.5) == 2
+    assert diag.max_bubble_count(0.0) == 0
     with pytest.raises(ValueError):
-        diag.max_bubble_count(1.0, 0.0, 4)
+        diag.max_bubble_count(-1.0)
 
 
 @given(lo=st.floats(0.0, 200.0), hi=st.floats(0.0, 200.0))
 @settings(max_examples=60, deadline=None)
 def test_max_bubble_count_monotone(lo, hi):
-    y = var.orbifold_thresholds().Y_local
     lo, hi = sorted((lo, hi))
-    assert diag.max_bubble_count(lo, y, 4) <= diag.max_bubble_count(hi, y, 4)
+    assert diag.max_bubble_count(lo) <= diag.max_bubble_count(hi)
 
 
 # concentration -------------------------------------------------------------
 
 
 def test_concentration_threshold_fraction():
-    th = var.orbifold_thresholds()
-    val = diag.concentration_threshold_fraction(2.0 * th.Y_local, th, 2.0)
+    val = diag.concentration_threshold_fraction(2.0 * var.Y_LOCAL, 2.0)
     assert math.isclose(val, 0.125, rel_tol=1e-13)
-    assert diag.concentration_threshold_fraction(0.0, th, 2.0) == math.inf
+    assert diag.concentration_threshold_fraction(0.0, 2.0) == math.inf
 
 
 def test_detect_concentration_fires_on_bubble():
-    th = var.orbifold_thresholds()
     s = flow.renormalize(_bubble_state(0.02, 2.0, volume_target=2.0))
-    flag, hist = diag.detect_concentration(s, 1.05 * th.Y_local, th)
+    flag, hist = diag.detect_concentration(s, 1.05 * var.Y_LOCAL)
     assert flag
     assert len(hist) == 3
-    cutoffs = [c for _, c, _ in hist]
-    assert cutoffs == [0.1, 0.05, 0.025]
-    assert all(f > 0.9 for _, _, f in hist)
+    assert [entry["cutoff"] for entry in hist] == [0.1, 0.05, 0.025]
+    assert all(entry["fraction"] > 0.9 for entry in hist)
+    assert all(entry["t"] == s.t for entry in hist)
 
 
 def test_detect_concentration_quiet_on_constant():
-    th = var.orbifold_thresholds()
     s = flow.initial_state(Scenario(n_cells=512, grading="geometric"))
-    flag, hist = diag.detect_concentration(s, 16.0 * math.pi, th)
+    flag, hist = diag.detect_concentration(s, 16.0 * math.pi)
     assert not flag
     assert len(hist) == 3
 
@@ -199,9 +195,9 @@ def test_green_identity_residual_is_finite_on_rough_data():
 def test_sup_bound_clears_constant_start():
     s = flow.initial_state(Scenario(n_cells=512))
     rep = diag.sup_bound_check(s, diag.scalar_l2_bound(s))
-    assert rep.C > float(np.max(s.grid.cell_centers * s.v))
-    assert rep.max_violation == 0.0
-    assert rep.monotonicity_violation == 0.0
+    assert rep["C"] > float(np.max(s.grid.cell_centers * s.v))
+    assert rep["max_violation"] == 0.0
+    assert rep["monotonicity_violation"] == 0.0
     with pytest.raises(ValueError):
         diag.sup_bound_check(s, -1.0)
 
@@ -213,10 +209,10 @@ def test_sup_bound_clears_constant_start():
 @settings(max_examples=50, deadline=None)
 def test_bubble_fit_is_exact_on_model_profiles(eps, c):
     fit = diag.bubble_fit(_bubble_state(eps, c), EH)
-    assert abs(fit.scale_eps_lambda - eps) / eps < 1e-10
-    assert abs(fit.c_fit - c) / c < 1e-10
-    assert fit.residual < 1e-12
-    assert fit.window[1] - fit.window[0] >= 8
+    assert abs(fit["scale_eps_lambda"] - eps) / eps < 1e-10
+    assert abs(fit["c_fit"] - c) / c < 1e-10
+    assert fit["residual"] < 1e-12
+    assert fit["window"][1] - fit["window"][0] >= 8
 
 
 def test_bubble_fit_window_too_small():
@@ -241,8 +237,8 @@ def test_bubble_fit_under_noise():
         v = v * (1.0 + 0.01 * rng.standard_normal(512))
         fit = diag.bubble_fit(flow.FlowState(GRID_G512, v), EH)
         worst = max(worst,
-                    abs(fit.scale_eps_lambda - 0.05) / 0.05,
-                    abs(fit.c_fit - 2.0) / 2.0)
+                    abs(fit["scale_eps_lambda"] - 0.05) / 0.05,
+                    abs(fit["c_fit"] - 2.0) / 2.0)
     assert worst < 0.025
 
 
@@ -259,24 +255,68 @@ def test_rigidity_profile_constant():
 def test_dichotomy_report_of_short_run():
     cfg = Scenario(n_cells=128, t_end=0.004, snapshot_every=0.0)
     res = flow.run(cfg)
-    th = var.orbifold_thresholds()
-    rep = diag.build_dichotomy_report(flow.initial_state(cfg), res.final_state, th)
-    assert rep.small_energy_ok is False
-    assert rep.low_average_ok is True
-    assert rep.max_bubble_count == 1
-    assert rep.concentration_detected is False
-    assert len(rep.concentration_cutoff_history) == 3
+    rep = diag.build_dichotomy_report(flow.initial_state(cfg), res.final_state,
+                                      res.records, cfg)
+    d = rep["dichotomy"]
+    assert d["small_energy_ok"] is False
+    assert d["low_average_ok"] is True
+    assert d["max_bubble_count"] == 1
+    assert d["concentration_detected"] is False
+    assert len(d["concentration_cutoff_history"]) == 3
+    assert d["thresholds"] == {"Y": var.Y_LOCAL, "Y_local": var.Y_LOCAL, "n": 4}
     # the stored scalars reproduce the stored booleans
-    assert diag.small_energy_test(rep.s0_plus_norm, th.Y_local) == rep.small_energy_ok
-    assert diag.low_average_test(rep.sigma0_phys, th.Y, th.Y_local, th.n) == rep.low_average_ok
-    assert diag.max_bubble_count(rep.sigma_inf_phys, th.Y_local, th.n) == rep.max_bubble_count
-    assert rep.sigma0_phys == pytest.approx(16.0 * math.pi, rel=1e-4)
-    assert rep.sigma_inf_phys < rep.sigma0_phys
+    assert diag.small_energy_test(d["s0_plus_norm"]) == d["small_energy_ok"]
+    assert diag.low_average_test(d["sigma0"]) == d["low_average_ok"]
+    assert diag.max_bubble_count(d["sigma_inf"]) == d["max_bubble_count"]
+    assert d["sigma0"] == pytest.approx(16.0 * math.pi, rel=1e-4)
+    assert d["sigma_inf"] < d["sigma0"]
+    # five records are too few for a rate: the report carries the reason
+    assert rep["decay_rate_fit"] == {
+        "rate": None, "error": f"need at least 6 records to fit a rate, got {len(res.records)}"}
+    assert set(rep["deviation_moments_final"]) == {"2", "3"}
+    assert rep["bubble_fit"] is None
+
+
+def test_dichotomy_report_fits_a_concentrated_state():
+    cfg = Scenario(n_cells=512, grading="geometric")
+    final = flow.renormalize(_bubble_state(0.02, 2.0, volume_target=2.0))
+    records = [_record(0.001 * k, math.exp(-k)) for k in range(8)]
+    rep = diag.build_dichotomy_report(flow.initial_state(cfg), final, records, cfg)
+    assert rep["dichotomy"]["concentration_detected"] is True
+    fit = rep["bubble_fit"]
+    # renormalizing rescales the amplitude, never the scale
+    assert fit["scale_eps_lambda"] == pytest.approx(0.02, rel=1e-10)
+    assert fit["residual"] < 1e-12
+    sigma_inf = rep["dichotomy"]["sigma_inf"]
+    assert sigma_inf == diag.physical_sigma(final.sigma_tilde, final.volume)
+    assert fit["c_over_rigidity_constant"] == (
+        fit["c_fit"] / diag.rigidity_profile_constant(sigma_inf))
+
+
+def test_dichotomy_report_records_a_failed_fit():
+    # a core narrower than one cell of the uniform 64-cell grid concentrates
+    # but leaves a single cell above half the maximum
+    cfg = Scenario(n_cells=64)
+    grid = cfg.grid()
+    d0 = geo.distance_from_singular_point(grid.cell_centers, 1.0)
+    final = flow.renormalize(flow.FlowState(grid, 1e-2 / (1e-4 + d0**2), volume_target=2.0))
+    records = [_record(0.001 * k, math.exp(-k)) for k in range(8)]
+    rep = diag.build_dichotomy_report(flow.initial_state(cfg), final, records, cfg)
+    assert rep["dichotomy"]["concentration_detected"] is True
+    assert rep["bubble_fit"] == {"error": "fit window has 1 cells, need at least 8"}
 
 
 def test_alternate_flag_variants_are_marked_inconsistent():
-    out = diag.alternate_flag_variants(var.orbifold_thresholds())
+    out = diag.alternate_flag_variants()
     assert out["sigma0_variant"] == pytest.approx(math.pi**4 / 12.0)
     assert out["sigma0_squared_variant"] == pytest.approx(math.pi**10)
     assert out["low_average_ok_variant"] is False
     assert out["consistent_with_derived_units"] is False
+
+
+def test_green_fourth_moment_matches_quadrature():
+    from scipy.integrate import quad
+
+    value, _ = quad(lambda x: geo.green_kernel(x) ** 4 * x, 0.0, 1.0,
+                    limit=300, points=[0.9, 0.99, 0.999])
+    assert diag.GREEN_FOURTH_MOMENT == pytest.approx(value, rel=1e-12)

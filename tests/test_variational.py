@@ -34,19 +34,10 @@ def test_sphere_constants():
 
 
 def test_threshold_values():
-    th = var.orbifold_thresholds()
-    assert math.isclose(th.Y_local, 8.0 * math.sqrt(3.0) * math.pi, rel_tol=1e-14)
-    assert th.Y == th.Y_local
+    assert math.isclose(var.Y_LOCAL, 8.0 * math.sqrt(3.0) * math.pi, rel_tol=1e-14)
     # halving the sphere constant in the n/2 power: order 2 divides by sqrt(2)
-    assert math.isclose(th.Y_local, var.yamabe_sphere_constant(4) / math.sqrt(2.0),
+    assert math.isclose(var.Y_LOCAL, var.yamabe_sphere_constant(4) / math.sqrt(2.0),
                         rel_tol=1e-14)
-
-
-def test_threshold_validation():
-    with pytest.raises(ValueError):
-        var.Thresholds(Y=1.0, Y_local=1.0, n=2)
-    with pytest.raises(ValueError):
-        var.Thresholds(Y=1.0, Y_local=0.0, n=4)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -83,12 +74,11 @@ def test_bubble_family_dips_toward_local_threshold():
     # threshold from above as the scale shrinks
     grid = geo.build_grid(512, "geometric", 0.97)
     d0 = geo.distance_from_singular_point(grid.cell_centers, 1.0)
-    th = var.orbifold_thresholds()
 
     def q(eps):
         return var.yamabe_quotient_eh(eps / (eps**2 + d0**2), grid)
 
-    assert th.Y_local < q(0.05) < q(0.2)
+    assert var.Y_LOCAL < q(0.05) < q(0.2)
 
 
 def test_minimize_sphere_reaches_constant():
@@ -143,7 +133,7 @@ def test_minimize_eh_sinks_below_constant_level():
     assert flow.mass_fraction(end, 0.1) > 2.0 * flow.mass_fraction(start, 0.1)
     assert flow.mass_fraction(end, 0.1) > 0.5
     # and never undercuts the local threshold
-    assert res.value > var.orbifold_thresholds().Y_local
+    assert res.value > var.Y_LOCAL
 
 
 def test_minimize_validation():
