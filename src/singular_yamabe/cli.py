@@ -20,14 +20,6 @@ import os
 import sys
 import tempfile
 
-# Cap BLAS pools before the numeric stack loads; the variable is read once
-# per process so this only helps when the CLI is the entry point, which is
-# the case it is meant for.
-_THREAD_CAP = os.environ.get("SINGULAR_YAMABE_THREADS")
-if _THREAD_CAP:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = _THREAD_CAP
-
 import numpy as np
 
 from . import __version__
@@ -53,17 +45,28 @@ EXIT_NO_CONVERGENCE = 4
 # ---------------------------------------------------------------------------
 
 
+def _make_outdir(path: str) -> str:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot use output directory {path}: {err}") from err
+    return path
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=False)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=False)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err}") from err
 
 
 def _fmt(value: float) -> str:
@@ -97,7 +100,7 @@ def _snapshot_name(t: float, used: set) -> str:
 
 def write_snapshots(directory: str, snapshots, grid) -> list:
     """Write plain two-column x,v files; returns the file names in time order."""
-    os.makedirs(directory, exist_ok=True)
+    _make_outdir(directory)
     used: set = set()
     names = []
     for t, v in snapshots:
@@ -147,14 +150,6 @@ def read_series_csv(path: str):
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
-
-
-def _make_outdir(path: str) -> str:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"cannot use output directory {path}: {err}") from err
-    return path
 
 
 def cmd_validate(args) -> int:
@@ -212,9 +207,6 @@ def cmd_validate(args) -> int:
 
 def cmd_flow(args) -> int:
     cfg = load_config(args.config)
-    if cfg.model_type != "eguchi-hanson":
-        raise ConfigError("the flow command drives the eguchi-hanson reduction; "
-                          "set model.type accordingly")
     try:
         result = flow.run(cfg)
     except (OSError, ValueError) as err:
@@ -343,10 +335,6 @@ def cmd_report(args) -> int:
     run_dir = args.run_dir
     series_path = os.path.join(run_dir, "series.csv")
     report_path = os.path.join(run_dir, "report.json")
-    snap_dir = os.path.join(run_dir, "snapshots")
-    for needed in (series_path, report_path, snap_dir):
-        if not os.path.exists(needed):
-            raise ConfigError(f"missing run artifact: {needed}")
     try:
         with open(report_path, encoding="utf-8") as handle:
             run_meta = json.load(handle)

@@ -45,11 +45,6 @@ __all__ = [
 class PositivityError(RuntimeError):
     """A step drove the conformal cube nonpositive somewhere."""
 
-    def __init__(self, message: str, t: float | None = None, cells=None):
-        super().__init__(message)
-        self.t = t
-        self.cells = cells
-
 
 @dataclass(frozen=True)
 class FlowState:
@@ -162,10 +157,7 @@ def _cube_state(state: FlowState, w: np.ndarray, t: float) -> FlowState:
     if bad.size:
         raise PositivityError(
             f"conformal cube lost positivity in {bad.size} cells at t={t:.6g}"
-            f" (first cell {bad[0]}, x={state.grid.cell_centers[bad[0]]:.4g})",
-            t=t,
-            cells=bad,
-        )
+            f" (first cell {bad[0]}, x={state.grid.cell_centers[bad[0]]:.4g})")
     return FlowState(grid=state.grid, v=np.cbrt(w), t=t,
                      volume_target=state.volume_target)
 

@@ -76,19 +76,12 @@ class RadialGrid:
         cell, strictly increasing.
     weights : ndarray, shape (n_cells,)
         Exact cell masses of x dx, i.e. (f_+^2 - f_-^2)/2.  They sum to 1/2.
-    grading : str
-        "uniform" or "geometric".
-    ratio : float or None
-        Width ratio of consecutive cells for geometric grading (cells shrink
-        toward x = 0); None for uniform grading.
     """
 
     n_cells: int
     faces: np.ndarray
     cell_centers: np.ndarray
     weights: np.ndarray
-    grading: str
-    ratio: float | None = None
 
     def __post_init__(self):
         if self.n_cells < 8:
@@ -135,7 +128,6 @@ def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> R
         raise ValueError(f"need at least 8 cells, got {n_cells}")
     if grading == "uniform":
         faces = np.linspace(0.0, 1.0, n_cells + 1)
-        ratio_out = None
     elif grading == "geometric":
         if not 0.0 < ratio < 1.0:
             raise ValueError(f"geometric ratio must be in (0, 1), got {ratio}")
@@ -144,7 +136,6 @@ def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> R
         faces = np.concatenate(([0.0], np.cumsum(widths)))
         faces /= faces[-1]
         faces[-1] = 1.0
-        ratio_out = ratio
     else:
         raise ValueError(f"unknown grading {grading!r}")
     smallest = float(np.min(np.diff(faces)))
@@ -161,8 +152,6 @@ def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> R
         faces=faces,
         cell_centers=centers,
         weights=weights,
-        grading=grading,
-        ratio=ratio_out,
     )
 
 
@@ -187,7 +176,6 @@ class SphereModel:
     """
 
     n: int
-    n_cells: int
     thetas: np.ndarray = field(repr=False)
     faces: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
@@ -201,7 +189,7 @@ def build_sphere_model(n: int = 4, n_cells: int = 256) -> SphereModel:
     faces = np.linspace(0.0, np.pi, n_cells + 1)
     thetas = 0.5 * (faces[:-1] + faces[1:])
     band = sphere_volume(n - 1) * np.sin(thetas) ** (n - 1) * np.diff(faces)
-    return SphereModel(n=n, n_cells=n_cells, thetas=thetas, faces=faces, weights=band)
+    return SphereModel(n=n, thetas=thetas, faces=faces, weights=band)
 
 
 def sphere_volume(n: int) -> float:

@@ -209,6 +209,21 @@ def test_output_dir_that_is_a_file_is_an_input_error(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("error: cannot use output directory")
 
 
+
+def test_unwritable_artifacts_exit_2(tmp_path, capsys):
+    # a snapshots entry that is a file, and a yamabe.json that is a
+    # directory: the write fails, the run exits 2 and leaves no temp file
+    cfg_path, _ = _scenario(tmp_path)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "snapshots").write_text("not a directory\n")
+    assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: cannot use output directory")
+    (run / "yamabe.json").mkdir()
+    assert cli.main(["yamabe", cfg_path, "--quiet"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert not [name for name in os.listdir(run) if name.startswith(".tmp-")]
+
 def test_yamabe_sphere(tmp_path):
     cfg_path, data = _scenario(tmp_path, grid={"n_cells": 96})
     data["model"] = {"type": "sphere", "n": 4}
@@ -470,20 +485,6 @@ def _declared_scripts():
     declared = tomllib.loads(text)["project"]["scripts"]
     assert scripts == declared
     return declared
-
-
-def test_thread_cap_env(tmp_path):
-    code = (
-        "import os\n"
-        "os.environ['SINGULAR_YAMABE_THREADS'] = '3'\n"
-        "import singular_yamabe.cli\n"
-        "print(os.environ['OMP_NUM_THREADS'],\n"
-        "      os.environ['OPENBLAS_NUM_THREADS'],\n"
-        "      os.environ['MKL_NUM_THREADS'])\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=_child_env())
-    assert out.stdout.split() == ["3", "3", "3"]
 
 
 def test_cli_import_loads_no_quadrature_or_special_functions():

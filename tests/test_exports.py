@@ -1,10 +1,13 @@
-"""Public names: every exported name resolves, every function the
-benchmark's tracer times (perfbench/traced_cli.py SPANS) is still there, and
-every public definition is used by the package or traced."""
+"""Public names: every exported name resolves, the package root loads no
+layer, every function the benchmark's tracer times (perfbench/traced_cli.py
+SPANS) is still there, and every public definition is used by the package or
+traced."""
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,17 @@ def test_all_names_resolve(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
 
+
+
+def test_package_import_loads_no_submodule():
+    # the package root holds a docstring and __version__; callers import the
+    # layer they use, so no re-export facade grows back
+    root = str(Path(importlib.import_module("singular_yamabe").__file__).parents[1])
+    code = (f"import sys\nsys.path.insert(0, {root!r})\nimport singular_yamabe\n"
+            "print(sorted(m for m in sys.modules if m.startswith('singular_yamabe.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 def _traced_spans():
     path = Path(__file__).parents[1] / "perfbench" / "traced_cli.py"

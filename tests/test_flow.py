@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,12 +129,13 @@ def test_step_positivity_error_carries_context():
     s = flow.initial_state(Scenario(n_cells=64))
     with pytest.raises(flow.PositivityError) as info:
         flow.step(s, 5.0)
-    err = info.value
-    assert err.t == pytest.approx(5.0)
-    assert err.cells is not None and len(err.cells) > 0
+    match = re.fullmatch(r"conformal cube lost positivity in (\d+) cells at t=5"
+                         r" \(first cell (\d+), x=[0-9.]+\)", str(info.value))
+    assert match, str(info.value)
+    count, first = map(int, match.groups())
     # the curvature of a constant profile grows toward the bolt, so the
     # overshoot kills the outermost cells first
-    assert err.cells[-1] == 63
+    assert count > 0 and first + count == 64
 
 
 def test_step_reduces_curvature_mean():
@@ -283,8 +285,7 @@ def test_run_snapshots_land_on_distinct_multiples():
 
 def test_run_stops_on_positivity_loss_within_explicit_bound(monkeypatch):
     def lose_positivity(state, h):
-        raise flow.PositivityError("conformal cube lost positivity in 1 cells",
-                                   t=state.t + h, cells=np.array([0]))
+        raise flow.PositivityError("conformal cube lost positivity in 1 cells")
 
     monkeypatch.setattr(flow, "rosenbrock_step", lose_positivity)
     res = flow.run(Scenario(n_cells=64, t_end=0.004, snapshot_every=0.0))
