@@ -103,10 +103,12 @@ def write_snapshots(directory: str, snapshots, grid) -> list:
     _make_outdir(directory)
     used: set = set()
     names = []
+    # every snapshot lies on the same grid, so its x column is formatted once
+    x_cells = [_fmt(x) + "," for x in grid.cell_centers.tolist()]
     for t, v in snapshots:
         name = _snapshot_name(t, used)
         used.add(name)
-        lines = [f"{_fmt(x)},{_fmt(val)}" for x, val in zip(grid.cell_centers, v)]
+        lines = [x + format(val, ".17g") for x, val in zip(x_cells, v.tolist())]
         _atomic_write(os.path.join(directory, name), "\n".join(lines) + "\n")
         names.append(name)
     return names

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .geometry import RadialGrid, form_bands, scalar_from_v
 from .scenario import Scenario, load_profile
@@ -200,6 +199,8 @@ def rosenbrock_step(state: FlowState, h: float) -> tuple[FlowState, float]:
     max |w_new - (w + h k1)| / w against the embedded Euler solution.
     Raises PositivityError when the stage or the result is not positive.
     """
+    from scipy.linalg import solve_banded
+
     _check_step_size(h)
     gh = _GAMMA * h
     grid = state.grid

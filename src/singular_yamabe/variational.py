@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
-from scipy.linalg import lapack
 
 from .flow import FlowState
 from .geometry import (EguchiHansonModel, RadialGrid, SphereModel, apply_form, form_bands,
@@ -129,7 +127,6 @@ class QuotientResult:
     iterations: int
     gradient_norm: float
     converged: bool
-    history: list = field(repr=False, default_factory=list)
 
 
 def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
@@ -144,6 +141,8 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
     initial step guarantees the value sequence is nonincreasing.  A line
     search that finds no decrease ends the descent unconverged.
     """
+    from scipy.linalg import lapack
+
     bands = form_bands(face_coeff, curv_mass)
 
     def project(u):
@@ -157,7 +156,6 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
     v, w, av = project(np.asarray(v0, dtype=float))
     q = float(np.dot(v, av))  # denominator is 1 on the sphere
     step = _INITIAL_STEP
-    history = [q]
     grad_norm = math.inf
     for it in range(_MAX_ITERS):
         # half the gradient of N(v) / (sum m |v|^p)^(2/p) at a p-normalized iterate
@@ -165,7 +163,7 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
         half_grad = av - q * mass * v
         grad_norm = 2.0 * math.sqrt(float(np.dot(half_grad, half_grad)))
         if grad_norm <= _GRAD_TOL * max(1.0, abs(q)):
-            return QuotientResult(q, v, it, grad_norm, True, history)
+            return QuotientResult(q, v, it, grad_norm, True)
         # H is strictly diagonally dominant with a positive diagonal, so the
         # SPD tridiagonal solve cannot break down
         direction = lapack.dptsv(bands[1] + (q * (p - 1.0)) * mass, bands[0, 1:], half_grad)[2]
@@ -175,15 +173,14 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
             qt = float(np.dot(trial, av_t))
             if qt <= q - 1e-12 * max(1.0, abs(q)):
                 v, w, av, q = trial, w_t, av_t, qt
-                history.append(q)
                 step = min(step * 1.3, _INITIAL_STEP)
                 moved = True
                 break
             step *= 0.5
         if not moved:
             # no decrease possible along this direction at any step length
-            return QuotientResult(q, v, it, grad_norm, False, history)
-    return QuotientResult(q, v, _MAX_ITERS, grad_norm, False, history)
+            return QuotientResult(q, v, it, grad_norm, False)
+    return QuotientResult(q, v, _MAX_ITERS, grad_norm, False)
 
 
 def minimize_quotient(model, grid: RadialGrid | None = None, *, init) -> QuotientResult:
@@ -243,6 +240,8 @@ def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray) -> EigenResult:
     against the constant nullspace and B-normalized, and lambda is its
     Rayleigh quotient.  A failed LAPACK solve raises LinAlgError.
     """
+    from scipy import linalg
+
     root = np.sqrt(metric)
     bands = form_bands(face_coeff, 0.0)
     _, vecs = linalg.eigh_tridiagonal(bands[1] / metric, bands[0, 1:] / (root[:-1] * root[1:]),

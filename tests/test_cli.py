@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import singular_yamabe
 from singular_yamabe import cli, flow
 from singular_yamabe import geometry as geo
-from singular_yamabe import scenario, variational
+from singular_yamabe import scenario
 
 
 def _scenario(tmp_path, **overrides):
@@ -90,6 +91,20 @@ def test_flow_artifacts(tmp_path):
     grid = geo.build_grid(64, "uniform")
     assert np.array_equal(table[:, 0], grid.cell_centers)
     assert np.allclose(table[:, 1], 2.0 ** 0.5, rtol=1e-15)
+
+
+def test_write_snapshots_matches_per_cell_format(tmp_path):
+    grid = geo.build_grid(512, "geometric", 0.97)
+    special = [0.1, 1.0 / 3.0, 1e-300, 1.7976931348623157e308]
+    rng = np.random.default_rng(5)
+    v0 = np.concatenate([special, rng.random(508)])
+    snapshots = [(0.0, v0), (0.25, v0[::-1].copy()), (0.5, np.exp(rng.normal(size=512)))]
+    names = cli.write_snapshots(str(tmp_path / "snapshots"), snapshots, grid)
+    assert len(names) == len(snapshots)
+    for name, (_, v) in zip(names, snapshots):
+        expected = "\n".join(f"{cli._fmt(x)},{cli._fmt(val)}"
+                             for x, val in zip(grid.cell_centers, v)) + "\n"
+        assert (tmp_path / "snapshots" / name).read_bytes() == expected.encode()
 
 
 def test_flow_is_deterministic(tmp_path):
@@ -275,7 +290,8 @@ def test_eigen_solver_failure_exits_4(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalue solve failed")
 
-    monkeypatch.setattr(variational.linalg, "eigh_tridiagonal", fail)
+    # the eigen solve imports scipy.linalg when it runs, so the patch goes there
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
     cfg_path, _ = _scenario(tmp_path, grid={"n_cells": 64})
     assert cli.main(["eigen", cfg_path, "--quiet"]) == cli.EXIT_NO_CONVERGENCE
     payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
@@ -513,6 +529,28 @@ def test_report_loads_no_quadrature(small_run, tmp_path):
                          text=True, check=True, env=_child_env())
     assert out.stdout.strip() == "False"
     assert json.loads((run / "dichotomy.json").read_text())["bubble_fit"] is None
+
+
+def _scipy_modules_after(statement):
+    """Top-level scipy modules a child interpreter holds after the statement."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from singular_yamabe import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert {statement} == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=_child_env())
+    return out.stdout.strip()
+
+
+def test_commands_load_scipy_only_to_solve(small_run, tmp_path):
+    # neither command makes a LAPACK call, so neither pays for scipy
+    assert _scipy_modules_after("cli.main(['--dump-default-config'])") == "[]"
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    assert _scipy_modules_after(f"cli.main(['report', {str(run)!r}, '--quiet'])") == "[]"
 
 
 def test_console_script_smoke():
