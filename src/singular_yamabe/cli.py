@@ -69,8 +69,12 @@ def _atomic_write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {err}") from err
 
 
+# every number in an artifact is written round-trip exact in this format
+_FLOAT_FORMAT = ".17g"
+
+
 def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+    return format(float(value), _FLOAT_FORMAT)
 
 
 def _write_json(path: str, payload) -> None:
@@ -108,7 +112,7 @@ def write_snapshots(directory: str, snapshots, grid) -> list:
     for t, v in snapshots:
         name = _snapshot_name(t, used)
         used.add(name)
-        lines = [x + format(val, ".17g") for x, val in zip(x_cells, v.tolist())]
+        lines = [x + format(val, _FLOAT_FORMAT) for x, val in zip(x_cells, v.tolist())]
         _atomic_write(os.path.join(directory, name), "\n".join(lines) + "\n")
         names.append(name)
     return names

@@ -127,6 +127,7 @@ class QuotientResult:
     iterations: int
     gradient_norm: float
     converged: bool
+    history: list = field(repr=False, default_factory=list)
 
 
 def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
@@ -156,6 +157,7 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
     v, w, av = project(np.asarray(v0, dtype=float))
     q = float(np.dot(v, av))  # denominator is 1 on the sphere
     step = _INITIAL_STEP
+    history = [q]
     grad_norm = math.inf
     for it in range(_MAX_ITERS):
         # half the gradient of N(v) / (sum m |v|^p)^(2/p) at a p-normalized iterate
@@ -163,7 +165,7 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
         half_grad = av - q * mass * v
         grad_norm = 2.0 * math.sqrt(float(np.dot(half_grad, half_grad)))
         if grad_norm <= _GRAD_TOL * max(1.0, abs(q)):
-            return QuotientResult(q, v, it, grad_norm, True)
+            return QuotientResult(q, v, it, grad_norm, True, history)
         # H is strictly diagonally dominant with a positive diagonal, so the
         # SPD tridiagonal solve cannot break down
         direction = lapack.dptsv(bands[1] + (q * (p - 1.0)) * mass, bands[0, 1:], half_grad)[2]
@@ -173,14 +175,15 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
             qt = float(np.dot(trial, av_t))
             if qt <= q - 1e-12 * max(1.0, abs(q)):
                 v, w, av, q = trial, w_t, av_t, qt
+                history.append(q)
                 step = min(step * 1.3, _INITIAL_STEP)
                 moved = True
                 break
             step *= 0.5
         if not moved:
             # no decrease possible along this direction at any step length
-            return QuotientResult(q, v, it, grad_norm, False)
-    return QuotientResult(q, v, _MAX_ITERS, grad_norm, False)
+            return QuotientResult(q, v, it, grad_norm, False, history)
+    return QuotientResult(q, v, _MAX_ITERS, grad_norm, False, history)
 
 
 def minimize_quotient(model, grid: RadialGrid | None = None, *, init) -> QuotientResult:

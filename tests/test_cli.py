@@ -532,7 +532,7 @@ def test_report_loads_no_quadrature(small_run, tmp_path):
 
 
 def _scipy_modules_after(statement):
-    """Top-level scipy modules a child interpreter holds after the statement."""
+    """The scipy modules, sorted, that a child interpreter holds after the statement."""
     code = (
         "import contextlib, io, sys\n"
         "from singular_yamabe import cli\n"

@@ -81,44 +81,25 @@ def test_bubble_family_dips_toward_local_threshold():
     assert var.Y_LOCAL < q(0.05) < q(0.2)
 
 
-def _values_after(model, init, caps, monkeypatch):
-    """The descent's quotient after each number of iterations in caps.
-
-    The descent is deterministic and accepts one step per iteration, so a
-    rerun capped at k iterations ends on its k-th accepted value.
-    """
-    values = []
-    for cap in caps:
-        monkeypatch.setattr(var, "_MAX_ITERS", cap)
-        values.append(var.minimize_quotient(model, init=init).value)
-    return values
-
-
-def test_minimize_sphere_reaches_constant(monkeypatch):
+def test_minimize_sphere_reaches_constant():
     model = geo.build_sphere_model(4, 128)
     rng = np.random.default_rng(3)
     init = 1.0 + 0.3 * np.sin(2.0 * model.thetas) + 0.1 * rng.random(128)
     res = var.minimize_quotient(model, init=init)
     y = var.yamabe_sphere_constant(4)
     assert abs(res.value - y) / y < 1e-3
-    # every early step, then doubling iteration counts up to the full run
-    caps = [*range(41), *(40 * 2**j for j in range(1, 7))]
-    values = _values_after(model, init, caps, monkeypatch) + [res.value]
-    assert res.value <= values[0]
-    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+    assert res.value <= res.history[0]
+    assert all(b <= a + 1e-12 for a, b in zip(res.history, res.history[1:]))
 
 
 @pytest.mark.parametrize("n_cells", [256, 4096])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_minimize_sphere_iterations_do_not_grow_with_resolution(n_cells, k, monkeypatch):
+def test_minimize_sphere_iterations_do_not_grow_with_resolution(n_cells, k):
     model = geo.build_sphere_model(4, n_cells)
-    init = 1.0 + 0.05 * np.cos(k * model.thetas + 0.7)
-    res = var.minimize_quotient(model, init=init)
+    res = var.minimize_quotient(model, init=1.0 + 0.05 * np.cos(k * model.thetas + 0.7))
     assert res.converged
     assert res.iterations < 50
-    values = _values_after(model, init, range(res.iterations + 1), monkeypatch)
-    assert values[-1] == res.value
-    assert all(b <= a for a, b in zip(values, values[1:]))
+    assert all(b <= a for a, b in zip(res.history, res.history[1:]))
     y = var.yamabe_sphere_constant(4)
     assert abs(res.value - y) / y < 1e-6
 
