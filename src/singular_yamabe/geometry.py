@@ -38,6 +38,7 @@ __all__ = [
     "eh_volume_quadrature",
     "eh_distance_to_infinity",
     "eh_scalar_l2_energy",
+    "inner",
     "apply_form",
     "form_energy",
     "form_bands",
@@ -291,6 +292,16 @@ def eh_scalar_l2_energy(a: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product sum a_i b_i, summed in one thread.
+
+    ``np.dot`` hands vectors of more than 10^4 entries to the BLAS, which
+    splits the sum over its threads and so rounds differently at each thread
+    count; this sum gives the same bits at any.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
 def apply_form(c: np.ndarray, d: np.ndarray | float, u: np.ndarray) -> np.ndarray:
     """Product A u of the form (c, d): (A u)_i = d_i u_i + sum_j c_ij (u_i - u_j).
 
@@ -308,7 +319,7 @@ def apply_form(c: np.ndarray, d: np.ndarray | float, u: np.ndarray) -> np.ndarra
 def form_energy(c: np.ndarray, d: np.ndarray | float, u: np.ndarray) -> float:
     """The quadratic form u^T A u = sum c (u_i - u_j)^2 + sum d u^2."""
     du = u[:-1] - u[1:]
-    return float(np.dot(c, du * du) + np.sum(d * u * u))
+    return inner(c, du * du) + float(np.sum(d * u * u))
 
 
 def form_bands(c: np.ndarray, d: np.ndarray | float) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .flow import FlowState
 from .geometry import (EguchiHansonModel, RadialGrid, SphereModel, apply_form, form_bands,
-                       form_energy, r_of_x, sphere_volume)
+                       form_energy, inner, r_of_x, sphere_volume)
 
 __all__ = [
     "Y_LOCAL",
@@ -93,7 +93,7 @@ def _quotient(v, model, grid: RadialGrid | None) -> float:
     v = np.asarray(v, dtype=float)
     if v.shape != vm.shape:
         raise ValueError("profile shape does not match the model resolution")
-    return form_energy(fc, cm, v) / float(np.dot(vm, np.abs(v) ** p)) ** (2.0 / p)
+    return form_energy(fc, cm, v) / inner(vm, np.abs(v) ** p) ** (2.0 / p)
 
 
 def yamabe_quotient_eh(v, grid: RadialGrid, a: float = 1.0) -> float:
@@ -141,40 +141,72 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
     grow with the resolution; a backtracking line search halving from the
     initial step guarantees the value sequence is nonincreasing.  A line
     search that finds no decrease ends the descent unconverged.
+
+    The normalization is carried as a scalar: the loop keeps an unnormalized
+    u with its form product A u and weight m |u|^(p - 2), and the point on
+    the sphere is v = s u with s = (sum m |u|^p)^(-1/p).  Gradient and
+    direction are those at v divided by s, so the trial s (u - t d) is the
+    trial at v, and the quotient, being scale-invariant, needs no rescaled
+    copy of u, A u or the weight.  Every array the loop writes is allocated
+    once per descent.
     """
     from scipy.linalg import lapack
 
     bands = form_bands(face_coeff, curv_mass)
+    n = vol_mass.size
+    u, au, mw = np.array(v0, dtype=float), np.empty(n), np.empty(n)
+    trial, a_trial, mw_trial = np.empty(n), np.empty(n), np.empty(n)
+    # grad is overwritten by the direction; work holds an evaluation's face
+    # fluxes in per_face, then its u^2, and during the solve H's off-diagonal
+    grad, work = np.empty(n), np.empty(n)
+    per_face = work[:-1]
 
-    def project(u):
-        """u on the unit p-sphere, with |u|^(p-2) and the form product A u."""
-        uu = u * u
-        w = uu ** (0.5 * p - 1.0)
-        scale = float(np.dot(vol_mass, w * uu)) ** (-1.0 / p)
-        au = apply_form(face_coeff, curv_mass, u)
-        return u * scale, w * scale ** (p - 2.0), au * scale
+    def evaluate(x, ax, mwx):
+        """Fill A x and m |x|^(p - 2) and return the quotient of x and its
+        normalization s; A x is apply_form's arithmetic, in place."""
+        np.multiply(curv_mass, x, out=ax)
+        flux = np.subtract(x[:-1], x[1:], out=per_face)
+        flux *= face_coeff
+        ax[:-1] += flux
+        ax[1:] -= flux
+        uu = np.multiply(x, x, out=work)
+        np.power(uu, 0.5 * p - 1.0, out=mwx)
+        mwx *= vol_mass
+        scale = inner(mwx, uu) ** (-1.0 / p)
+        return inner(x, ax) * scale * scale, scale
 
-    v, w, av = project(np.asarray(v0, dtype=float))
-    q = float(np.dot(v, av))  # denominator is 1 on the sphere
+    q, s = evaluate(u, au, mw)
     step = _INITIAL_STEP
     history = [q]
     grad_norm = math.inf
     for it in range(_MAX_ITERS):
-        # half the gradient of N(v) / (sum m |v|^p)^(2/p) at a p-normalized iterate
-        mass = vol_mass * w
-        half_grad = av - q * mass * v
-        grad_norm = 2.0 * math.sqrt(float(np.dot(half_grad, half_grad)))
+        # half the gradient of N(v) / (sum m |v|^p)^(2/p) at v = s u, over s:
+        # A u - q s^(p - 2) m |u|^(p - 2) u
+        weight = s ** (p - 2.0)
+        np.multiply(mw, u, out=grad)
+        grad *= -q * weight
+        grad += au
+        grad_norm = 2.0 * s * math.sqrt(inner(grad, grad))
         if grad_norm <= _GRAD_TOL * max(1.0, abs(q)):
-            return QuotientResult(q, v, it, grad_norm, True, history)
+            return QuotientResult(q, s * u, it, grad_norm, True, history)
         # H is strictly diagonally dominant with a positive diagonal, so the
-        # SPD tridiagonal solve cannot break down
-        direction = lapack.dptsv(bands[1] + (q * (p - 1.0)) * mass, bands[0, 1:], half_grad)[2]
+        # SPD tridiagonal solve cannot break down; it factors H in place, the
+        # diagonal in the trial buffer (free until the line search)
+        h_diag = np.multiply(mw, q * (p - 1.0) * weight, out=trial)
+        h_diag += bands[1]
+        per_face[:] = bands[0, 1:]
+        direction = lapack.dptsv(h_diag, per_face, grad, overwrite_d=1, overwrite_e=1,
+                                 overwrite_b=1)[2]
         moved = False
         while step >= 1e-12:
-            trial, w_t, av_t = project(v - step * direction)
-            qt = float(np.dot(trial, av_t))
+            np.multiply(direction, -step, out=trial)
+            trial += u
+            qt, st = evaluate(trial, a_trial, mw_trial)
             if qt <= q - 1e-12 * max(1.0, abs(q)):
-                v, w, av, q = trial, w_t, av_t, qt
+                u, trial = trial, u
+                au, a_trial = a_trial, au
+                mw, mw_trial = mw_trial, mw
+                q, s = qt, st
                 history.append(q)
                 step = min(step * 1.3, _INITIAL_STEP)
                 moved = True
@@ -182,8 +214,8 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
             step *= 0.5
         if not moved:
             # no decrease possible along this direction at any step length
-            return QuotientResult(q, v, it, grad_norm, False, history)
-    return QuotientResult(q, v, _MAX_ITERS, grad_norm, False, history)
+            return QuotientResult(q, s * u, it, grad_norm, False, history)
+    return QuotientResult(q, s * u, _MAX_ITERS, grad_norm, False, history)
 
 
 def minimize_quotient(model, grid: RadialGrid | None = None, *, init) -> QuotientResult:
@@ -250,14 +282,15 @@ def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray) -> EigenResult:
     _, vecs = linalg.eigh_tridiagonal(bands[1] / metric, bands[0, 1:] / (root[:-1] * root[1:]),
                                       select="i", select_range=(1, 1))
     x = vecs[:, 0] / root
-    lam = float(np.dot(x, apply_form(face_coeff, 0.0, x)) / np.dot(metric, x * x))
+    lam = inner(x, apply_form(face_coeff, 0.0, x)) / inner(metric, x * x)
     y = linalg.solve_banded((1, 1), form_bands(face_coeff, -lam * metric), metric * x)
-    y -= np.dot(metric, y) / np.sum(metric)
-    y /= math.sqrt(float(np.dot(metric, y * y)))
+    y -= inner(metric, y) / np.sum(metric)
+    y /= math.sqrt(inner(metric, y * y))
     ay = apply_form(face_coeff, 0.0, y)
-    lam = float(np.dot(y, ay))
+    lam = inner(y, ay)
     my = metric * y
-    res = float(np.linalg.norm(ay - lam * my) / np.linalg.norm(my))
+    r = ay - lam * my
+    res = math.sqrt(inner(r, r)) / math.sqrt(inner(my, my))
     return EigenResult(lambda1=lam, eigenfunction=y, residual=res)
 
 

@@ -553,6 +553,30 @@ def test_commands_load_scipy_only_to_solve(small_run, tmp_path):
     assert _scipy_modules_after(f"cli.main(['report', {str(run)!r}, '--quiet'])") == "[]"
 
 
+def test_quotient_results_do_not_depend_on_blas_threads(tmp_path):
+    # above 10^4 cells a BLAS dot splits its sum over the threads, and a split
+    # sum rounds differently; the quotient and spectral reductions do not
+    start = tmp_path / "start.csv"
+    start.write_text("".join(f"{t!r},{1.0 + 0.05 * math.cos(2.0 * t + 0.7)!r}\n"
+                             for t in (math.pi * j / 63 for j in range(64))))
+    config = tmp_path / "sphere.yaml"
+    config.write_text(yaml.safe_dump({"model": {"type": "sphere", "n": 4},
+                                      "grid": {"n_cells": 16384},
+                                      "init": {"type": "file", "path": str(start)}}))
+    outputs = {}
+    for threads in ("1", "2"):
+        env = _child_env()
+        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = threads
+        out = tmp_path / f"threads{threads}"
+        for command in ("yamabe", "eigen"):
+            subprocess.run([sys.executable, "-m", "singular_yamabe", command, config,
+                            "--output-dir", str(out), "--quiet"], check=True, env=env)
+        outputs[threads] = out
+    for name in ("yamabe.json", "eigen.json"):
+        assert (outputs["1"] / name).read_bytes() == (outputs["2"] / name).read_bytes(), name
+
+
 def test_console_script_smoke():
     target = _declared_scripts().get("singular-yamabe")
     assert target == "singular_yamabe.cli:main"

@@ -24,6 +24,54 @@ def dense_lambda1(face_coeff, metric):
     return float(vals[1])
 
 
+def reference_minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
+    """Reference oracle for the quotient descent: the loop that rescales the
+    iterate, its form product and its weights onto the p-sphere on every
+    trial, with fresh arrays and BLAS dots."""
+    from scipy.linalg import lapack
+
+    bands = geo.form_bands(face_coeff, curv_mass)
+
+    def project(u):
+        """u on the unit p-sphere, with |u|^(p-2) and the form product A u."""
+        uu = u * u
+        w = uu ** (0.5 * p - 1.0)
+        scale = float(np.dot(vol_mass, w * uu)) ** (-1.0 / p)
+        au = geo.apply_form(face_coeff, curv_mass, u)
+        return u * scale, w * scale ** (p - 2.0), au * scale
+
+    v, w, av = project(np.asarray(v0, dtype=float))
+    q = float(np.dot(v, av))  # denominator is 1 on the sphere
+    step = var._INITIAL_STEP
+    history = [q]
+    grad_norm = math.inf
+    for it in range(var._MAX_ITERS):
+        # half the gradient of N(v) / (sum m |v|^p)^(2/p) at a p-normalized iterate
+        mass = vol_mass * w
+        half_grad = av - q * mass * v
+        grad_norm = 2.0 * math.sqrt(float(np.dot(half_grad, half_grad)))
+        if grad_norm <= var._GRAD_TOL * max(1.0, abs(q)):
+            return var.QuotientResult(q, v, it, grad_norm, True, history)
+        # H is strictly diagonally dominant with a positive diagonal, so the
+        # SPD tridiagonal solve cannot break down
+        direction = lapack.dptsv(bands[1] + (q * (p - 1.0)) * mass, bands[0, 1:], half_grad)[2]
+        moved = False
+        while step >= 1e-12:
+            trial, w_t, av_t = project(v - step * direction)
+            qt = float(np.dot(trial, av_t))
+            if qt <= q - 1e-12 * max(1.0, abs(q)):
+                v, w, av, q = trial, w_t, av_t, qt
+                history.append(q)
+                step = min(step * 1.3, var._INITIAL_STEP)
+                moved = True
+                break
+            step *= 0.5
+        if not moved:
+            # no decrease possible along this direction at any step length
+            return var.QuotientResult(q, v, it, grad_norm, False, history)
+    return var.QuotientResult(q, v, var._MAX_ITERS, grad_norm, False, history)
+
+
 def test_sphere_constants():
     assert math.isclose(var.yamabe_sphere_constant(4), 8.0 * math.sqrt(6.0) * math.pi,
                         rel_tol=1e-14)
@@ -102,6 +150,27 @@ def test_minimize_sphere_iterations_do_not_grow_with_resolution(n_cells, k):
     assert all(b <= a for a, b in zip(res.history, res.history[1:]))
     y = var.yamabe_sphere_constant(4)
     assert abs(res.value - y) / y < 1e-6
+
+
+@pytest.mark.parametrize("model_name", ["eguchi-hanson", "sphere"])
+def test_minimize_follows_the_reference_iteration(monkeypatch, model_name):
+    # the same method as the reference loop, iterate by iterate, to round-off
+    if model_name == "sphere":
+        model, grid = geo.build_sphere_model(4, 4096), None
+        init = 1.0 + 0.05 * np.cos(2.0 * model.thetas + 0.7)
+    else:
+        # a descent that never converges, cut at 300 iterations
+        monkeypatch.setattr(var, "_MAX_ITERS", 300)
+        model, grid = geo.EguchiHansonModel(a=1.0), geo.build_grid(4096, "uniform")
+        init = 1.0 + 0.05 * np.cos(2.0 * np.pi * grid.cell_centers + 0.7)
+    res = var.minimize_quotient(model, grid, init=init)
+    ref = reference_minimize_ratio(*var._quotient_forms(model, grid), init)
+    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+    assert res.converged == (model_name == "sphere")
+    assert len(res.history) == len(ref.history)
+    for got, want in zip([res.value, *res.history], [ref.value, *ref.history]):
+        assert math.isclose(got, want, rel_tol=1e-12)
+    assert np.max(np.abs(res.minimizer - ref.minimizer)) <= 1e-10 * np.max(ref.minimizer)
 
 
 def test_minimize_stall_is_not_convergence(monkeypatch):
