@@ -546,8 +546,9 @@ def _scipy_modules_after(statement):
 
 
 def test_commands_load_scipy_only_to_solve(small_run, tmp_path):
-    # neither command makes a LAPACK call, so neither pays for scipy
+    # no command here makes a LAPACK call, so none pays for scipy
     assert _scipy_modules_after("cli.main(['--dump-default-config'])") == "[]"
+    assert _scipy_modules_after("cli.main(['validate', '--quiet'])") == "[]"
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
     assert _scipy_modules_after(f"cli.main(['report', {str(run)!r}, '--quiet'])") == "[]"

@@ -92,6 +92,18 @@ def test_scalar_curvature_closed_form():
     assert np.allclose(geo.eh_scalar_curvature(r, 1.0), expected, rtol=1e-14)
 
 
+def test_tanh_sinh_rule_integrates_endpoint_singularities():
+    x, c, w = geo.tanh_sinh_rule()
+    assert np.all((x > 0.0) & (x < 1.0))
+    assert np.all(c > 0.0)
+    assert math.isclose(float(np.dot(w, np.log(x))), -1.0, rel_tol=1e-15)
+    assert math.isclose(float(np.dot(w, x**-0.5)), 2.0, rel_tol=1e-15)
+    # through the complements, to the floor that nodes inside (0, 1) allow:
+    # no double below 1 is closer to it than 2^-53, and (1 - x)^(-1/2) has
+    # mass 2 sqrt(e) within e of 1, which the rule misses at its smallest e
+    assert abs(float(np.dot(w, c**-0.5)) - 2.0) <= 2.0 * math.sqrt(float(np.min(c)))
+
+
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_volume_quadrature_matches_closed_form(a):
     exact = math.pi**2 * a**4 / 4.0

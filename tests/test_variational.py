@@ -27,7 +27,8 @@ def dense_lambda1(face_coeff, metric):
 def reference_minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
     """Reference oracle for the quotient descent: the loop that rescales the
     iterate, its form product and its weights onto the p-sphere on every
-    trial, with fresh arrays and BLAS dots."""
+    trial, with fresh arrays and BLAS dots.  Returns the result and the
+    number of trial steps the line search rejected."""
     from scipy.linalg import lapack
 
     bands = geo.form_bands(face_coeff, curv_mass)
@@ -45,13 +46,14 @@ def reference_minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
     step = var._INITIAL_STEP
     history = [q]
     grad_norm = math.inf
+    rejected = 0
     for it in range(var._MAX_ITERS):
         # half the gradient of N(v) / (sum m |v|^p)^(2/p) at a p-normalized iterate
         mass = vol_mass * w
         half_grad = av - q * mass * v
         grad_norm = 2.0 * math.sqrt(float(np.dot(half_grad, half_grad)))
         if grad_norm <= var._GRAD_TOL * max(1.0, abs(q)):
-            return var.QuotientResult(q, v, it, grad_norm, True, history)
+            return var.QuotientResult(q, v, it, grad_norm, True, history), rejected
         # H is strictly diagonally dominant with a positive diagonal, so the
         # SPD tridiagonal solve cannot break down
         direction = lapack.dptsv(bands[1] + (q * (p - 1.0)) * mass, bands[0, 1:], half_grad)[2]
@@ -65,11 +67,12 @@ def reference_minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
                 step = min(step * 1.3, var._INITIAL_STEP)
                 moved = True
                 break
+            rejected += 1
             step *= 0.5
         if not moved:
             # no decrease possible along this direction at any step length
-            return var.QuotientResult(q, v, it, grad_norm, False, history)
-    return var.QuotientResult(q, v, var._MAX_ITERS, grad_norm, False, history)
+            return var.QuotientResult(q, v, it, grad_norm, False, history), rejected
+    return var.QuotientResult(q, v, var._MAX_ITERS, grad_norm, False, history), rejected
 
 
 def test_sphere_constants():
@@ -152,9 +155,13 @@ def test_minimize_sphere_iterations_do_not_grow_with_resolution(n_cells, k):
     assert abs(res.value - y) / y < 1e-6
 
 
+@pytest.mark.parametrize("initial_step", [1.0, 4.0])
 @pytest.mark.parametrize("model_name", ["eguchi-hanson", "sphere"])
-def test_minimize_follows_the_reference_iteration(monkeypatch, model_name):
-    # the same method as the reference loop, iterate by iterate, to round-off
+def test_minimize_follows_the_reference_iteration(monkeypatch, model_name, initial_step):
+    # the same method as the reference loop, iterate by iterate, to round-off;
+    # a first step of 4 overshoots, so the line search backtracks and its
+    # shrink and growth factors are pinned too
+    monkeypatch.setattr(var, "_INITIAL_STEP", initial_step)
     if model_name == "sphere":
         model, grid = geo.build_sphere_model(4, 4096), None
         init = 1.0 + 0.05 * np.cos(2.0 * model.thetas + 0.7)
@@ -164,7 +171,9 @@ def test_minimize_follows_the_reference_iteration(monkeypatch, model_name):
         model, grid = geo.EguchiHansonModel(a=1.0), geo.build_grid(4096, "uniform")
         init = 1.0 + 0.05 * np.cos(2.0 * np.pi * grid.cell_centers + 0.7)
     res = var.minimize_quotient(model, grid, init=init)
-    ref = reference_minimize_ratio(*var._quotient_forms(model, grid), init)
+    ref, rejected = reference_minimize_ratio(*var._quotient_forms(model, grid), init)
+    if initial_step == 4.0:
+        assert rejected >= 1
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
     assert res.converged == (model_name == "sphere")
     assert len(res.history) == len(ref.history)
