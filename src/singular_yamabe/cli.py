@@ -251,32 +251,28 @@ def cmd_yamabe(args) -> int:
     cfg = load_config(args.config)
     if cfg.model_type == "sphere":
         model = geometry.build_sphere_model(cfg.sphere_n, cfg.n_cells)
-        grid, nodes = None, model.thetas
+        nodes, quotient = model.thetas, variational.yamabe_quotient_sphere
         reference = variational.yamabe_sphere_constant(cfg.sphere_n)
-    else:
-        model = geometry.EguchiHansonModel(a=cfg.a)
-        grid = cfg.grid()
-        nodes = grid.cell_centers
+    else:  # the quotient does not depend on the core scale model.a
+        model = cfg.grid()
+        nodes, quotient = model.cell_centers, variational.yamabe_quotient_eh
         reference = variational.Y_LOCAL
     if cfg.init_type == "file":
         init = load_profile(cfg.init_path, nodes)
     else:  # the quotient is scale-invariant, so a constant start defaults to 1
         init = np.full(cfg.n_cells, cfg.init_value or 1.0)
-    # a start of order 1e100 or 1e-100, or a core scale of order 1e200,
-    # overflows the quotient: refuse it rather than descend from garbage
+    # a start of order 1e100 or 1e-100 overflows the quotient: refuse it
+    # rather than descend from garbage
     with np.errstate(all="ignore"):
         try:
-            if grid is None:
-                initial_value = variational.yamabe_quotient_sphere(init, model)
-            else:
-                initial_value = variational.yamabe_quotient_eh(init, grid, a=cfg.a)
+            initial_value = quotient(init, model)
         except (OverflowError, ZeroDivisionError):  # Python float arithmetic
             initial_value = math.nan
     if not 0.0 < initial_value < math.inf:
         raise ConfigError(f"the start's quotient is {initial_value!r}, not finite and "
-                          "positive; rescale init or model.a")
+                          "positive; rescale init")
     outdir = _make_outdir(args.output_dir or cfg.output_dir)
-    result = variational.minimize_quotient(model, grid=grid, init=init)
+    result = variational.minimize_quotient(model, init=init)
     payload = {
         "scenario": cfg.echo(),
         "package_version": __version__,

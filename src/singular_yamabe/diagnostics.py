@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .flow import FlowState, TimeSeriesRecord, boundary_value, mass_fraction, moment
-from .geometry import EguchiHansonModel, distance_from_singular_point, green_kernel
+from .geometry import distance_from_singular_point, green_kernel, inner
 from .scenario import Scenario, value_name
 from .variational import Y_LOCAL
 
@@ -176,7 +176,7 @@ def green_identity_residual(state: FlowState) -> float:
     doubles as a smoke test for state plumbing.
     """
     kernel = green_kernel(state.grid.cell_centers)
-    integral = float(np.dot(kernel * state.scalar, state.v**3 * state.grid.weights))
+    integral = inner(kernel * state.scalar, state.v**3 * state.grid.weights)
     lhs = 2.0 * boundary_value(state)
     return abs(lhs - integral) / max(1.0, abs(lhs))
 
@@ -213,17 +213,18 @@ def sup_bound_check(state: FlowState, lam: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def bubble_fit(state: FlowState, model: EguchiHansonModel) -> dict:
+def bubble_fit(state: FlowState, a: float) -> dict:
     """Fit a rescaled spherical profile to the concentrating core.
 
     In four dimensions the reciprocal of the bubble profile is affine in
     the squared distance from the concentration point, so the fit is a
     plain linear least-squares problem on the cells where v exceeds half
     its maximum.  The distance is the background one from the singular
-    point.  Returns the scale, amplitude, relative rms residual and the
+    point.  The fit runs at core scale 1, and the scale and amplitude it
+    returns are a times its own, with the relative rms residual and the
     [first, past-last] cell window.
     """
-    dist = distance_from_singular_point(state.grid.cell_centers, model.a)
+    dist = distance_from_singular_point(state.grid.cell_centers)
     window = np.nonzero(state.v >= 0.5 * state.v.max())[0]
     if len(window) < 8:
         raise BubbleFitError(
@@ -240,16 +241,19 @@ def bubble_fit(state: FlowState, model: EguchiHansonModel) -> dict:
     c_fit = 1.0 / (slope * scale)
     fitted = 1.0 / (slope * dsq + intercept)
     residual = float(np.sqrt(np.mean(((fitted - state.v[window]) / state.v[window]) ** 2)))
-    return {"scale_eps_lambda": float(scale), "c_fit": float(c_fit),
+    return {"scale_eps_lambda": float(a * scale), "c_fit": float(a * c_fit),
             "residual": residual, "window": [int(window[0]), int(window[-1]) + 1]}
 
 
-def rigidity_profile_constant(sigma_inf_phys: float) -> float:
-    """Profile amplitude sqrt(n(n-1)/sigma) = sqrt(12/sigma) the limiting
-    bubble should carry in dimension n = 4."""
-    if sigma_inf_phys <= 0.0:
+def rigidity_profile_constant(sigma: float) -> float:
+    """Amplitude sqrt(4 n (n - 1) / sigma) = sqrt(48 / sigma), n = 4, of the
+    bubble alpha eps / (eps^2 + d^2) solving -6 Laplace u = sigma u^3 on the
+    flat R^4/Z_2 the background is near its singular point.  The metric's
+    curvature mean sigma is 24 sigma_tilde / a^2 at core scale a: a constant
+    v = c has reduced curvature 2 x / c^2, the metric 48 x / (a^2 c^2)."""
+    if sigma <= 0.0:
         raise ValueError("needs a positive limiting average")
-    return math.sqrt(12.0 / sigma_inf_phys)
+    return math.sqrt(48.0 / sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +286,11 @@ def build_dichotomy_report(initial_state: FlowState, final_state: FlowState,
     bubble = None
     if flagged:
         try:
-            bubble = bubble_fit(final_state, EguchiHansonModel(a=scenario.a))
+            bubble = bubble_fit(final_state, scenario.a)
+            sigma = 24.0 * final_state.sigma_tilde  # the metric's, at core scale 1
             bubble["c_over_rigidity_constant"] = (
-                bubble["c_fit"] / rigidity_profile_constant(sigma_inf)
-                if sigma_inf > 0.0 else None)
+                bubble["c_fit"] / (scenario.a * rigidity_profile_constant(sigma))
+                if sigma > 0.0 else None)
         except BubbleFitError as err:
             bubble = {"error": str(err)}
 

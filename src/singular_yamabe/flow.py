@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import RadialGrid, form_bands, scalar_from_v
+from .geometry import RadialGrid, form_bands, inner, scalar_from_v
 from .scenario import Scenario, load_profile
 
 __all__ = [
@@ -90,7 +90,7 @@ class FlowState:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         object.__setattr__(self, "volume", volume)
-        object.__setattr__(self, "sigma_tilde", float(np.dot(scalar, dvol) / volume))
+        object.__setattr__(self, "sigma_tilde", inner(scalar, dvol) / volume)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +125,10 @@ def mass_fraction(state: FlowState, x0: float) -> float:
     v4 = state.v**4
     k = int(np.searchsorted(faces, x0, side="right")) - 1
     k = min(k, state.grid.n_cells - 1)
-    inner = float(np.dot(v4[:k], state.grid.weights[:k]))
+    mass = inner(v4[:k], state.grid.weights[:k])
     if x0 > faces[k]:
-        inner += v4[k] * 0.5 * (x0**2 - faces[k] ** 2)
-    return inner / state.volume
+        mass += v4[k] * 0.5 * (x0**2 - faces[k] ** 2)
+    return mass / state.volume
 
 
 # ---------------------------------------------------------------------------

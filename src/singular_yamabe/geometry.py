@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "RadialGrid",
-    "EguchiHansonModel",
     "SphereModel",
     "build_grid",
     "build_sphere_model",
@@ -157,17 +156,6 @@ def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> R
 
 
 @dataclass(frozen=True)
-class EguchiHansonModel:
-    """Eguchi-Hanson background with core scale a > 0."""
-
-    a: float = 1.0
-
-    def __post_init__(self):
-        if not self.a > 0.0 or not np.isfinite(self.a):
-            raise ValueError(f"core scale must be positive and finite, got {self.a}")
-
-
-@dataclass(frozen=True)
 class SphereModel:
     """Round n-sphere sampled by polar angle, for cross-checking thresholds.
 
@@ -212,12 +200,12 @@ def x_of_r(r, a: float = 1.0):
     out = 1.0 / np.sqrt(1.0 + t * t)
     return out if out.ndim else float(out)
 
-def r_of_x(x, a: float = 1.0):
-    """Inverse of x_of_r on (0, 1]."""
+def r_of_x(x):
+    """Inverse of x_of_r on (0, 1] at core scale 1; a times it inverts x_of_r(., a)."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0) or np.any(x > 1.0):
         raise ValueError("x must lie in (0, 1]")
-    out = a * (1.0 - x * x) ** 0.25 / np.sqrt(x)
+    out = (1.0 - x * x) ** 0.25 / np.sqrt(x)
     return out if out.ndim else float(out)
 
 
@@ -385,10 +373,11 @@ def green_kernel(x):
 # ---------------------------------------------------------------------------
 
 
-def distance_from_singular_point(x, a: float = 1.0):
-    """Background distance from the singular point to coordinate x, exactly.
+def distance_from_singular_point(x):
+    """Background distance from the singular point to coordinate x, exactly,
+    at core scale 1; at core scale a distances are a times as large.
 
-    The line element (a/2) dx / (sqrt(x) sqrt(1 - x^2)) integrates to an
+    The line element dx / (2 sqrt(x) sqrt(1 - x^2)) integrates to an
     incomplete Beta function; at x = 1 this equals the bolt-to-infinity
     distance.
     """
@@ -398,5 +387,5 @@ def distance_from_singular_point(x, a: float = 1.0):
     from scipy.special import beta, betainc
 
     half_beta = 0.25 * beta(0.25, 0.5)
-    out = a * half_beta * betainc(0.25, 0.5, x * x)
+    out = half_beta * betainc(0.25, 0.5, x * x)
     return out if out.ndim else float(out)

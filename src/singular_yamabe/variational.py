@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import FlowState
-from .geometry import (EguchiHansonModel, RadialGrid, SphereModel, apply_form, form_bands,
-                       form_energy, inner, r_of_x, sphere_volume)
+from .geometry import (RadialGrid, SphereModel, apply_form, form_bands, form_energy, inner,
+                       r_of_x, sphere_volume)
 
 __all__ = [
     "Y_LOCAL",
@@ -59,15 +59,19 @@ Y_LOCAL = yamabe_sphere_constant(4) / 2 ** (2.0 / 4)
 # ---------------------------------------------------------------------------
 
 
-def _quotient_forms(model, grid: RadialGrid | None):
+def _quotient_forms(model: SphereModel | RadialGrid):
     """Conductances, curvature mass, volume mass and exponent p of the
-    model's conformal quotient form(c, curvature mass) / |v|_p^2.
+    conformal quotient form(c, curvature mass) / |v|_p^2 of a round sphere
+    model or of the Eguchi-Hanson reduction on a radial grid.
 
     The Eguchi-Hanson gradient part lives on the squared-radius grid induced
     by the nodes (differences of v over neighboring nodes, conductance from
     the area element at the interface); its zeroth-order and volume parts use
-    the exact per-cell integrals of the compactified measure.  The sphere
-    conductances are the polar Laplacian's times 4 (n - 1) / (n - 2).
+    the exact per-cell integrals of the compactified measure.  The forms are
+    built at core scale 1: a core scale a multiplies the conductances and the
+    curvature mass by a^2 and the volume mass by a^4, which the quotient
+    cancels exactly.  The sphere conductances are the polar Laplacian's times
+    4 (n - 1) / (n - 2).
     """
     if isinstance(model, SphereModel):
         n = model.n
@@ -75,39 +79,34 @@ def _quotient_forms(model, grid: RadialGrid | None):
         face_coeff = (cn * sphere_volume(n - 1) * np.sin(model.faces[1:-1]) ** (n - 1)
                       / np.diff(model.thetas))
         return face_coeff, n * (n - 1) * model.weights, model.weights, 2.0 * n / (n - 2)
-    if not isinstance(model, EguchiHansonModel):
-        raise TypeError(f"unsupported model {type(model).__name__}")
-    if grid is None:
-        raise ValueError("the Eguchi-Hanson quotient needs a radial grid")
-    a = model.a
-    xf = grid.faces[1:-1]
-    s_nodes = (r_of_x(grid.cell_centers, a)) ** 2
+    xf = model.faces[1:-1]
+    s_nodes = r_of_x(model.cell_centers) ** 2
     gaps = s_nodes[:-1] - s_nodes[1:]  # s decreases as x grows
-    face_coeff = 12.0 * np.pi**2 * a**4 * np.sqrt(1.0 - xf * xf) / gaps
-    curv_mass = 8.0 * np.pi**2 * a**2 * np.diff(grid.faces**3)
-    return face_coeff, curv_mass, np.pi**2 * (a**4 / 2.0) * grid.weights, 4.0
+    face_coeff = 12.0 * np.pi**2 * np.sqrt(1.0 - xf * xf) / gaps
+    curv_mass = 8.0 * np.pi**2 * np.diff(model.faces**3)
+    return face_coeff, curv_mass, 0.5 * np.pi**2 * model.weights, 4.0
 
 
-def _quotient(v, model, grid: RadialGrid | None) -> float:
-    fc, cm, vm, p = _quotient_forms(model, grid)
+def _quotient(v, model: SphereModel | RadialGrid) -> float:
+    fc, cm, vm, p = _quotient_forms(model)
     v = np.asarray(v, dtype=float)
     if v.shape != vm.shape:
         raise ValueError("profile shape does not match the model resolution")
     return form_energy(fc, cm, v) / inner(vm, np.abs(v) ** p) ** (2.0 / p)
 
 
-def yamabe_quotient_eh(v, grid: RadialGrid, a: float = 1.0) -> float:
+def yamabe_quotient_eh(v, grid: RadialGrid) -> float:
     """Conformal quotient of a radial test profile on the compactified space.
 
     The constant profile gives 16 pi for every core scale; profiles that
     pile up near the puncture push the value below it.
     """
-    return _quotient(v, EguchiHansonModel(a), grid)
+    return _quotient(v, grid)
 
 
 def yamabe_quotient_sphere(phi, model: SphereModel) -> float:
     """Conformal quotient of a polar test profile on the round n-sphere."""
-    return _quotient(phi, model, None)
+    return _quotient(phi, model)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +217,9 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
     return QuotientResult(q, s * u, _MAX_ITERS, grad_norm, False, history)
 
 
-def minimize_quotient(model, grid: RadialGrid | None = None, *, init) -> QuotientResult:
-    """Descend the conformal quotient for a sphere or Eguchi-Hanson model.
+def minimize_quotient(model: SphereModel | RadialGrid, *, init) -> QuotientResult:
+    """Descend the conformal quotient of a sphere model or of the
+    Eguchi-Hanson reduction on a radial grid.
 
     On the sphere the constant is the minimizer and the descent converges to
     the sphere constant.  On the Eguchi-Hanson space the infimum is not
@@ -229,7 +229,7 @@ def minimize_quotient(model, grid: RadialGrid | None = None, *, init) -> Quotien
     minimizer; on coarse uniform grids the discrete quotient can go below
     the continuum local threshold and the descent converge there.
     """
-    fc, cm, vm, p = _quotient_forms(model, grid)
+    fc, cm, vm, p = _quotient_forms(model)
     v0 = np.asarray(init, dtype=float)
     if v0.shape != vm.shape:
         raise ValueError("initial profile does not match the model resolution")
@@ -302,7 +302,7 @@ def first_eigenvalue(state: FlowState) -> EigenResult:
 
 def sphere_first_eigenvalue(model: SphereModel) -> EigenResult:
     """First nonzero Laplace eigenvalue of the round n-sphere (exactly n)."""
-    face_coeff, _, weights, _ = _quotient_forms(model, None)
+    face_coeff, _, weights, _ = _quotient_forms(model)
     # the quotient's conductances are the Laplacian's times 4 (n - 1) / (n - 2)
     return _lambda1_pencil(face_coeff * ((model.n - 2) / (4.0 * (model.n - 1))), weights)
 

@@ -195,12 +195,11 @@ def test_criterion_3_discretization_orders():
 def test_criterion_4_diagnostics_suite():
     failures = []
     grid = geo.build_grid(512, "geometric", 0.97)
-    d0 = geo.distance_from_singular_point(grid.cell_centers, 1.0)
-    model = geo.EguchiHansonModel(a=1.0)
+    d0 = geo.distance_from_singular_point(grid.cell_centers)
 
     eps, c = 0.05, 2.0
     clean = flow.FlowState(grid, c * eps / (eps**2 + d0**2))
-    fit = diag.bubble_fit(clean, model)
+    fit = diag.bubble_fit(clean, 1.0)
     if (abs(fit["scale_eps_lambda"] - eps) / eps > 1e-8
             or abs(fit["c_fit"] - c) / c > 1e-8):
         failures.append(f"noise-free recovery off: {fit}")
@@ -209,7 +208,7 @@ def test_criterion_4_diagnostics_suite():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         noisy = clean.v * (1.0 + 0.01 * rng.standard_normal(512))
-        nfit = diag.bubble_fit(flow.FlowState(grid, noisy), model)
+        nfit = diag.bubble_fit(flow.FlowState(grid, noisy), 1.0)
         worst = max(worst, abs(nfit["scale_eps_lambda"] - eps) / eps,
                     abs(nfit["c_fit"] - c) / c)
     if worst > 0.02:

@@ -159,15 +159,13 @@ def test_flow_rejects_bad_inputs(tmp_path, capsys):
     assert cli.main(["flow", str(tmp_path / "absent.yaml"), "--quiet"]) == cli.EXIT_INPUT
     capsys.readouterr()
 
-    # a degenerate grid, a start whose volume or quotient overflows, and a
-    # core scale whose quotient overflows are refused before the output
-    # directory is made
+    # a degenerate grid and a start whose volume or quotient overflows are
+    # refused before the output directory is made
     degenerate = {"grid": {"n_cells": 1024, "grading": "geometric", "ratio": 0.97}}
     huge = {"init": {"type": "constant", "value": 1e100}}
     refused = [(command, overrides) for command in ("flow", "yamabe", "eigen")
                for overrides in (degenerate, huge)]
-    refused += [("yamabe", {"init": {"type": "constant", "value": 1e-100}}),
-                ("yamabe", {"model": {"a": 1e200}})]
+    refused += [("yamabe", {"init": {"type": "constant", "value": 1e-100}})]
     for command, overrides in refused:
         cfg_path, _ = _scenario(tmp_path, **overrides)
         assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_INPUT, (command, overrides)
@@ -262,6 +260,21 @@ def test_yamabe_eh_does_not_converge(tmp_path):
     assert payload["initial_value"] == pytest.approx(16.0 * math.pi, rel=1e-9)
     assert payload["value"] < payload["initial_value"]
     assert payload["value"] > payload["reference_constant"]
+
+
+def test_yamabe_does_not_depend_on_the_core_scale(tmp_path):
+    # the core scale only sets the unit of length: the quotient, its descent
+    # and the stopping rule are the same at every a
+    outputs = {}
+    for a in (1e-3, 1.0, 1e200):
+        cfg_path = tmp_path / f"a{a:g}.yaml"
+        cfg_path.write_text(yaml.safe_dump({"model": {"type": "eguchi-hanson", "a": a}}))
+        out = tmp_path / f"a{a:g}"
+        code = cli.main(["yamabe", str(cfg_path), "--output-dir", str(out), "--quiet"])
+        payload = json.loads((out / "yamabe.json").read_text())
+        assert payload.pop("scenario")["model"]["a"] == a
+        outputs[a] = code, payload
+    assert outputs[1e-3] == outputs[1.0] == outputs[1e200]
 
 
 def test_eigen_sphere(tmp_path):
@@ -556,26 +569,35 @@ def test_commands_load_scipy_only_to_solve(small_run, tmp_path):
 
 def test_quotient_results_do_not_depend_on_blas_threads(tmp_path):
     # above 10^4 cells a BLAS dot splits its sum over the threads, and a split
-    # sum rounds differently; the quotient and spectral reductions do not
-    start = tmp_path / "start.csv"
-    start.write_text("".join(f"{t!r},{1.0 + 0.05 * math.cos(2.0 * t + 0.7)!r}\n"
-                             for t in (math.pi * j / 63 for j in range(64))))
-    config = tmp_path / "sphere.yaml"
-    config.write_text(yaml.safe_dump({"model": {"type": "sphere", "n": 4},
-                                      "grid": {"n_cells": 16384},
-                                      "init": {"type": "file", "path": str(start)}}))
+    # sum rounds differently; the quotient and spectral reductions, and the
+    # flow state's curvature mean that eigen writes as sigma_inf, do not.
+    # Each start is 1 + 0.05 cos(k pi t / L + 0.7) on [0, L].
+    runs = {}
+    for model, length, k, commands in (
+            ({"type": "sphere", "n": 4}, math.pi, 2, ("yamabe", "eigen")),
+            ({"type": "eguchi-hanson"}, 1.0, 1, ("eigen",))):
+        start = tmp_path / f"{model['type']}.csv"
+        values = (1.0 + 0.05 * math.cos(k * math.pi * j / 63 + 0.7) for j in range(64))
+        start.write_text("".join(f"{length * j / 63!r},{v!r}\n" for j, v in enumerate(values)))
+        config = tmp_path / f"{model['type']}.yaml"
+        config.write_text(yaml.safe_dump({"model": model, "grid": {"n_cells": 16384},
+                                          "init": {"type": "file", "path": str(start)}}))
+        runs[model["type"]] = (config, commands)
     outputs = {}
     for threads in ("1", "2"):
         env = _child_env()
         for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env[name] = threads
-        out = tmp_path / f"threads{threads}"
-        for command in ("yamabe", "eigen"):
-            subprocess.run([sys.executable, "-m", "singular_yamabe", command, config,
-                            "--output-dir", str(out), "--quiet"], check=True, env=env)
-        outputs[threads] = out
-    for name in ("yamabe.json", "eigen.json"):
-        assert (outputs["1"] / name).read_bytes() == (outputs["2"] / name).read_bytes(), name
+        for model, (config, commands) in runs.items():
+            out = tmp_path / f"{model}-threads{threads}"
+            for command in commands:
+                subprocess.run([sys.executable, "-m", "singular_yamabe", command, config,
+                                "--output-dir", str(out), "--quiet"], check=True, env=env)
+            outputs[model, threads] = out
+    for model, name in (("sphere", "yamabe.json"), ("sphere", "eigen.json"),
+                        ("eguchi-hanson", "eigen.json")):
+        assert ((outputs[model, "1"] / name).read_bytes()
+                == (outputs[model, "2"] / name).read_bytes()), (model, name)
 
 
 def test_console_script_smoke():

@@ -13,8 +13,7 @@ from singular_yamabe import variational as var
 from singular_yamabe.scenario import Scenario
 
 GRID_G512 = geo.build_grid(512, "geometric", 0.97)
-D0_G512 = geo.distance_from_singular_point(GRID_G512.cell_centers, 1.0)
-EH = geo.EguchiHansonModel(a=1.0)
+D0_G512 = geo.distance_from_singular_point(GRID_G512.cell_centers)
 
 
 def _record(t, f2):
@@ -208,7 +207,7 @@ def test_sup_bound_clears_constant_start():
 @given(eps=st.floats(1e-3, 1.0), c=st.floats(0.1, 10.0))
 @settings(max_examples=50, deadline=None)
 def test_bubble_fit_is_exact_on_model_profiles(eps, c):
-    fit = diag.bubble_fit(_bubble_state(eps, c), EH)
+    fit = diag.bubble_fit(_bubble_state(eps, c), 1.0)
     assert abs(fit["scale_eps_lambda"] - eps) / eps < 1e-10
     assert abs(fit["c_fit"] - c) / c < 1e-10
     assert fit["residual"] < 1e-12
@@ -217,16 +216,16 @@ def test_bubble_fit_is_exact_on_model_profiles(eps, c):
 
 def test_bubble_fit_window_too_small():
     grid = geo.build_grid(64, "uniform")
-    d0 = geo.distance_from_singular_point(grid.cell_centers, 1.0)
+    d0 = geo.distance_from_singular_point(grid.cell_centers)
     v = 1e-3 / (1e-6 + d0**2)
     with pytest.raises(diag.BubbleFitError):
-        diag.bubble_fit(flow.FlowState(grid, v), EH)
+        diag.bubble_fit(flow.FlowState(grid, v), 1.0)
 
 
 def test_bubble_fit_rejects_growing_profile():
     v = 1.0 + D0_G512**2
     with pytest.raises(diag.BubbleFitError):
-        diag.bubble_fit(flow.FlowState(GRID_G512, v), EH)
+        diag.bubble_fit(flow.FlowState(GRID_G512, v), 1.0)
 
 
 def test_bubble_fit_under_noise():
@@ -235,7 +234,7 @@ def test_bubble_fit_under_noise():
         rng = np.random.default_rng(seed)
         v = 2.0 * 0.05 / (0.05**2 + D0_G512**2)
         v = v * (1.0 + 0.01 * rng.standard_normal(512))
-        fit = diag.bubble_fit(flow.FlowState(GRID_G512, v), EH)
+        fit = diag.bubble_fit(flow.FlowState(GRID_G512, v), 1.0)
         worst = max(worst,
                     abs(fit["scale_eps_lambda"] - 0.05) / 0.05,
                     abs(fit["c_fit"] - 2.0) / 2.0)
@@ -243,8 +242,9 @@ def test_bubble_fit_under_noise():
 
 
 def test_rigidity_profile_constant():
-    assert diag.rigidity_profile_constant(12.0) == 1.0
-    assert math.isclose(diag.rigidity_profile_constant(3.0), 2.0, rel_tol=1e-14)
+    # sqrt(4 n (n - 1) / sigma) in dimension 4
+    assert diag.rigidity_profile_constant(48.0) == 1.0
+    assert math.isclose(diag.rigidity_profile_constant(12.0), 2.0, rel_tol=1e-14)
     with pytest.raises(ValueError):
         diag.rigidity_profile_constant(0.0)
 
@@ -289,8 +289,28 @@ def test_dichotomy_report_fits_a_concentrated_state():
     assert fit["residual"] < 1e-12
     sigma_inf = rep["dichotomy"]["sigma_inf"]
     assert sigma_inf == diag.physical_sigma(final.sigma_tilde, final.volume)
+    # at core scale 1 the metric's curvature mean is 24 sigma_tilde
     assert fit["c_over_rigidity_constant"] == (
-        fit["c_fit"] / diag.rigidity_profile_constant(sigma_inf))
+        fit["c_fit"] / diag.rigidity_profile_constant(24.0 * final.sigma_tilde))
+
+
+def test_flow_bubble_carries_the_rigidity_amplitude_at_every_core_scale():
+    # the flow does not read the core scale; the report's fit scales with it
+    # and the amplitude ratio does not, even where a^2 over- or underflows
+    cfg = Scenario(n_cells=512, grading="geometric", t_end=1000.0, snapshot_every=0.0)
+    res = flow.run(cfg)
+    assert res.completed
+    initial = flow.initial_state(cfg)
+    fits = {}
+    for a in (1e-200, 0.5, 1.0, 2.0, 1e200):
+        rep = diag.build_dichotomy_report(initial, res.final_state, res.records,
+                                          Scenario(n_cells=512, grading="geometric", a=a))
+        assert rep["dichotomy"]["concentration_detected"] is True
+        fits[a] = rep["bubble_fit"]
+        assert abs(fits[a]["c_over_rigidity_constant"] - 1.0) < 2e-3, (a, fits[a])
+    for a, fit in fits.items():
+        for key in ("scale_eps_lambda", "c_fit"):
+            assert fit[key] == pytest.approx(a * fits[1.0][key], rel=1e-14)
 
 
 def test_dichotomy_report_records_a_failed_fit():
@@ -298,7 +318,7 @@ def test_dichotomy_report_records_a_failed_fit():
     # but leaves a single cell above half the maximum
     cfg = Scenario(n_cells=64)
     grid = cfg.grid()
-    d0 = geo.distance_from_singular_point(grid.cell_centers, 1.0)
+    d0 = geo.distance_from_singular_point(grid.cell_centers)
     final = flow.renormalize(flow.FlowState(grid, 1e-2 / (1e-4 + d0**2), volume_target=2.0))
     records = [_record(0.001 * k, math.exp(-k)) for k in range(8)]
     rep = diag.build_dichotomy_report(flow.initial_state(cfg), final, records, cfg)

@@ -30,7 +30,7 @@ def test_constant_state_curvature_mean(grid256):
     assert np.array_equal(s.scalar, geo.scalar_from_v(s.v, grid256))
     assert np.array_equal(s.dvol, s.v**4 * grid256.weights)
     assert s.volume == float(np.sum(s.dvol))
-    assert s.sigma_tilde == float(np.dot(s.scalar, s.dvol) / s.volume)
+    assert s.sigma_tilde == geo.inner(s.scalar, s.dvol) / s.volume
     assert math.isclose(s.volume, 2.0, rel_tol=1e-14)
 
 

@@ -66,7 +66,8 @@ def test_grid_refuses_cells_below_the_width_floor():
 @given(x=st.floats(1e-6, 1.0), a=st.sampled_from([0.5, 1.0, 2.0]))
 @settings(max_examples=60, deadline=None)
 def test_coordinate_round_trip(x, a):
-    r = geo.r_of_x(x, a)
+    # r_of_x is in units of the core scale
+    r = a * geo.r_of_x(x)
     assert r >= 0.0
     assert math.isclose(geo.x_of_r(r, a), x, rel_tol=1e-12, abs_tol=1e-14)
 
@@ -80,7 +81,7 @@ def test_coordinate_round_trip_from_radius(r, a):
     x = geo.x_of_r(r, a)
     assert 0.0 < x <= 1.0
     cond = max(1.0, 1.0 / (1.0 - x * x))
-    assert math.isclose(geo.r_of_x(x, a), r, rel_tol=1e-13 * cond)
+    assert math.isclose(a * geo.r_of_x(x), r, rel_tol=1e-13 * cond)
 
 
 def test_scalar_curvature_closed_form():
@@ -128,7 +129,8 @@ def test_distance_to_infinity_beta_oracle():
 def test_distance_from_singular_point_matches_incomplete_beta():
     a = 1.3
     x = np.array([0.1, 0.5, 0.9, 1.0])
-    d = geo.distance_from_singular_point(x, a)
+    # distances are in units of the core scale
+    d = a * geo.distance_from_singular_point(x)
     assert np.all(np.diff(d) > 0)
     full = a * 0.25 * beta_fn(0.25, 0.5)
     assert math.isclose(d[-1], full, rel_tol=1e-12)

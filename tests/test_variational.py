@@ -91,10 +91,9 @@ def test_threshold_values():
                         rel_tol=1e-14)
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
-def test_constant_profile_quotient_eh(a):
+def test_constant_profile_quotient_eh():
     grid = geo.build_grid(256, "uniform")
-    q = var.yamabe_quotient_eh(np.full(256, 2.0**0.25), grid, a)
+    q = var.yamabe_quotient_eh(np.full(256, 2.0**0.25), grid)
     assert math.isclose(q, 16.0 * math.pi, rel_tol=1e-12)
 
 
@@ -124,7 +123,7 @@ def test_bubble_family_dips_toward_local_threshold():
     # centered profiles concentrating at the puncture approach the local
     # threshold from above as the scale shrinks
     grid = geo.build_grid(512, "geometric", 0.97)
-    d0 = geo.distance_from_singular_point(grid.cell_centers, 1.0)
+    d0 = geo.distance_from_singular_point(grid.cell_centers)
 
     def q(eps):
         return var.yamabe_quotient_eh(eps / (eps**2 + d0**2), grid)
@@ -163,15 +162,15 @@ def test_minimize_follows_the_reference_iteration(monkeypatch, model_name, initi
     # shrink and growth factors are pinned too
     monkeypatch.setattr(var, "_INITIAL_STEP", initial_step)
     if model_name == "sphere":
-        model, grid = geo.build_sphere_model(4, 4096), None
+        model = geo.build_sphere_model(4, 4096)
         init = 1.0 + 0.05 * np.cos(2.0 * model.thetas + 0.7)
     else:
         # a descent that never converges, cut at 300 iterations
         monkeypatch.setattr(var, "_MAX_ITERS", 300)
-        model, grid = geo.EguchiHansonModel(a=1.0), geo.build_grid(4096, "uniform")
-        init = 1.0 + 0.05 * np.cos(2.0 * np.pi * grid.cell_centers + 0.7)
-    res = var.minimize_quotient(model, grid, init=init)
-    ref, rejected = reference_minimize_ratio(*var._quotient_forms(model, grid), init)
+        model = geo.build_grid(4096, "uniform")
+        init = 1.0 + 0.05 * np.cos(2.0 * np.pi * model.cell_centers + 0.7)
+    res = var.minimize_quotient(model, init=init)
+    ref, rejected = reference_minimize_ratio(*var._quotient_forms(model), init)
     if initial_step == 4.0:
         assert rejected >= 1
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
@@ -202,7 +201,7 @@ def test_minimize_sphere_constant_init_is_immediate():
 
 def test_minimize_eh_sinks_below_constant_level():
     grid = geo.build_grid(512, "geometric", 0.97)
-    res = var.minimize_quotient(geo.EguchiHansonModel(a=1.0), grid=grid, init=np.ones(512))
+    res = var.minimize_quotient(grid, init=np.ones(512))
     assert res.value < 16.0 * math.pi
     assert not res.converged
     start = flow.FlowState(grid, np.ones(512))
@@ -216,15 +215,10 @@ def test_minimize_eh_sinks_below_constant_level():
 
 def test_minimize_validation():
     grid = geo.build_grid(64, "uniform")
-    model = geo.EguchiHansonModel(a=1.0)
     with pytest.raises(ValueError):
-        var.minimize_quotient(model, init=np.ones(64))
+        var.minimize_quotient(grid, init=np.ones(10))
     with pytest.raises(ValueError):
-        var.minimize_quotient(model, grid=grid, init=np.ones(10))
-    with pytest.raises(ValueError):
-        var.minimize_quotient(model, grid=grid, init=-np.ones(64))
-    with pytest.raises(TypeError):
-        var.minimize_quotient(object(), init=np.ones(64))
+        var.minimize_quotient(grid, init=-np.ones(64))
 
 
 @pytest.mark.parametrize("n", [3, 4])
