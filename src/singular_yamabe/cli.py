@@ -161,8 +161,8 @@ def read_series_csv(path: str):
 def cmd_validate(args) -> int:
     pi = math.pi
     checks = []
-    checks.append(("eh_volume_a1", geometry.eh_volume(1.0),
-                   geometry.eh_volume_quadrature(1.0), 1e-8))
+    checks.append(("eh_volume_a1", geometry.eh_volume(),
+                   geometry.eh_volume_quadrature(), 1e-8))
     for a in (0.5, 1.0, 2.0):
         checks.append((f"scalar_l2_energy_a{format(a, 'g')}", 288.0 * pi**2,
                        geometry.eh_scalar_l2_energy(a), 1e-6))
@@ -170,7 +170,7 @@ def cmd_validate(args) -> int:
                    geometry.eh_scalar_curvature(0.0, 1.0), 0.0))
     dist_oracle = (math.sqrt(pi) / 4.0) * math.gamma(0.25) / math.gamma(0.75)
     checks.append(("distance_to_infinity_a1", dist_oracle,
-                   geometry.eh_distance_to_infinity(1.0), 1e-8))
+                   geometry.eh_distance_to_infinity(), 1e-8))
     for n, expected in ((4, 8.0 * math.sqrt(6.0) * pi),
                         (3, 6.0 * (2.0 * pi**2) ** (2.0 / 3.0))):
         model = geometry.build_sphere_model(n, 512)

@@ -218,11 +218,9 @@ def eh_scalar_curvature(r, a: float = 1.0):
     return out if out.ndim else float(out)
 
 
-def eh_volume(a: float = 1.0) -> float:
-    """Total volume of the compactified space, pi^2 a^4 / 4."""
-    if a <= 0.0:
-        raise ValueError("core scale must be positive")
-    return np.pi**2 * a**4 / 4.0
+def eh_volume() -> float:
+    """Total volume of the compactified space at core scale 1, pi^2 / 4."""
+    return np.pi**2 / 4.0
 
 
 def tanh_sinh_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -247,25 +245,19 @@ def improper_radial_integral(f, a: float = 1.0) -> float:
     return inner(weights * (a / (c * c)), f(a * x / c))
 
 
-def eh_volume_quadrature(a: float = 1.0) -> float:
+def eh_volume_quadrature() -> float:
     """Volume recomputed by radial quadrature, as a cross-check on eh_volume."""
 
     def dens(r):
-        x = x_of_r(r, a)
-        return np.pi**2 * x**4 * r**3
+        return np.pi**2 * x_of_r(r) ** 4 * r**3
 
-    return improper_radial_integral(dens, a)
+    return improper_radial_integral(dens)
 
 
-def eh_distance_to_infinity(a: float = 1.0) -> float:
-    """Distance from the bolt to the singular point in the compactified metric."""
-    if a <= 0.0:
-        raise ValueError("core scale must be positive")
-
-    def line_element(r):
-        return a**2 * r / (a**4 + r**4) ** 0.75
-
-    return improper_radial_integral(line_element, a)
+def eh_distance_to_infinity() -> float:
+    """Distance from the bolt to the singular point in the compactified metric,
+    at core scale 1."""
+    return distance_from_singular_point(1.0)
 
 
 def eh_scalar_l2_energy(a: float = 1.0) -> float:
@@ -374,18 +366,20 @@ def green_kernel(x):
 
 
 def distance_from_singular_point(x):
-    """Background distance from the singular point to coordinate x, exactly,
-    at core scale 1; at core scale a distances are a times as large.
+    """Background distance from the singular point to coordinate x, at core
+    scale 1; at core scale a distances are a times as large.
 
-    The line element dx / (2 sqrt(x) sqrt(1 - x^2)) integrates to an
-    incomplete Beta function; at x = 1 this equals the bolt-to-infinity
-    distance.
+    The line element dx / (2 sqrt(x) sqrt(1 - x^2)) becomes dt / (2 sqrt(sin t))
+    under x = sin t, and t = asin(x) u carries it to (0, 1), where
+    :func:`tanh_sinh_rule` integrates its u^(-1/2) end.  Writing sin(t u) as
+    t u sinc(t u / pi) keeps x = 0 finite.  At x = 1 this is the
+    bolt-to-infinity distance.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("x must lie in [0, 1]")
-    from scipy.special import beta, betainc
-
-    half_beta = 0.25 * beta(0.25, 0.5)
-    out = half_beta * betainc(0.25, 0.5, x * x)
+    u, _, weights = tanh_sinh_rule()
+    t = np.arcsin(x)
+    terms = 1.0 / np.sqrt(u * np.sinc(np.multiply.outer(t, u) / np.pi))
+    out = 0.5 * np.sqrt(t) * np.einsum("...k,k->...", terms, weights)
     return out if out.ndim else float(out)

@@ -95,6 +95,9 @@ class Scenario:
         if self.grading not in ("uniform", "geometric"):
             raise ConfigError("grid.grading must be uniform or geometric, "
                               f"got {self.grading!r}")
+        if self.model_type == "sphere" and self.grading != "uniform":
+            raise ConfigError("grid.grading must be uniform for the sphere model, "
+                              "whose polar grid is uniform")
         self._number("ratio", "grid.ratio", lo=0.0, hi=1.0, lo_strict=True)
         if self.grading == "geometric" and self.ratio == 1.0:
             raise ConfigError("grid.ratio must be < 1 for geometric grading")

@@ -256,14 +256,13 @@ def reduced_pencil(state: FlowState) -> tuple[np.ndarray, np.ndarray]:
 
     The quadratic form is (1/6) int x^2 (1-x^2) v^2 phi'^2 dx against the
     metric int phi^2 v^4 x dx, in the same units as the curvature mean, so
-    gap criteria compare directly with sigma_tilde.
+    gap criteria compare directly with sigma_tilde.  Face f carries the
+    curvature form's (1 - f^2) / dx times (f v_f)^2 / 6.
     """
     grid = state.grid
-    xf = grid.faces[1:-1]
+    c, _ = grid.curvature_form
     v_face = 0.5 * (state.v[:-1] + state.v[1:])
-    gaps = np.diff(grid.cell_centers)
-    face_coeff = xf * xf * (1.0 - xf * xf) * v_face**2 / (6.0 * gaps)
-    return face_coeff, state.dvol
+    return c * (grid.faces[1:-1] * v_face) ** 2 / 6.0, state.dvol
 
 
 def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray) -> EigenResult:

@@ -30,7 +30,7 @@ def test_criterion_1_closed_form_suite():
     started = time.perf_counter()
     failures = []
 
-    vol = geo.eh_volume_quadrature(1.0)
+    vol = geo.eh_volume_quadrature()
     if abs(vol - math.pi**2 / 4.0) / (math.pi**2 / 4.0) > 1e-8:
         failures.append(f"volume quadrature off: {vol!r}")
 
@@ -42,7 +42,7 @@ def test_criterion_1_closed_form_suite():
     if geo.eh_scalar_curvature(0.0, 1.0) != 48.0:
         failures.append("bolt curvature is not exactly 48")
 
-    dist = geo.eh_distance_to_infinity(1.0)
+    dist = geo.eh_distance_to_infinity()
     oracle = (math.sqrt(math.pi) / 4.0) * gamma(0.25) / gamma(0.75)
     if abs(dist - oracle) / oracle > 1e-8:
         failures.append(f"distance to the singular point off: {dist!r}")

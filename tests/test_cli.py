@@ -558,6 +558,23 @@ def _scipy_modules_after(statement):
     return out.stdout.strip()
 
 
+def _concentrated_run(tmp_path):
+    """A run directory on 512 geometric cells whose final snapshot is the
+    bubble 2 eps / (eps^2 + d^2), eps = 0.02, at volume 2."""
+    tmp_path.mkdir()
+    cfg_path, _ = _scenario(tmp_path, grid={"n_cells": 512, "grading": "geometric"},
+                            time={"t_end": 1e-8, "snapshot_every": 0.0})
+    assert cli.main(["flow", cfg_path, "--quiet"]) == 0
+    run = tmp_path / "run"
+    grid = geo.build_grid(512, "geometric")
+    v = 0.04 / (0.02**2 + geo.distance_from_singular_point(grid.cell_centers) ** 2)
+    v *= (2.0 / np.sum(v**4 * grid.weights)) ** 0.25
+    final = json.loads((run / "report.json").read_text())["artifacts"]["snapshots"][-1]
+    (run / final).write_text("".join(f"{x!r},{value!r}\n" for x, value in
+                                     zip(grid.cell_centers.tolist(), v.tolist())))
+    return run
+
+
 def test_commands_load_scipy_only_to_solve(small_run, tmp_path):
     # no command here makes a LAPACK call, so none pays for scipy
     assert _scipy_modules_after("cli.main(['--dump-default-config'])") == "[]"
@@ -565,6 +582,25 @@ def test_commands_load_scipy_only_to_solve(small_run, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
     assert _scipy_modules_after(f"cli.main(['report', {str(run)!r}, '--quiet'])") == "[]"
+    # nor does the bubble fit of a run that concentrates
+    run = _concentrated_run(tmp_path / "concentrated")
+    assert _scipy_modules_after(f"cli.main(['report', {str(run)!r}, '--quiet'])") == "[]"
+    fit = json.loads((run / "dichotomy.json").read_text())["bubble_fit"]
+    assert fit["scale_eps_lambda"] == pytest.approx(0.02, rel=1e-10)
+
+
+def test_sphere_model_refuses_a_graded_grid(tmp_path, capsys):
+    # the polar grid of the sphere model is uniform: a grading is refused,
+    # not ignored, before the output directory is made
+    _, data = _scenario(tmp_path, grid={"grading": "geometric", "ratio": 0.5})
+    data["model"] = {"type": "sphere", "n": 4}
+    path = tmp_path / "sphere.yaml"
+    path.write_text(yaml.safe_dump(data))
+    for command in ("yamabe", "eigen"):
+        assert cli.main([command, str(path), "--quiet"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            "error: grid.grading must be uniform for the sphere model")
+    assert not (tmp_path / "run").exists()
 
 
 def test_quotient_results_do_not_depend_on_blas_threads(tmp_path):

@@ -82,9 +82,10 @@ def test_public_definitions_are_used_or_traced():
     assert not unused, f"public definitions nothing in src/ calls: {unused}"
 
 
-def _unpassed_defaulted_parameters(sources: list) -> list:
-    """Defaulted parameters of the package's public top-level functions that
-    no call in ``sources`` passes, by position or by keyword; a call is
+def _defaulted_parameters(sources: list) -> list:
+    """Defaulted parameters of the package's public top-level functions, as
+    (module.function, parameter, position or None for keyword-only, default
+    node, the calls in ``sources`` that reach the function); a call is
     matched to a function by its name or attribute."""
     functions, calls = [], {}
     for path in sources:
@@ -96,6 +97,30 @@ def _unpassed_defaulted_parameters(sources: list) -> list:
             if isinstance(call, ast.Call):
                 name = getattr(call.func, "id", getattr(call.func, "attr", None))
                 calls.setdefault(name, []).append(call)
+    parameters = []
+    for module, node in functions:
+        spec = node.args
+        positional = spec.posonlyargs + spec.args
+        first = len(positional) - len(spec.defaults)
+        defaulted = [(first + k, arg, default)
+                     for k, (arg, default) in enumerate(zip(positional[first:], spec.defaults))]
+        defaulted += [(None, arg, default)
+                      for arg, default in zip(spec.kwonlyargs, spec.kw_defaults)
+                      if default is not None]
+        parameters += [(f"{module}.{node.name}", arg.arg, position, default,
+                        calls.get(node.name, [])) for position, arg, default in defaulted]
+    return parameters
+
+
+def _sources() -> list:
+    root = Path(__file__).parents[1]
+    return sorted((root / "src" / "singular_yamabe").glob("*.py")) + [
+        root / "perfbench" / "traced_cli.py"]
+
+
+def _unpassed_defaulted_parameters(sources: list) -> list:
+    """Defaulted parameters that no call in ``sources`` passes, by position
+    or by keyword."""
 
     def passes(call, position, name):
         keywords = {kw.arg for kw in call.keywords}
@@ -103,22 +128,48 @@ def _unpassed_defaulted_parameters(sources: list) -> list:
             len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
         return by_position or name in keywords or None in keywords
 
-    unpassed = []
-    for module, node in functions:
-        spec = node.args
-        positional = spec.posonlyargs + spec.args
-        defaulted = [(k, arg.arg) for k, arg in enumerate(positional)
-                     if k >= len(positional) - len(spec.defaults)]
-        defaulted += [(None, arg.arg) for arg, default in zip(spec.kwonlyargs, spec.kw_defaults)
-                      if default is not None]
-        unpassed += [f"{module}.{node.name}.{name}" for position, name in defaulted
-                     if not any(passes(call, position, name) for call in calls.get(node.name, ()))]
-    return unpassed
+    return [f"{function}.{name}"
+            for function, name, position, _, calls in _defaulted_parameters(sources)
+            if not any(passes(call, position, name) for call in calls)]
 
 
 def test_defaulted_parameters_are_passed():
     # an option no caller sets is a constant in disguise: make it one
-    root = Path(__file__).parents[1]
-    sources = sorted((root / "src" / "singular_yamabe").glob("*.py"))
-    unpassed = _unpassed_defaulted_parameters(sources + [root / "perfbench" / "traced_cli.py"])
+    unpassed = _unpassed_defaulted_parameters(_sources())
     assert not unpassed, f"defaulted parameters no call in src/ or the tracer passes: {unpassed}"
+
+
+def _single_valued_defaulted_parameters(sources: list) -> list:
+    """Defaulted parameters that every call in ``sources`` gives the same
+    literal, a call that omits the parameter giving it the default;
+    parameters no call reaches, and calls that unpack arguments, are left
+    to the rule above."""
+
+    def literal(node):
+        try:
+            ast.literal_eval(node)
+        except ValueError:
+            return None
+        return ast.dump(node)
+
+    def value(call, position, name, default):
+        if (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(kw.arg is None for kw in call.keywords)):
+            return None
+        if position is not None and len(call.args) > position:
+            return literal(call.args[position])
+        passed = [kw.value for kw in call.keywords if kw.arg == name]
+        return literal(passed[0] if passed else default)
+
+    single = []
+    for function, name, position, default, calls in _defaulted_parameters(sources):
+        values = {value(call, position, name, default) for call in calls}
+        if len(values) == 1 and None not in values:
+            single.append(f"{function}.{name}")
+    return single
+
+
+def test_defaulted_parameters_take_more_than_one_value():
+    # a parameter every caller sets to the same literal is a constant too
+    single = _single_valued_defaulted_parameters(_sources())
+    assert not single, f"defaulted parameters every call in src/ or the tracer sets alike: {single}"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
+from scipy.special import betainc
 from scipy.special import gamma
 
 from singular_yamabe import geometry as geo
@@ -105,11 +106,10 @@ def test_tanh_sinh_rule_integrates_endpoint_singularities():
     assert abs(float(np.dot(w, c**-0.5)) - 2.0) <= 2.0 * math.sqrt(float(np.min(c)))
 
 
-@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
-def test_volume_quadrature_matches_closed_form(a):
-    exact = math.pi**2 * a**4 / 4.0
-    assert math.isclose(geo.eh_volume(a), exact, rel_tol=1e-15)
-    assert math.isclose(geo.eh_volume_quadrature(a), exact, rel_tol=1e-10)
+def test_volume_quadrature_matches_closed_form():
+    exact = math.pi**2 / 4.0
+    assert math.isclose(geo.eh_volume(), exact, rel_tol=1e-15)
+    assert math.isclose(geo.eh_volume_quadrature(), exact, rel_tol=1e-10)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -120,21 +120,26 @@ def test_scalar_energy_is_scale_free(a):
 
 def test_distance_to_infinity_beta_oracle():
     oracle = (math.sqrt(math.pi) / 4.0) * gamma(0.25) / gamma(0.75)
-    assert math.isclose(geo.eh_distance_to_infinity(1.0), oracle, rel_tol=1e-10)
-    # scales linearly in a
-    assert math.isclose(geo.eh_distance_to_infinity(2.0), 2.0 * oracle,
-                        rel_tol=1e-10)
+    assert math.isclose(geo.eh_distance_to_infinity(), oracle, rel_tol=1e-15)
 
 
 def test_distance_from_singular_point_matches_incomplete_beta():
-    a = 1.3
-    x = np.array([0.1, 0.5, 0.9, 1.0])
-    # distances are in units of the core scale
-    d = a * geo.distance_from_singular_point(x)
-    assert np.all(np.diff(d) > 0)
-    full = a * 0.25 * beta_fn(0.25, 0.5)
-    assert math.isclose(d[-1], full, rel_tol=1e-12)
-    assert math.isclose(d[-1], geo.eh_distance_to_infinity(a), rel_tol=1e-9)
+    # the line element dx / (2 sqrt(x) sqrt(1 - x^2)) integrates to
+    # B(1/4, 1/2) I_{x^2}(1/4, 1/2) / 4, here through scipy as the reference
+    centers = geo.build_grid(512, "geometric").cell_centers
+    x = np.concatenate(([1e-10, 0.5, 0.99, 1.0 - 1e-8, 1.0], centers))
+    d = geo.distance_from_singular_point(x)
+    reference = 0.25 * beta_fn(0.25, 0.5) * betainc(0.25, 0.5, x * x)
+    np.testing.assert_allclose(d, reference, rtol=1e-13, atol=0.0)
+    assert np.all(np.diff(d[5:]) > 0.0)
+    assert geo.distance_from_singular_point(1.0) == d[4]
+    # for x <= 1e-20 the distance is sqrt(x) (1 + O(x^2)), sqrt(x) to
+    # round-off; the reference is of no use there, as x^2 underflows
+    tiny = np.array([0.0, 1e-300, 1e-160, 1e-20])
+    np.testing.assert_allclose(geo.distance_from_singular_point(tiny), np.sqrt(tiny),
+                               rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError):
+        geo.distance_from_singular_point(1.0 + 1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,17 @@ def test_first_eigenvalue_matches_dense_oracle():
     assert res.residual < 1e-8
 
 
+def test_reduced_pencil_conductances():
+    # (1/6) x^2 (1 - x^2) v^2 at each interior face over the node gap
+    state = flow.initial_state(Scenario(n_cells=512, grading="geometric", init_value=1.3))
+    fc, metric = var.reduced_pencil(state)
+    xf = state.grid.faces[1:-1]
+    v_face = 0.5 * (state.v[:-1] + state.v[1:])
+    expected = xf**2 * (1.0 - xf**2) * v_face**2 / (6.0 * np.diff(state.grid.cell_centers))
+    np.testing.assert_allclose(fc, expected, rtol=1e-14, atol=0.0)
+    assert metric is state.dvol
+
+
 def test_first_eigenvalue_scaling_law():
     base = flow.initial_state(Scenario(n_cells=128))
     lam = var.first_eigenvalue(base).lambda1
