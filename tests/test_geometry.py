@@ -106,10 +106,18 @@ def test_tanh_sinh_rule_integrates_endpoint_singularities():
     assert abs(float(np.dot(w, c**-0.5)) - 2.0) <= 2.0 * math.sqrt(float(np.min(c)))
 
 
-def test_volume_quadrature_matches_closed_form():
-    exact = math.pi**2 / 4.0
-    assert math.isclose(geo.eh_volume(), exact, rel_tol=1e-15)
-    assert math.isclose(geo.eh_volume_quadrature(), exact, rel_tol=1e-10)
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_volume_quadrature_matches_closed_form(a):
+    # eh_volume is in units of the core scale; at scale a the volume is a^4
+    # times it, and the same radial density integrates to that at scale a
+    exact = math.pi**2 * a**4 / 4.0
+    assert math.isclose(a**4 * geo.eh_volume(), exact, rel_tol=1e-15)
+    assert math.isclose(geo.eh_volume_quadrature(), math.pi**2 / 4.0, rel_tol=1e-10)
+
+    def dens(r):
+        return math.pi**2 * geo.x_of_r(r, a) ** 4 * r**3
+
+    assert math.isclose(geo.improper_radial_integral(dens, a), exact, rel_tol=1e-10)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
