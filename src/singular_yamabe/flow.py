@@ -302,22 +302,20 @@ def run(scenario: Scenario) -> RunResult:
                          f"not the {scenario.model_type} model")
     state = initial_state(scenario)
     records = [_make_record(state, 0.0, scenario.cutoffs)]
-    snapshots = [(state.t, np.array(state.v))]
+    snapshots = [(state.t, state.v)]  # the state's profile is read-only
     every = scenario.snapshot_every
-    snaps_taken = 1
     next_snap = every if every > 0.0 else np.inf
-    steps = 0
     t_stop = scenario.t_end * (1.0 - 1e-12)
     h = stable_dt(state, scenario.safety)
+    failure = None
     while state.t < t_stop:
         h_try = min(h, next_snap - state.t, scenario.t_end - state.t)
         try:
             new, err = rosenbrock_step(state, h_try)
         except PositivityError as exc:
             if h_try <= stable_dt(state, scenario.safety):
-                if snapshots[-1][0] != state.t:
-                    snapshots.append((state.t, np.array(state.v)))
-                return RunResult(records, snapshots, False, str(exc), state)
+                failure = str(exc)
+                break
             h = 0.2 * h_try
             continue
         factor = min(2.0, max(0.2, 0.9 * math.sqrt(_TOL / err))) if err > 0.0 else 2.0
@@ -327,14 +325,13 @@ def run(scenario: Scenario) -> RunResult:
         # a step cut short by a clip does not shrink the next proposal
         h = max(h_try * factor, h) if h_try < h else h_try * factor
         state = new
-        steps += 1
-        if scenario.renorm_every > 0 and steps % scenario.renorm_every == 0:
+        # len(records) counts this step: the initial record and one per earlier step
+        if scenario.renorm_every > 0 and len(records) % scenario.renorm_every == 0:
             state = renormalize(state)
         records.append(_make_record(state, h_try, scenario.cutoffs))
         if state.t >= next_snap * (1.0 - 1e-12):
-            snapshots.append((state.t, np.array(state.v)))
-            snaps_taken += 1
-            next_snap = snaps_taken * every
+            snapshots.append((state.t, state.v))
+            next_snap = len(snapshots) * every
     if snapshots[-1][0] != state.t:
-        snapshots.append((state.t, np.array(state.v)))
-    return RunResult(records, snapshots, True, None, state)
+        snapshots.append((state.t, state.v))
+    return RunResult(records, snapshots, failure is None, failure, state)

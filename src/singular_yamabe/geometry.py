@@ -39,7 +39,6 @@ __all__ = [
     "eh_scalar_l2_energy",
     "inner",
     "apply_form",
-    "form_energy",
     "form_bands",
     "scalar_from_v",
     "green_kernel",
@@ -162,11 +161,13 @@ class SphereModel:
     The polar grid covers [0, pi] with midpoint nodes; weights are the
     latitude band volumes omega_{n-1} sin^{n-1}(theta) dtheta evaluated by
     the midpoint rule, so they sum to Vol(S^n) up to quadrature error.
+    laplacian holds the face conductances omega_{n-1} sin^{n-1}(theta_f)
+    / dtheta of the polar Laplacian, one per interior face.
     """
 
     n: int
     thetas: np.ndarray = field(repr=False)
-    faces: np.ndarray = field(repr=False)
+    laplacian: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
 
@@ -178,7 +179,8 @@ def build_sphere_model(n: int = 4, n_cells: int = 256) -> SphereModel:
     faces = np.linspace(0.0, np.pi, n_cells + 1)
     thetas = 0.5 * (faces[:-1] + faces[1:])
     band = sphere_volume(n - 1) * np.sin(thetas) ** (n - 1) * np.diff(faces)
-    return SphereModel(n=n, thetas=thetas, faces=faces, weights=band)
+    laplacian = sphere_volume(n - 1) * np.sin(faces[1:-1]) ** (n - 1) / np.diff(thetas)
+    return SphereModel(n=n, thetas=thetas, laplacian=laplacian, weights=band)
 
 
 def sphere_volume(n: int) -> float:
@@ -297,12 +299,6 @@ def apply_form(c: np.ndarray, d: np.ndarray | float, u: np.ndarray) -> np.ndarra
     out[:-1] += flux
     out[1:] -= flux
     return out
-
-
-def form_energy(c: np.ndarray, d: np.ndarray | float, u: np.ndarray) -> float:
-    """The quadratic form u^T A u = sum c (u_i - u_j)^2 + sum d u^2."""
-    du = u[:-1] - u[1:]
-    return inner(c, du * du) + float(np.sum(d * u * u))
 
 
 def form_bands(c: np.ndarray, d: np.ndarray | float) -> np.ndarray:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import FlowState
-from .geometry import (RadialGrid, SphereModel, apply_form, form_bands, form_energy, inner,
-                       r_of_x, sphere_volume)
+from .geometry import (RadialGrid, SphereModel, apply_form, form_bands, inner, r_of_x,
+                       sphere_volume)
 
 __all__ = [
     "Y_LOCAL",
@@ -75,10 +75,8 @@ def _quotient_forms(model: SphereModel | RadialGrid):
     """
     if isinstance(model, SphereModel):
         n = model.n
-        cn = 4.0 * (n - 1) / (n - 2)
-        face_coeff = (cn * sphere_volume(n - 1) * np.sin(model.faces[1:-1]) ** (n - 1)
-                      / np.diff(model.thetas))
-        return face_coeff, n * (n - 1) * model.weights, model.weights, 2.0 * n / (n - 2)
+        return (4.0 * (n - 1) / (n - 2) * model.laplacian, n * (n - 1) * model.weights,
+                model.weights, 2.0 * n / (n - 2))
     xf = model.faces[1:-1]
     s_nodes = r_of_x(model.cell_centers) ** 2
     gaps = s_nodes[:-1] - s_nodes[1:]  # s decreases as x grows
@@ -87,12 +85,32 @@ def _quotient_forms(model: SphereModel | RadialGrid):
     return face_coeff, curv_mass, 0.5 * np.pi**2 * model.weights, 4.0
 
 
+def _evaluate(forms, x, ax, mwx, work):
+    """Fill A x and m |x|^(p - 2) and return the quotient of x and its
+    normalization s = (sum m |x|^p)^(-1/p).
+
+    forms is :func:`_quotient_forms`'s tuple; A x is apply_form's arithmetic,
+    in place, and work holds the face fluxes, then x^2.
+    """
+    face_coeff, curv_mass, vol_mass, p = forms
+    np.multiply(curv_mass, x, out=ax)
+    flux = np.subtract(x[:-1], x[1:], out=work[:-1])
+    flux *= face_coeff
+    ax[:-1] += flux
+    ax[1:] -= flux
+    uu = np.multiply(x, x, out=work)
+    np.power(uu, 0.5 * p - 1.0, out=mwx)
+    mwx *= vol_mass
+    scale = inner(mwx, uu) ** (-1.0 / p)
+    return inner(x, ax) * scale * scale, scale
+
+
 def _quotient(v, model: SphereModel | RadialGrid) -> float:
-    fc, cm, vm, p = _quotient_forms(model)
+    forms = _quotient_forms(model)
     v = np.asarray(v, dtype=float)
-    if v.shape != vm.shape:
+    if v.shape != forms[2].shape:
         raise ValueError("profile shape does not match the model resolution")
-    return form_energy(fc, cm, v) / inner(vm, np.abs(v) ** p) ** (2.0 / p)
+    return _evaluate(forms, v, np.empty(v.size), np.empty(v.size), np.empty(v.size))[0]
 
 
 def yamabe_quotient_eh(v, grid: RadialGrid) -> float:
@@ -129,9 +147,9 @@ class QuotientResult:
     history: list = field(repr=False, default_factory=list)
 
 
-def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
+def _minimize_ratio(forms, v0):
     """Preconditioned projected gradient descent on the p-normalized
-    quadratic quotient.
+    quadratic quotient of :func:`_quotient_forms`'s tuple.
 
     The iterate stays on the unit p-sphere of the volume mass.  The raw
     gradient is preconditioned by the tridiagonal Hessian majorant
@@ -151,30 +169,16 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
     """
     from scipy.linalg import lapack
 
+    face_coeff, curv_mass, vol_mass, p = forms
     bands = form_bands(face_coeff, curv_mass)
     n = vol_mass.size
     u, au, mw = np.array(v0, dtype=float), np.empty(n), np.empty(n)
     trial, a_trial, mw_trial = np.empty(n), np.empty(n), np.empty(n)
     # grad is overwritten by the direction; work holds an evaluation's face
-    # fluxes in per_face, then its u^2, and during the solve H's off-diagonal
+    # fluxes and u^2, and during the solve H's off-diagonal
     grad, work = np.empty(n), np.empty(n)
     per_face = work[:-1]
-
-    def evaluate(x, ax, mwx):
-        """Fill A x and m |x|^(p - 2) and return the quotient of x and its
-        normalization s; A x is apply_form's arithmetic, in place."""
-        np.multiply(curv_mass, x, out=ax)
-        flux = np.subtract(x[:-1], x[1:], out=per_face)
-        flux *= face_coeff
-        ax[:-1] += flux
-        ax[1:] -= flux
-        uu = np.multiply(x, x, out=work)
-        np.power(uu, 0.5 * p - 1.0, out=mwx)
-        mwx *= vol_mass
-        scale = inner(mwx, uu) ** (-1.0 / p)
-        return inner(x, ax) * scale * scale, scale
-
-    q, s = evaluate(u, au, mw)
+    q, s = _evaluate(forms, u, au, mw, work)
     step = _INITIAL_STEP
     history = [q]
     grad_norm = math.inf
@@ -200,7 +204,7 @@ def _minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
         while step >= 1e-12:
             np.multiply(direction, -step, out=trial)
             trial += u
-            qt, st = evaluate(trial, a_trial, mw_trial)
+            qt, st = _evaluate(forms, trial, a_trial, mw_trial, work)
             if qt <= q - 1e-12 * max(1.0, abs(q)):
                 u, trial = trial, u
                 au, a_trial = a_trial, au
@@ -229,13 +233,13 @@ def minimize_quotient(model: SphereModel | RadialGrid, *, init) -> QuotientResul
     minimizer; on coarse uniform grids the discrete quotient can go below
     the continuum local threshold and the descent converge there.
     """
-    fc, cm, vm, p = _quotient_forms(model)
+    forms = _quotient_forms(model)
     v0 = np.asarray(init, dtype=float)
-    if v0.shape != vm.shape:
+    if v0.shape != forms[2].shape:
         raise ValueError("initial profile does not match the model resolution")
     if np.any(v0 <= 0.0):
         raise ValueError("initial profile must be positive")
-    return _minimize_ratio(fc, cm, vm, p, v0)
+    return _minimize_ratio(forms, v0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +305,7 @@ def first_eigenvalue(state: FlowState) -> EigenResult:
 
 def sphere_first_eigenvalue(model: SphereModel) -> EigenResult:
     """First nonzero Laplace eigenvalue of the round n-sphere (exactly n)."""
-    face_coeff, _, weights, _ = _quotient_forms(model)
-    # the quotient's conductances are the Laplacian's times 4 (n - 1) / (n - 2)
-    return _lambda1_pencil(face_coeff * ((model.n - 2) / (4.0 * (model.n - 1))), weights)
+    return _lambda1_pencil(model.laplacian, model.weights)
 
 
 def eigen_criteria(lambda1: float, sigma_inf: float, n: int) -> dict:

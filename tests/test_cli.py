@@ -250,6 +250,20 @@ def test_yamabe_sphere(tmp_path):
     assert payload["initial_value"] == pytest.approx(ref, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_yamabe_constant_sphere_start_keeps_its_value(tmp_path, n):
+    # the constant is the minimizer, so the descent takes no step, and the
+    # reported start is the descent's own first value, bit for bit
+    cfg_path, data = _scenario(tmp_path, grid={"n_cells": 256})
+    data["model"] = {"type": "sphere", "n": n}
+    path = tmp_path / "sphere.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert cli.main(["yamabe", str(path), "--quiet"]) == 0
+    payload = json.loads((tmp_path / "run" / "yamabe.json").read_text())
+    assert payload["iterations"] == 0
+    assert payload["value"] == payload["initial_value"]
+
+
 def test_yamabe_eh_does_not_converge(tmp_path):
     cfg_path, _ = _scenario(tmp_path,
                             grid={"n_cells": 256, "grading": "geometric",
@@ -528,22 +542,6 @@ def test_cli_import_loads_no_quadrature_or_special_functions():
     assert out.stdout.strip() == "[]"
 
 
-def test_report_loads_no_quadrature(small_run, tmp_path):
-    # the sup bound's kernel moment is a constant, not a report-time integral
-    run = tmp_path / "run"
-    shutil.copytree(small_run, run)
-    code = (
-        "import sys\n"
-        "from singular_yamabe import cli\n"
-        f"assert cli.main(['report', {str(run)!r}, '--quiet']) == 0\n"
-        "print('scipy.integrate' in sys.modules)\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=_child_env())
-    assert out.stdout.strip() == "False"
-    assert json.loads((run / "dichotomy.json").read_text())["bubble_fit"] is None
-
-
 def _scipy_modules_after(statement):
     """The scipy modules, sorted, that a child interpreter holds after the statement."""
     code = (
@@ -582,6 +580,7 @@ def test_commands_load_scipy_only_to_solve(small_run, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
     assert _scipy_modules_after(f"cli.main(['report', {str(run)!r}, '--quiet'])") == "[]"
+    assert json.loads((run / "dichotomy.json").read_text())["bubble_fit"] is None
     # nor does the bubble fit of a run that concentrates
     run = _concentrated_run(tmp_path / "concentrated")
     assert _scipy_modules_after(f"cli.main(['report', {str(run)!r}, '--quiet'])") == "[]"

@@ -104,6 +104,20 @@ def test_constant_profile_quotient_sphere():
         assert math.isclose(q, var.yamabe_sphere_constant(n), rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("n_cells", [64, 256, 4096])
+def test_quotient_is_the_descent_start(monkeypatch, n_cells):
+    # one evaluation serves both: the quotient of a start equals the first
+    # value of the descent from it, bit for bit
+    monkeypatch.setattr(var, "_MAX_ITERS", 0)
+    sphere = geo.build_sphere_model(4, n_cells)
+    grid = geo.build_grid(n_cells, "uniform")
+    for model, nodes, quotient in ((sphere, sphere.thetas, var.yamabe_quotient_sphere),
+                                   (grid, grid.cell_centers, var.yamabe_quotient_eh)):
+        for init in (np.ones(n_cells), 1.0 + 0.05 * np.cos(2.0 * nodes + 0.7)):
+            res = var.minimize_quotient(model, init=init)
+            assert res.history == [quotient(init, model)]
+
+
 def test_quotient_scale_invariance_power_of_two():
     grid = geo.build_grid(128, "uniform")
     v = 1.0 + 0.5 * grid.cell_centers
