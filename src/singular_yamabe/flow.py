@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import RadialGrid, form_bands, inner, scalar_from_v
+from .geometry import RadialGrid, form_bands, inner, lapack, scalar_from_v
 from .scenario import Scenario, load_profile
 
 __all__ = [
@@ -202,21 +202,19 @@ def rosenbrock_step(state: FlowState, h: float) -> tuple[FlowState, float]:
     Raises PositivityError when the stage or the result is not positive, and
     LinAlgError when the system is singular.
     """
-    from scipy.linalg import lapack
-
     _check_step_size(h)
     gh = _GAMMA * h
     grid = state.grid
     dx = grid.cell_widths
     lhs = form_bands(*grid.curvature_form) * (gh * grid.cell_centers / (3.0 * state.v**2))
     lhs[1] += dx * (1.0 - gh * state.sigma_tilde)
-    *factors, info = lapack.dgttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
+    *factors, info = lapack().dgttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
     if info != 0:
         raise np.linalg.LinAlgError("singular matrix")
     w = state.v**3
-    k1 = lapack.dgttrs(*factors, dx * _rate(state))[0]
+    k1 = lapack().dgttrs(*factors, dx * _rate(state))[0]
     stage = _cube_state(state, w + h * k1, state.t + h)
-    k2 = lapack.dgttrs(*factors, dx * (_rate(stage) - 2.0 * k1))[0]
+    k2 = lapack().dgttrs(*factors, dx * (_rate(stage) - 2.0 * k1))[0]
     new = _cube_state(state, w + h * (1.5 * k1 + 0.5 * k2), state.t + h)
     return new, float(np.max(np.abs(0.5 * h * (k1 + k2)) / w))
 

@@ -19,9 +19,12 @@ against x dx to machine precision.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -40,6 +43,7 @@ __all__ = [
     "inner",
     "apply_form",
     "form_bands",
+    "lapack",
     "scalar_from_v",
     "green_kernel",
     "distance_from_singular_point",
@@ -305,9 +309,10 @@ def form_bands(c: np.ndarray, d: np.ndarray | float) -> np.ndarray:
     """The matrix of the form (c, d) as (1, 1) bands, a new writable array.
 
     Row 0 holds the superdiagonal, row 1 the diagonal and row 2 the
-    subdiagonal, in the layout of :func:`scipy.linalg.solve_banded`; row 1
-    and row 0 from column 1 on are the diagonal and off-diagonal that
-    ``dptsv`` and ``eigh_tridiagonal`` read.
+    subdiagonal.  The general tridiagonal routines ``dgttrf`` and ``dgtsv``
+    read row 2 without its last column, row 1, and row 0 from column 1 on;
+    the symmetric ones, ``dptsv``, ``dstebz`` and ``dstein``, read row 1 and
+    row 0 from column 1 on.
     """
     bands = np.zeros((3, c.size + 1))
     bands[0, 1:] = -c
@@ -316,6 +321,32 @@ def form_bands(c: np.ndarray, d: np.ndarray | float) -> np.ndarray:
     bands[1] += d
     bands[2, :-1] = -c
     return bands
+
+
+@cache
+def lapack():
+    """The LAPACK routines of scipy's compiled extension ``scipy.linalg._flapack``.
+
+    Loaded once per process, straight from scipy's install directory and
+    without running scipy's package code: importing :mod:`scipy.linalg`
+    first builds scipy's array-API layer, which imports ``numpy.f2py``,
+    ``numpy.testing``, ``numpy.ma`` and ``numpy.random``, none of which the
+    solves use.  The interpreter files the extension in ``sys.modules``
+    under its own name, so a later import of :mod:`scipy.linalg` reuses it.
+    Raises ImportError when the extension is missing.
+    """
+    scipy = importlib.util.find_spec("scipy")  # locates scipy without importing it
+    if scipy is None:
+        raise ImportError("scipy is not installed")
+    directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
+    finder = importlib.machinery.FileFinder(
+        directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def scalar_from_v(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -361,6 +392,12 @@ def green_kernel(x):
 # ---------------------------------------------------------------------------
 
 
+# Nodes per block of the distance quadrature.  Each node takes one row of
+# rule terms, 458 doubles; blocks of 256 rows keep a call's working arrays
+# at a few MB on any grid, where one block of all rows took 240 MB on 16384.
+_DISTANCE_BLOCK = 256
+
+
 def distance_from_singular_point(x):
     """Background distance from the singular point to coordinate x, at core
     scale 1; at core scale a distances are a times as large.
@@ -376,6 +413,11 @@ def distance_from_singular_point(x):
         raise ValueError("x must lie in [0, 1]")
     u, _, weights = tanh_sinh_rule()
     t = np.arcsin(x)
-    terms = 1.0 / np.sqrt(u * np.sinc(np.multiply.outer(t, u) / np.pi))
-    out = 0.5 * np.sqrt(t) * np.einsum("...k,k->...", terms, weights)
+    nodes = t.reshape(-1)
+    sums = np.empty(nodes.size)
+    for start in range(0, nodes.size, _DISTANCE_BLOCK):
+        block = nodes[start:start + _DISTANCE_BLOCK]
+        terms = 1.0 / np.sqrt(u * np.sinc(np.multiply.outer(block, u) / np.pi))
+        sums[start:start + block.size] = np.einsum("ik,k->i", terms, weights)
+    out = 0.5 * np.sqrt(t) * sums.reshape(t.shape)
     return out if out.ndim else float(out)

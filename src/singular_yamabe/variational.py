@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import FlowState
-from .geometry import (RadialGrid, SphereModel, apply_form, form_bands, inner, r_of_x,
-                       sphere_volume)
+from .geometry import (RadialGrid, SphereModel, apply_form, form_bands, inner, lapack,
+                       r_of_x, sphere_volume)
 
 __all__ = [
     "Y_LOCAL",
@@ -167,8 +167,7 @@ def _minimize_ratio(forms, v0):
     copy of u, A u or the weight.  Every array the loop writes is allocated
     once per descent.
     """
-    from scipy.linalg import lapack
-
+    dptsv = lapack().dptsv
     face_coeff, curv_mass, vol_mass, p = forms
     bands = form_bands(face_coeff, curv_mass)
     n = vol_mass.size
@@ -198,8 +197,8 @@ def _minimize_ratio(forms, v0):
         h_diag = np.multiply(mw, q * (p - 1.0) * weight, out=trial)
         h_diag += bands[1]
         per_face[:] = bands[0, 1:]
-        direction = lapack.dptsv(h_diag, per_face, grad, overwrite_d=1, overwrite_e=1,
-                                 overwrite_b=1)[2]
+        direction = dptsv(h_diag, per_face, grad, overwrite_d=1, overwrite_e=1,
+                          overwrite_b=1)[2]
         moved = False
         while step >= 1e-12:
             np.multiply(direction, -step, out=trial)
@@ -269,31 +268,58 @@ def reduced_pencil(state: FlowState) -> tuple[np.ndarray, np.ndarray]:
     return c * (grid.faces[1:-1] * v_face) ** 2 / 6.0, state.dvol
 
 
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} failed (LAPACK info={info})")
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray) -> EigenResult:
     """Smallest nonzero eigenvalue of the Neumann pencil A phi = lambda B phi.
 
     The second eigenpair of the symmetrized tridiagonal B^(-1/2) A B^(-1/2)
-    comes from LAPACK bisection and inverse iteration; one inverse-iteration
-    step shifted to that eigenvalue refines the vector, which is deflated
-    against the constant nullspace and B-normalized, and lambda is its
-    Rayleigh quotient.  A failed LAPACK solve raises LinAlgError.
+    comes from LAPACK bisection (``dstebz``) and inverse iteration
+    (``dstein``); one inverse-iteration step (``dgtsv``) shifted to that
+    eigenvalue refines the vector, which is deflated against the constant
+    nullspace and B-normalized, and lambda is its Rayleigh quotient.
+    Inputs that are not finite raise ValueError; a failed LAPACK call, or a
+    refined vector, eigenvalue or residual that is not finite (as when the
+    metric is so large that the vector's B-norm overflows), raises
+    LinAlgError.
     """
-    from scipy import linalg
-
+    routines = lapack()
     root = np.sqrt(metric)
     bands = form_bands(face_coeff, 0.0)
-    _, vecs = linalg.eigh_tridiagonal(bands[1] / metric, bands[0, 1:] / (root[:-1] * root[1:]),
-                                      select="i", select_range=(1, 1))
+    d, e = bands[1] / metric, bands[0, 1:] / (root[:-1] * root[1:])
+    _check_finite(d, e)
+    # the second eigenvalue by index (range 2, il = iu = 2, tol 0), block-ordered
+    m, w, iblock, isplit, info = routines.dstebz(d, e, 2, 0.0, 1.0, 2, 2, 0.0, "B")
+    _check_info("dstebz", info)
+    vecs, info = routines.dstein(d, e, w[:m], iblock, isplit)
+    _check_info("dstein", info)
     x = vecs[:, 0] / root
     lam = inner(x, apply_form(face_coeff, 0.0, x)) / inner(metric, x * x)
-    y = linalg.solve_banded((1, 1), form_bands(face_coeff, -lam * metric), metric * x)
+    bands = form_bands(face_coeff, -lam * metric)
+    rhs = metric * x
+    _check_finite(bands, rhs)
+    *_, y, info = routines.dgtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs)
+    _check_info("dgtsv", info)
     y -= inner(metric, y) / np.sum(metric)
-    y /= math.sqrt(inner(metric, y * y))
+    norm = math.sqrt(inner(metric, y * y))
+    if not 0.0 < norm < math.inf:
+        raise np.linalg.LinAlgError(f"the refined eigenvector's B-norm is {norm!r}")
+    y /= norm
     ay = apply_form(face_coeff, 0.0, y)
     lam = inner(y, ay)
     my = metric * y
     r = ay - lam * my
     res = math.sqrt(inner(r, r)) / math.sqrt(inner(my, my))
+    if not (math.isfinite(lam) and math.isfinite(res)):
+        raise np.linalg.LinAlgError(f"the eigenvalue {lam!r} or residual {res!r} is not finite")
     return EigenResult(lambda1=lam, eigenfunction=y, residual=res)
 
 

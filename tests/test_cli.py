@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -317,8 +316,8 @@ def test_eigen_solver_failure_exits_4(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalue solve failed")
 
-    # the eigen solve imports scipy.linalg when it runs, so the patch goes there
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+    # the eigen solve calls its LAPACK routines through the accessor
+    monkeypatch.setattr(geo.lapack(), "dstebz", fail)
     cfg_path, _ = _scenario(tmp_path, grid={"n_cells": 64})
     assert cli.main(["eigen", cfg_path, "--quiet"]) == cli.EXIT_NO_CONVERGENCE
     payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
@@ -328,6 +327,28 @@ def test_eigen_solver_failure_exits_4(tmp_path, monkeypatch):
 
 def _refuse_constant(token):
     raise ValueError(f"{token} is not JSON")
+
+
+def test_eigen_lapack_failure_exits_4(tmp_path):
+    # a start this small leaves the pencil's Gershgorin interval too narrow
+    # for the bisection, which computes no eigenvalue
+    cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": 1.0e-79})
+    assert cli.main(["eigen", cfg_path, "--quiet"]) == cli.EXIT_NO_CONVERGENCE
+    payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
+    assert payload["lambda1"] is None
+    assert "dstebz" in payload["failure"] and "info=4" in payload["failure"]
+
+
+@pytest.mark.parametrize("value", [1.0e70, 1.0e75, 1.0e76, 1.0e77])
+def test_eigen_overflowing_start_exits_4(tmp_path, value):
+    # the refined eigenvector's metric norm overflows; the solve fails,
+    # rather than writing NaN or ending in a traceback
+    cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": value})
+    assert cli.main(["eigen", cfg_path, "--quiet"]) == cli.EXIT_NO_CONVERGENCE
+    payload = json.loads((tmp_path / "run" / "eigen.json").read_text(),
+                         parse_constant=_refuse_constant)
+    assert payload["lambda1"] is None
+    assert payload["failure"]
 
 
 def test_report_dichotomy(tmp_path):
@@ -543,13 +564,15 @@ def test_cli_import_loads_no_quadrature_or_special_functions():
 
 
 def _scipy_modules_after(statement):
-    """The scipy modules, sorted, that a child interpreter holds after the statement."""
+    """The scipy modules, sorted, that a child interpreter holds after the
+    statement, with numpy.f2py's, which scipy's package code imports."""
     code = (
         "import contextlib, io, sys\n"
         "from singular_yamabe import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert {statement} == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=_child_env())
@@ -586,6 +609,22 @@ def test_commands_load_scipy_only_to_solve(small_run, tmp_path):
     assert _scipy_modules_after(f"cli.main(['report', {str(run)!r}, '--quiet'])") == "[]"
     fit = json.loads((run / "dichotomy.json").read_text())["bubble_fit"]
     assert fit["scale_eps_lambda"] == pytest.approx(0.02, rel=1e-10)
+
+
+def test_solving_commands_load_only_the_lapack_extension(tmp_path):
+    # the solves load scipy's compiled LAPACK extension and nothing else of
+    # scipy; the interpreter records that single-phase extension module
+    # under its own name
+    lapack_only = ("[]", "['scipy.linalg._flapack']")
+    cfg_path, data = _scenario(tmp_path)
+    assert _scipy_modules_after(f"cli.main(['flow', {cfg_path!r}, '--quiet'])") in lapack_only
+    data["model"] = {"type": "sphere", "n": 4}
+    sphere = tmp_path / "sphere.yaml"
+    sphere.write_text(yaml.safe_dump(data))
+    for path in (cfg_path, str(sphere)):
+        for command in ("yamabe", "eigen"):
+            loaded = _scipy_modules_after(f"cli.main([{command!r}, {path!r}, '--quiet'])")
+            assert loaded in lapack_only, (command, path)
 
 
 def test_sphere_model_refuses_a_graded_grid(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Grid construction, closed-form geometry, and the discrete curvature map."""
 
+import importlib.util
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +150,34 @@ def test_distance_from_singular_point_matches_incomplete_beta():
                                rtol=1e-15, atol=0.0)
     with pytest.raises(ValueError):
         geo.distance_from_singular_point(1.0 + 1e-15)
+
+
+def test_distance_on_a_fine_grid_is_blocked_and_exact():
+    # the rule's terms for all nodes at once took 240 MB on 16384 centres;
+    # in blocks the call stays small, and each node's distance is the one
+    # it gets on its own
+    x = geo.build_grid(16384).cell_centers
+    tracemalloc.start()
+    try:
+        d = geo.distance_from_singular_point(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert np.array_equal(d, [geo.distance_from_singular_point(xi) for xi in x])
+
+
+def test_lapack_names_the_directory_that_lacks_the_extension(tmp_path, monkeypatch):
+    (tmp_path / "linalg").mkdir()
+    spec = importlib.util.spec_from_loader("scipy", loader=None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    geo.lapack.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=str(tmp_path / "linalg")):
+            geo.lapack()
+    finally:
+        geo.lapack.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,39 @@ def test_first_eigenvalue_matches_dense_oracle():
     assert res.residual < 1e-8
 
 
+def _scipy_lambda1_pencil(face_coeff, metric):
+    """The pencil solve composed from scipy.linalg's wrappers, the reference
+    for the raw LAPACK calls: eigh_tridiagonal by index, then solve_banded."""
+    root = np.sqrt(metric)
+    bands = geo.form_bands(face_coeff, 0.0)
+    _, vecs = linalg.eigh_tridiagonal(bands[1] / metric, bands[0, 1:] / (root[:-1] * root[1:]),
+                                      select="i", select_range=(1, 1))
+    x = vecs[:, 0] / root
+    lam = geo.inner(x, geo.apply_form(face_coeff, 0.0, x)) / geo.inner(metric, x * x)
+    y = linalg.solve_banded((1, 1), geo.form_bands(face_coeff, -lam * metric), metric * x)
+    y -= geo.inner(metric, y) / np.sum(metric)
+    y /= math.sqrt(geo.inner(metric, y * y))
+    ay = geo.apply_form(face_coeff, 0.0, y)
+    lam = geo.inner(y, ay)
+    my = metric * y
+    r = ay - lam * my
+    return lam, math.sqrt(geo.inner(r, r)) / math.sqrt(geo.inner(my, my)), y
+
+
+@pytest.mark.parametrize("model", ["sphere", "eguchi-hanson"])
+def test_lambda1_pencil_matches_the_scipy_wrappers(model):
+    if model == "sphere":
+        sphere = geo.build_sphere_model(4, 4096)
+        fc, metric = sphere.laplacian, sphere.weights
+    else:
+        fc, metric = var.reduced_pencil(flow.initial_state(Scenario(n_cells=4096)))
+    res = var._lambda1_pencil(fc, metric)
+    lam, residual, y = _scipy_lambda1_pencil(fc, metric)
+    assert res.lambda1 == lam
+    assert res.residual == residual
+    assert np.array_equal(res.eigenfunction, y)
+
+
 def test_reduced_pencil_conductances():
     # (1/6) x^2 (1 - x^2) v^2 at each interior face over the node gap
     state = flow.initial_state(Scenario(n_cells=512, grading="geometric", init_value=1.3))
