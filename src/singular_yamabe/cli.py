@@ -26,6 +26,7 @@ from . import __version__
 from . import diagnostics, flow, geometry, variational
 from .scenario import (
     ConfigError,
+    Scenario,
     default_config_text,
     load_config,
     load_profile,
@@ -82,13 +83,15 @@ def _write_json(path: str, payload) -> None:
     _atomic_write(path, text + "\n")
 
 
+# series.csv's fixed columns, in order -> the TimeSeriesRecord field each holds
+_SERIES_COLUMNS = {"t": "t", "sigma_tilde": "sigma_tilde", "volume": "volume",
+                   "F2": "f2", "F3": "f3", "v_at_x1": "v_at_x1", "dt": "dt_used"}
+
+
 def write_series_csv(path: str, records, cutoffs) -> None:
-    header = "t,sigma_tilde,volume,F2,F3,v_at_x1,dt"
-    header += "".join(f",mass_frac_{value_name(c)}" for c in cutoffs)
-    lines = [header]
+    lines = [",".join([*_SERIES_COLUMNS, *(f"mass_frac_{value_name(c)}" for c in cutoffs)])]
     for rec in records:
-        cells = [_fmt(rec.t), _fmt(rec.sigma_tilde), _fmt(rec.volume),
-                 _fmt(rec.f2), _fmt(rec.f3), _fmt(rec.v_at_x1), _fmt(rec.dt_used)]
+        cells = [_fmt(getattr(rec, name)) for name in _SERIES_COLUMNS.values()]
         cells.extend(_fmt(rec.mass_fractions[c]) for c in cutoffs)
         lines.append(",".join(cells))
     _atomic_write(path, "\n".join(lines) + "\n")
@@ -130,7 +133,7 @@ def read_series_csv(path: str):
             rows = [line.strip().split(",") for line in handle if line.strip()]
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read {path}: {err}") from err
-    fixed = ["t", "sigma_tilde", "volume", "F2", "F3", "v_at_x1", "dt"]
+    fixed = list(_SERIES_COLUMNS)
     names = header[len(fixed):]
     if header[: len(fixed)] != fixed or not all(n.startswith("mass_frac_") for n in names):
         raise ConfigError(f"unexpected series header in {path}")
@@ -144,9 +147,8 @@ def read_series_csv(path: str):
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"a cell that is not a finite number in {','.join(row)}")
             records.append(flow.TimeSeriesRecord(
-                t=values[0], sigma_tilde=values[1], volume=values[2],
-                f2=values[3], f3=values[4], v_at_x1=values[5], dt_used=values[6],
-                mass_fractions=dict(zip(cutoffs, values[7:])),
+                **dict(zip(_SERIES_COLUMNS.values(), values)),
+                mass_fractions=dict(zip(cutoffs, values[len(fixed):])),
             ))
     except ValueError as err:
         raise ConfigError(f"unusable series {path}: {err}") from err
@@ -173,7 +175,7 @@ def cmd_validate(args) -> int:
                    geometry.eh_distance_to_infinity(), 1e-8))
     for n, expected in ((4, 8.0 * math.sqrt(6.0) * pi),
                         (3, 6.0 * (2.0 * pi**2) ** (2.0 / 3.0))):
-        model = geometry.build_sphere_model(n, 512)
+        model = Scenario(model_type="sphere", sphere_n=n, n_cells=512).model()
         value = variational.yamabe_quotient_sphere(np.ones(512), model)
         checks.append((f"sphere_quotient_n{n}", expected, value, 1e-6))
     checks.append(("orbifold_local_threshold", 8.0 * math.sqrt(3.0) * pi,
@@ -249,34 +251,22 @@ def cmd_flow(args) -> int:
 
 def cmd_yamabe(args) -> int:
     cfg = load_config(args.config)
-    if cfg.model_type == "sphere":
-        model = geometry.build_sphere_model(cfg.sphere_n, cfg.n_cells)
-        nodes, quotient = model.thetas, variational.yamabe_quotient_sphere
-        reference = variational.yamabe_sphere_constant(cfg.sphere_n)
-    else:  # the quotient does not depend on the core scale model.a
-        model = cfg.grid()
-        nodes, quotient = model.cell_centers, variational.yamabe_quotient_eh
-        reference = variational.Y_LOCAL
+    model = cfg.model()  # the quotient does not depend on the core scale model.a
     if cfg.init_type == "file":
-        init = load_profile(cfg.init_path, nodes)
+        init = load_profile(cfg.init_path, model.cell_centers)
     else:  # the quotient is scale-invariant, so a constant start defaults to 1
         init = np.full(cfg.n_cells, cfg.init_value or 1.0)
-    # a start of order 1e100 or 1e-100 overflows the quotient: refuse it
-    # rather than descend from garbage
-    with np.errstate(all="ignore"):
-        try:
-            initial_value = quotient(init, model)
-        except (OverflowError, ZeroDivisionError):  # Python float arithmetic
-            initial_value = math.nan
-    if not 0.0 < initial_value < math.inf:
-        raise ConfigError(f"the start's quotient is {initial_value!r}, not finite and "
-                          "positive; rescale init")
+    try:
+        result = variational.minimize_quotient(model, init=init)
+    except ValueError as err:  # a start the arithmetic cannot carry
+        raise ConfigError(str(err)) from err
+    reference = (variational.yamabe_sphere_constant(cfg.sphere_n)
+                 if cfg.model_type == "sphere" else variational.Y_LOCAL)
     outdir = _make_outdir(args.output_dir or cfg.output_dir)
-    result = variational.minimize_quotient(model, init=init)
     payload = {
         "scenario": cfg.echo(),
         "package_version": __version__,
-        "initial_value": float(initial_value),
+        "initial_value": float(result.history[0]),
         "value": float(result.value),
         "iterations": int(result.iterations),
         "gradient_norm": float(result.gradient_norm),
@@ -286,7 +276,7 @@ def cmd_yamabe(args) -> int:
     _write_json(os.path.join(outdir, "yamabe.json"), payload)
     if not args.quiet:
         state = "converged" if result.converged else "did not converge"
-        print(f"quotient {_fmt(initial_value)} -> {_fmt(result.value)} "
+        print(f"quotient {_fmt(result.history[0])} -> {_fmt(result.value)} "
               f"({state}, {result.iterations} iterations)")
         print(f"result in {outdir}/yamabe.json")
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
@@ -298,8 +288,7 @@ def cmd_eigen(args) -> int:
     payload = {"scenario": cfg.echo(), "package_version": __version__}
     try:
         if cfg.model_type == "sphere":
-            model = geometry.build_sphere_model(cfg.sphere_n, cfg.n_cells)
-            result = variational.sphere_first_eigenvalue(model)
+            result = variational.sphere_first_eigenvalue(cfg.model())
             sigma_inf = float(cfg.sphere_n * (cfg.sphere_n - 1))
             n = cfg.sphere_n
         else:
@@ -353,7 +342,7 @@ def cmd_report(args) -> int:
             or not all(isinstance(name, str) for name in snapshot_files)):
         raise ConfigError("the run report lists no snapshots")
 
-    grid = cfg.grid()
+    grid = cfg.model()
 
     def load_state(rel_name: str, t: float) -> flow.FlowState:
         x, v = read_profile(os.path.join(run_dir, rel_name))

@@ -56,7 +56,7 @@ class FlowState:
     sigma_tilde the dvol-weighted mean of scalar, which makes it equal to
     the summation-by-parts energy quotient exactly.  The volume target
     defaults to the state's own volume.  A profile whose discrete volume
-    overflows or underflows (v of order 1e100 or 1e-100) is refused.
+    overflows or is subnormal (v of order 1e100 or 1e-80) is refused.
     """
 
     grid: RadialGrid
@@ -79,8 +79,9 @@ class FlowState:
         with np.errstate(over="ignore"):  # an infinite volume is refused below
             dvol = v**4 * self.grid.weights
             volume = float(np.sum(dvol))
-        if not 0.0 < volume < math.inf:
-            raise ValueError(f"profile volume {volume:g} must be finite and positive")
+        tiny = np.finfo(float).tiny
+        if not tiny <= volume < math.inf:
+            raise ValueError(f"profile volume {volume:g} must be finite and at least {tiny:.2g}")
         if self.volume_target is None:
             object.__setattr__(self, "volume_target", volume)
         elif not 0.0 < self.volume_target < math.inf:
@@ -271,8 +272,12 @@ def initial_state(scenario: Scenario) -> FlowState:
 
     The flow preserves volume, so a start's target is its own discrete
     volume, except the default constant 4^(1/4), whose target is exactly 2.
+    A model other than eguchi-hanson raises ValueError.
     """
-    grid = scenario.grid()
+    if scenario.model_type != "eguchi-hanson":
+        raise ValueError("the flow drives the eguchi-hanson reduction, "
+                         f"not the {scenario.model_type} model")
+    grid = scenario.model()
     if scenario.init_type == "file":
         return FlowState(grid, load_profile(scenario.init_path, grid.cell_centers))
     if scenario.init_value is None:
@@ -295,9 +300,6 @@ def run(scenario: Scenario) -> RunResult:
     multiple of snapshot_every, and at the final time.  On positivity loss
     the partial history is returned with completed = False.
     """
-    if scenario.model_type != "eguchi-hanson":
-        raise ValueError("run() drives the eguchi-hanson reduction, "
-                         f"not the {scenario.model_type} model")
     state = initial_state(scenario)
     records = [_make_record(state, 0.0, scenario.cutoffs)]
     snapshots = [(state.t, state.v)]  # the state's profile is read-only

@@ -162,15 +162,15 @@ def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> R
 class SphereModel:
     """Round n-sphere sampled by polar angle, for cross-checking thresholds.
 
-    The polar grid covers [0, pi] with midpoint nodes; weights are the
-    latitude band volumes omega_{n-1} sin^{n-1}(theta) dtheta evaluated by
-    the midpoint rule, so they sum to Vol(S^n) up to quadrature error.
+    The polar grid covers [0, pi] with nodes cell_centers at the cell
+    midpoints; weights are the latitude band volumes omega_{n-1}
+    sin^{n-1}(theta) dtheta by the midpoint rule, summing to about Vol(S^n).
     laplacian holds the face conductances omega_{n-1} sin^{n-1}(theta_f)
     / dtheta of the polar Laplacian, one per interior face.
     """
 
     n: int
-    thetas: np.ndarray = field(repr=False)
+    cell_centers: np.ndarray = field(repr=False)
     laplacian: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
@@ -181,10 +181,10 @@ def build_sphere_model(n: int = 4, n_cells: int = 256) -> SphereModel:
     if n_cells < 8:
         raise ValueError(f"need at least 8 cells, got {n_cells}")
     faces = np.linspace(0.0, np.pi, n_cells + 1)
-    thetas = 0.5 * (faces[:-1] + faces[1:])
-    band = sphere_volume(n - 1) * np.sin(thetas) ** (n - 1) * np.diff(faces)
-    laplacian = sphere_volume(n - 1) * np.sin(faces[1:-1]) ** (n - 1) / np.diff(thetas)
-    return SphereModel(n=n, thetas=thetas, laplacian=laplacian, weights=band)
+    centers = 0.5 * (faces[:-1] + faces[1:])
+    band = sphere_volume(n - 1) * np.sin(centers) ** (n - 1) * np.diff(faces)
+    laplacian = sphere_volume(n - 1) * np.sin(faces[1:-1]) ** (n - 1) / np.diff(centers)
+    return SphereModel(n=n, cell_centers=centers, laplacian=laplacian, weights=band)
 
 
 def sphere_volume(n: int) -> float:

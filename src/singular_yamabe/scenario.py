@@ -18,17 +18,7 @@ import yaml
 
 from . import geometry
 
-DEFAULT_CONFIG = {
-    "model": {"type": "eguchi-hanson", "a": 1.0},
-    "grid": {"n_cells": 256, "grading": "uniform", "ratio": 0.97},
-    "time": {"t_end": 0.02, "safety": 0.4, "renorm_every": 20,
-             "snapshot_every": 0.005},
-    "init": {"type": "constant", "value": None},
-    "diagnostics": {"cutoffs": [0.1, 0.05], "f_p_exponents": [2, 3]},
-    "output": {"dir": "runs/default"},
-}
-
-# (section, key) of the scenario file -> Scenario field
+# (section, key) of the scenario file -> Scenario field, in the file's order
 _FIELDS = {
     ("model", "type"): "model_type", ("model", "a"): "a", ("model", "n"): "sphere_n",
     ("grid", "n_cells"): "n_cells", ("grid", "grading"): "grading",
@@ -62,10 +52,10 @@ def value_name(value: float) -> str:
 class Scenario:
     """One run's model, grid, time stepping, start, diagnostics and output.
 
-    The defaults are those of :data:`DEFAULT_CONFIG`.  Construction checks
-    every value and raises :class:`ConfigError`, naming the scenario-file
-    key, on the first bad one; numbers are stored as int or float, lists as
-    tuples of floats.
+    The field defaults are the file's, as :func:`default_config_text`
+    prints them.  Construction checks every value and raises
+    :class:`ConfigError`, naming the scenario-file key, on the first bad
+    one; numbers are stored as int or float, lists as tuples of floats.
     """
 
     model_type: str = "eguchi-hanson"
@@ -152,8 +142,10 @@ class Scenario:
                               "which must differ")
         object.__setattr__(self, name, values)
 
-    def grid(self) -> geometry.RadialGrid:
-        """The radial grid of the eguchi-hanson reduction."""
+    def model(self) -> geometry.RadialGrid | geometry.SphereModel:
+        """The polar sphere model, or the eguchi-hanson reduction's radial grid."""
+        if self.model_type == "sphere":
+            return geometry.build_sphere_model(self.sphere_n, self.n_cells)
         try:
             return geometry.build_grid(self.n_cells, grading=self.grading, ratio=self.ratio)
         except ValueError as err:
@@ -161,7 +153,7 @@ class Scenario:
 
     def echo(self) -> dict:
         """Resolved scenario as a plain dict, the round-trip source of truth."""
-        out = {section: {} for section in DEFAULT_CONFIG}
+        out = {section: {} for section, _ in _FIELDS}
         for (section, key), name in _FIELDS.items():
             value = getattr(self, name)
             out[section][key] = list(value) if isinstance(value, tuple) else value
@@ -187,10 +179,11 @@ def parse_config(data) -> Scenario:
     """Validate a parsed scenario mapping; unknown keys anywhere are errors."""
     if not isinstance(data, dict):
         raise ConfigError("the scenario file must contain a mapping at top level")
-    unknown = set(data) - set(DEFAULT_CONFIG)
+    names = dict.fromkeys(section for section, _ in _FIELDS)
+    unknown = set(data) - set(names)
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
-    sections = {name: _section(data, name) for name in DEFAULT_CONFIG}
+    sections = {name: _section(data, name) for name in names}
     model, init = sections["model"], sections["init"]
     if model.get("type", "eguchi-hanson") == "eguchi-hanson" and "n" in model:
         raise ConfigError("model.n only applies to the sphere model")
@@ -217,7 +210,7 @@ def load_config(path: str) -> Scenario:
 
 
 def default_config_text() -> str:
-    return yaml.safe_dump(DEFAULT_CONFIG, sort_keys=False)
+    return yaml.safe_dump(Scenario().echo(), sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,18 @@ def _minimize_ratio(forms, v0):
     # fluxes and u^2, and during the solve H's off-diagonal
     grad, work = np.empty(n), np.empty(n)
     per_face = work[:-1]
-    q, s = _evaluate(forms, u, au, mw, work)
+    # a start of order 1e100 or 1e-100 overflows the quotient, and one of order
+    # 1e-80 leaves its p-norm sum subnormal: refuse them, not descend from garbage
+    with np.errstate(all="ignore"):
+        try:
+            q, s = _evaluate(forms, u, au, mw, work)
+        except (OverflowError, ZeroDivisionError):  # Python float arithmetic
+            q = math.nan
+    if not 0.0 < q < math.inf:
+        raise ValueError(f"the start's quotient is {q!r}, not finite and positive; rescale init")
+    total = inner(mw, work)  # sum m |u|^p, as work holds u^2
+    if total < np.finfo(float).tiny:
+        raise ValueError(f"the start's sum m |v|^p is {total!r}, a subnormal double; rescale init")
     step = _INITIAL_STEP
     history = [q]
     grad_norm = math.inf
@@ -230,7 +241,8 @@ def minimize_quotient(model: SphereModel | RadialGrid, *, init) -> QuotientResul
     sinks below the constant-profile level.  On fine or graded grids it
     stops at the iteration cap with converged = False and the partial
     minimizer; on coarse uniform grids the discrete quotient can go below
-    the continuum local threshold and the descent converge there.
+    the continuum local threshold and the descent converge there.  A start
+    the arithmetic cannot carry raises ValueError.
     """
     forms = _quotient_forms(model)
     v0 = np.asarray(init, dtype=float)
@@ -285,16 +297,18 @@ def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray) -> EigenResult:
     comes from LAPACK bisection (``dstebz``) and inverse iteration
     (``dstein``); one inverse-iteration step (``dgtsv``) shifted to that
     eigenvalue refines the vector, which is deflated against the constant
-    nullspace and B-normalized, and lambda is its Rayleigh quotient.
-    Inputs that are not finite raise ValueError; a failed LAPACK call, or a
-    refined vector, eigenvalue or residual that is not finite (as when the
-    metric is so large that the vector's B-norm overflows), raises
-    LinAlgError.
+    nullspace and B-normalized, and lambda is its Rayleigh quotient; a zero
+    pivot in that step means the shift is exact, and keeps the vector.
+    Inputs, or a symmetrized matrix, that are not finite raise ValueError; a
+    failed LAPACK call, or a refined vector, eigenvalue or residual that is
+    not finite (as when the metric is so large that the vector's B-norm
+    overflows), raises LinAlgError.
     """
     routines = lapack()
     root = np.sqrt(metric)
     bands = form_bands(face_coeff, 0.0)
-    d, e = bands[1] / metric, bands[0, 1:] / (root[:-1] * root[1:])
+    with np.errstate(all="ignore"):  # what a zero or subnormal metric makes is refused below
+        d, e = bands[1] / metric, bands[0, 1:] / (root[:-1] * root[1:])
     _check_finite(d, e)
     # the second eigenvalue by index (range 2, il = iu = 2, tol 0), block-ordered
     m, w, iblock, isplit, info = routines.dstebz(d, e, 2, 0.0, 1.0, 2, 2, 0.0, "B")
@@ -307,7 +321,8 @@ def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray) -> EigenResult:
     rhs = metric * x
     _check_finite(bands, rhs)
     *_, y, info = routines.dgtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs)
-    _check_info("dgtsv", info)
+    _check_info("dgtsv", min(info, 0))
+    y = x if info > 0 else y  # a zero pivot: the shift is exact, and x is its vector
     y -= inner(metric, y) / np.sum(metric)
     norm = math.sqrt(inner(metric, y * y))
     if not 0.0 < norm < math.inf:

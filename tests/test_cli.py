@@ -42,8 +42,6 @@ def _scenario(tmp_path, **overrides):
 def test_dump_default_config_round_trip(capsys):
     assert cli.main(["--dump-default-config"]) == 0
     text = capsys.readouterr().out
-    assert cli.parse_config(yaml.safe_load(text)) == cli.parse_config(scenario.DEFAULT_CONFIG)
-    # the dumped defaults and the Scenario field defaults are one and the same
     assert cli.parse_config(yaml.safe_load(text)) == scenario.Scenario()
 
 
@@ -331,8 +329,9 @@ def _refuse_constant(token):
 
 def test_eigen_lapack_failure_exits_4(tmp_path):
     # a start this small leaves the pencil's Gershgorin interval too narrow
-    # for the bisection, which computes no eigenvalue
-    cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": 1.0e-79})
+    # for the bisection, which computes no eigenvalue; its volume, 5e-305,
+    # is still a normal double, so the state is not refused
+    cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": 1.0e-76})
     assert cli.main(["eigen", cfg_path, "--quiet"]) == cli.EXIT_NO_CONVERGENCE
     payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
     assert payload["lambda1"] is None
@@ -349,6 +348,42 @@ def test_eigen_overflowing_start_exits_4(tmp_path, value):
                          parse_constant=_refuse_constant)
     assert payload["lambda1"] is None
     assert payload["failure"]
+
+
+@pytest.mark.parametrize("value", [1.0e-4, 1.0e-52])
+def test_eigen_exact_shift_keeps_the_bisection_vector(tmp_path, value):
+    # the refinement's shift is the eigenvalue to the last bit, so its last
+    # pivot is zero; the pencil scales as 1 / v^2, and lambda1 v^2 does not
+    # move
+    scaled = {}
+    for v in (1.0, value):
+        cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": v})
+        out = tmp_path / f"v{v:g}"
+        assert cli.main(["eigen", cfg_path, "--output-dir", str(out), "--quiet"]) == 0
+        scaled[v] = json.loads((out / "eigen.json").read_text())["lambda1"] * v * v
+    assert scaled[value] == pytest.approx(scaled[1.0], rel=1e-12)
+
+
+def test_subnormal_start_is_refused(tmp_path, capsys):
+    # a constant 1e-80 leaves the volume and the sum m |v|^p subnormal, and
+    # a table holding 1e-90 below x = 0.05 leaves the metric there zero:
+    # each is refused with one error line, before the output directory
+    table = tmp_path / "tiny.csv"
+    table.write_text("".join(f"{x!r},{1e-90 if x < 0.05 else 1.0!r}\n"
+                             for x in np.linspace(0.0, 1.0, 64).tolist()))
+    tiny = {"type": "constant", "value": 1.0e-80}
+    refused = [(command, tiny) for command in ("flow", "yamabe", "eigen")]
+    refused += [("eigen", {"type": "file", "path": str(table)})]
+    for command, init in refused:
+        cfg_path, _ = _scenario(tmp_path, init=init)
+        assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_INPUT, (command, init)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+    # a start of 1e-75 keeps a normal volume and runs
+    for command in ("flow", "yamabe"):
+        cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": 1.0e-75})
+        assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_OK, command
 
 
 def test_report_dichotomy(tmp_path):

@@ -317,7 +317,7 @@ def test_dichotomy_report_records_a_failed_fit():
     # a core narrower than one cell of the uniform 64-cell grid concentrates
     # but leaves a single cell above half the maximum
     cfg = Scenario(n_cells=64)
-    grid = cfg.grid()
+    grid = cfg.model()
     d0 = geo.distance_from_singular_point(grid.cell_centers)
     final = flow.renormalize(flow.FlowState(grid, 1e-2 / (1e-4 + d0**2), volume_target=2.0))
     records = [_record(0.001 * k, math.exp(-k)) for k in range(8)]

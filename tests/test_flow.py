@@ -75,8 +75,9 @@ def test_state_validation(grid64):
         flow.FlowState(grid=grid64, v=np.ones(64), volume_target=0.0)
     with pytest.raises(ValueError):
         flow.FlowState(grid=grid64, v=np.ones(64), volume_target=math.inf)
-    # v^4 overflows or underflows: the discrete volume is not finite and positive
-    for extreme in (1e100, 1e-100):
+    # v^4 overflows or underflows: the discrete volume is not finite, or is
+    # zero or subnormal
+    for extreme in (1e100, 1e-100, 1e-80):
         with pytest.raises(ValueError):
             flow.FlowState(grid=grid64, v=np.full(64, extreme))
 
@@ -316,6 +317,23 @@ def test_run_retries_positivity_loss_above_explicit_bound(monkeypatch):
 def test_run_rejects_sphere_model():
     with pytest.raises(ValueError):
         flow.run(Scenario(model_type="sphere", n_cells=64, t_end=0.001))
+
+
+def test_scenario_builds_its_model():
+    # the one builder of the configured model: the polar sphere model, or
+    # the radial grid of the eguchi-hanson reduction, which alone has a
+    # flow state
+    sphere = Scenario(model_type="sphere", sphere_n=5, n_cells=64)
+    model, expected = sphere.model(), geo.build_sphere_model(5, 64)
+    assert isinstance(model, geo.SphereModel) and model.n == 5
+    for name in ("cell_centers", "laplacian", "weights"):
+        assert np.array_equal(getattr(model, name), getattr(expected, name))
+    grid, expected = Scenario().model(), geo.build_grid(256)
+    assert isinstance(grid, geo.RadialGrid)
+    for name in ("faces", "cell_centers", "weights"):
+        assert np.array_equal(getattr(grid, name), getattr(expected, name))
+    with pytest.raises(ValueError, match="eguchi-hanson"):
+        flow.initial_state(sphere)
 
 
 def test_initial_state_from_file_keeps_table_volume(tmp_path, grid64):

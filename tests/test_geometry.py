@@ -276,7 +276,7 @@ def test_sphere_model_weights_integrate_to_volume(n, tol):
     # sum is exact to round-off; sin^3 picks up an O(h^4) endpoint term
     assert math.isclose(float(np.sum(model.weights)), geo.sphere_volume(n),
                         rel_tol=tol)
-    assert np.all((model.thetas > 0) & (model.thetas < math.pi))
+    assert np.all((model.cell_centers > 0) & (model.cell_centers < math.pi))
 
 
 def test_sphere_volume_closed_forms():

@@ -111,9 +111,9 @@ def test_quotient_is_the_descent_start(monkeypatch, n_cells):
     monkeypatch.setattr(var, "_MAX_ITERS", 0)
     sphere = geo.build_sphere_model(4, n_cells)
     grid = geo.build_grid(n_cells, "uniform")
-    for model, nodes, quotient in ((sphere, sphere.thetas, var.yamabe_quotient_sphere),
-                                   (grid, grid.cell_centers, var.yamabe_quotient_eh)):
-        for init in (np.ones(n_cells), 1.0 + 0.05 * np.cos(2.0 * nodes + 0.7)):
+    for model, quotient in ((sphere, var.yamabe_quotient_sphere),
+                            (grid, var.yamabe_quotient_eh)):
+        for init in (np.ones(n_cells), 1.0 + 0.05 * np.cos(2.0 * model.cell_centers + 0.7)):
             res = var.minimize_quotient(model, init=init)
             assert res.history == [quotient(init, model)]
 
@@ -148,7 +148,7 @@ def test_bubble_family_dips_toward_local_threshold():
 def test_minimize_sphere_reaches_constant():
     model = geo.build_sphere_model(4, 128)
     rng = np.random.default_rng(3)
-    init = 1.0 + 0.3 * np.sin(2.0 * model.thetas) + 0.1 * rng.random(128)
+    init = 1.0 + 0.3 * np.sin(2.0 * model.cell_centers) + 0.1 * rng.random(128)
     res = var.minimize_quotient(model, init=init)
     y = var.yamabe_sphere_constant(4)
     assert abs(res.value - y) / y < 1e-3
@@ -160,7 +160,7 @@ def test_minimize_sphere_reaches_constant():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_minimize_sphere_iterations_do_not_grow_with_resolution(n_cells, k):
     model = geo.build_sphere_model(4, n_cells)
-    res = var.minimize_quotient(model, init=1.0 + 0.05 * np.cos(k * model.thetas + 0.7))
+    res = var.minimize_quotient(model, init=1.0 + 0.05 * np.cos(k * model.cell_centers + 0.7))
     assert res.converged
     assert res.iterations < 50
     assert all(b <= a for a, b in zip(res.history, res.history[1:]))
@@ -177,7 +177,7 @@ def test_minimize_follows_the_reference_iteration(monkeypatch, model_name, initi
     monkeypatch.setattr(var, "_INITIAL_STEP", initial_step)
     if model_name == "sphere":
         model = geo.build_sphere_model(4, 4096)
-        init = 1.0 + 0.05 * np.cos(2.0 * model.thetas + 0.7)
+        init = 1.0 + 0.05 * np.cos(2.0 * model.cell_centers + 0.7)
     else:
         # a descent that never converges, cut at 300 iterations
         monkeypatch.setattr(var, "_MAX_ITERS", 300)
@@ -200,7 +200,7 @@ def test_minimize_stall_is_not_convergence(monkeypatch):
     # stalled line search, which must not be reported as convergence
     monkeypatch.setattr(var, "_GRAD_TOL", 0.0)
     model = geo.build_sphere_model(4, 256)
-    res = var.minimize_quotient(model, init=1.0 + 0.05 * np.cos(model.thetas + 0.7))
+    res = var.minimize_quotient(model, init=1.0 + 0.05 * np.cos(model.cell_centers + 0.7))
     assert not res.converged
     assert res.iterations < var._MAX_ITERS // 10
 
@@ -233,6 +233,15 @@ def test_minimize_validation():
         var.minimize_quotient(grid, init=np.ones(10))
     with pytest.raises(ValueError):
         var.minimize_quotient(grid, init=-np.ones(64))
+
+
+@pytest.mark.parametrize("value", [1e100, 1e-100, 1e-80])
+def test_minimize_refuses_a_start_the_arithmetic_cannot_carry(value):
+    # 1e100 and 1e-100 overflow the quotient; 1e-80 leaves the sum m |v|^p
+    # subnormal, from which the descent would stop short of the minimum
+    for model in (geo.build_sphere_model(4, 64), geo.build_grid(64)):
+        with pytest.raises(ValueError, match="rescale init"):
+            var.minimize_quotient(model, init=np.full(64, value))
 
 
 @pytest.mark.parametrize("n", [3, 4])
