@@ -34,7 +34,6 @@ __all__ = [
     "build_grid",
     "build_sphere_model",
     "x_of_r",
-    "r_of_x",
     "eh_scalar_curvature",
     "eh_volume",
     "eh_volume_quadrature",
@@ -118,6 +117,25 @@ class RadialGrid:
             array.setflags(write=False)
         return c, d
 
+    @cached_property
+    def quotient_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Conductances, curvature mass, volume mass and exponent p = 4 of the
+        conformal quotient form(c, curvature mass) / |v|_p^2 at core scale 1;
+        a core scale a scales the form by a^2 and the volume mass by a^4.
+
+        The form is the flow's energy 12 pi^2 (x v)^T A (x v), A the
+        :attr:`curvature_form`: face i carries 12 pi^2 c_i x_(i-1) x_i, and
+        node j keeps 24 pi^2 x_j w_j = 8 pi^2 (f_+^3 - f_-^3), as x_j is the
+        centroid of the cell mass w_j.  The volume mass is pi^2 / 2 x dx.
+        Built on first use, then read-only.
+        """
+        x = self.cell_centers
+        c = 12.0 * np.pi**2 * self.curvature_form[0] * x[:-1] * x[1:]
+        form = (c, 8.0 * np.pi**2 * np.diff(self.faces**3), 0.5 * np.pi**2 * self.weights)
+        for array in form:
+            array.setflags(write=False)
+        return (*form, 4.0)
+
 
 def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> RadialGrid:
     """Build a RadialGrid with exact x dx cell masses and centroid nodes.
@@ -174,6 +192,16 @@ class SphereModel:
     laplacian: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
+    @cached_property
+    def quotient_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """The conformal quotient's form, laid out as :attr:`RadialGrid.quotient_form`:
+        the polar Laplacian's conductances times 4 (n - 1) / (n - 2), the
+        curvature mass n (n - 1) and the volume mass of the bands, p = 2n / (n - 2).
+        """
+        n = self.n
+        return (4.0 * (n - 1) / (n - 2) * self.laplacian, n * (n - 1) * self.weights,
+                self.weights, 2.0 * n / (n - 2))
+
 
 def build_sphere_model(n: int = 4, n_cells: int = 256) -> SphereModel:
     if n < 3:
@@ -204,14 +232,6 @@ def x_of_r(r, a: float = 1.0):
         raise ValueError("radius must be nonnegative")
     t = (r / a) ** 2
     out = 1.0 / np.sqrt(1.0 + t * t)
-    return out if out.ndim else float(out)
-
-def r_of_x(x):
-    """Inverse of x_of_r on (0, 1] at core scale 1; a times it inverts x_of_r(., a)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(x > 1.0):
-        raise ValueError("x must lie in (0, 1]")
-    out = (1.0 - x * x) ** 0.25 / np.sqrt(x)
     return out if out.ndim else float(out)
 
 

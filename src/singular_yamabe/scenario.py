@@ -33,6 +33,11 @@ _FIELDS = {
     ("output", "dir"): "output_dir",
 }
 
+# (section, key) -> the section's type the key belongs to: a file that sets
+# the key under another type is refused, and the echo leaves the key out
+_VARIANT_KEYS = {("model", "a"): "eguchi-hanson", ("model", "n"): "sphere",
+                 ("init", "value"): "constant", ("init", "path"): "file"}
+
 
 class ConfigError(ValueError):
     """A scenario or a profile table failed validation."""
@@ -157,8 +162,9 @@ class Scenario:
         for (section, key), name in _FIELDS.items():
             value = getattr(self, name)
             out[section][key] = list(value) if isinstance(value, tuple) else value
-        del out["model"]["a" if self.model_type == "sphere" else "n"]
-        del out["init"]["path" if self.init_type == "constant" else "value"]
+        for (section, key), owner in _VARIANT_KEYS.items():
+            if out[section]["type"] != owner:
+                del out[section][key]
         return out
 
 
@@ -184,18 +190,13 @@ def parse_config(data) -> Scenario:
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
     sections = {name: _section(data, name) for name in names}
-    model, init = sections["model"], sections["init"]
-    if model.get("type", "eguchi-hanson") == "eguchi-hanson" and "n" in model:
-        raise ConfigError("model.n only applies to the sphere model")
-    if model.get("type") == "sphere" and "a" in model:
-        raise ConfigError("model.a only applies to the eguchi-hanson model")
-    if init.get("type", "constant") == "constant" and "path" in init:
-        raise ConfigError("init.path only applies to init.type file")
-    if init.get("type") == "file" and "value" in init:
-        raise ConfigError("init.value only applies to init.type constant")
-    return Scenario(**{_FIELDS[name, key]: value
-                       for name, section in sections.items()
-                       for key, value in section.items()})
+    cfg = Scenario(**{_FIELDS[name, key]: value
+                      for name, section in sections.items()
+                      for key, value in section.items()})
+    for (name, key), owner in _VARIANT_KEYS.items():
+        if key in sections[name] and getattr(cfg, _FIELDS[name, "type"]) != owner:
+            raise ConfigError(f"{name}.{key} only applies to {name}.type {owner}")
+    return cfg
 
 
 def load_config(path: str) -> Scenario:

@@ -3,11 +3,9 @@
 Two geometries share one algebraic core, the tridiagonal form layer of
 :mod:`singular_yamabe.geometry`.  A quotient is a form (face conductances
 plus a diagonal mass) over a p-norm denominator; an eigenvalue problem is a
-form paired with a diagonal metric.  One builder chooses each model's
-coefficients: the Eguchi-Hanson forms are assembled on the squared-radius
-grid induced by the compactified coordinate, the sphere forms on a polar
-grid.  The descent's preconditioner and the eigen solves read their
-matrices from :func:`~singular_yamabe.geometry.form_bands`.
+form paired with a diagonal metric.  Each model carries its quotient form
+as ``quotient_form``.  The descent's preconditioner and the eigen solves
+read their matrices from :func:`~singular_yamabe.geometry.form_bands`.
 """
 
 from __future__ import annotations
@@ -18,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import FlowState
-from .geometry import (RadialGrid, SphereModel, apply_form, form_bands, inner, lapack,
-                       r_of_x, sphere_volume)
+from .geometry import RadialGrid, SphereModel, apply_form, form_bands, inner, lapack, sphere_volume
 
 __all__ = [
     "Y_LOCAL",
@@ -59,37 +56,11 @@ Y_LOCAL = yamabe_sphere_constant(4) / 2 ** (2.0 / 4)
 # ---------------------------------------------------------------------------
 
 
-def _quotient_forms(model: SphereModel | RadialGrid):
-    """Conductances, curvature mass, volume mass and exponent p of the
-    conformal quotient form(c, curvature mass) / |v|_p^2 of a round sphere
-    model or of the Eguchi-Hanson reduction on a radial grid.
-
-    The Eguchi-Hanson gradient part lives on the squared-radius grid induced
-    by the nodes (differences of v over neighboring nodes, conductance from
-    the area element at the interface); its zeroth-order and volume parts use
-    the exact per-cell integrals of the compactified measure.  The forms are
-    built at core scale 1: a core scale a multiplies the conductances and the
-    curvature mass by a^2 and the volume mass by a^4, which the quotient
-    cancels exactly.  The sphere conductances are the polar Laplacian's times
-    4 (n - 1) / (n - 2).
-    """
-    if isinstance(model, SphereModel):
-        n = model.n
-        return (4.0 * (n - 1) / (n - 2) * model.laplacian, n * (n - 1) * model.weights,
-                model.weights, 2.0 * n / (n - 2))
-    xf = model.faces[1:-1]
-    s_nodes = r_of_x(model.cell_centers) ** 2
-    gaps = s_nodes[:-1] - s_nodes[1:]  # s decreases as x grows
-    face_coeff = 12.0 * np.pi**2 * np.sqrt(1.0 - xf * xf) / gaps
-    curv_mass = 8.0 * np.pi**2 * np.diff(model.faces**3)
-    return face_coeff, curv_mass, 0.5 * np.pi**2 * model.weights, 4.0
-
-
 def _evaluate(forms, x, ax, mwx, work):
     """Fill A x and m |x|^(p - 2) and return the quotient of x and its
     normalization s = (sum m |x|^p)^(-1/p).
 
-    forms is :func:`_quotient_forms`'s tuple; A x is apply_form's arithmetic,
+    forms is a model's ``quotient_form``; A x is apply_form's arithmetic,
     in place, and work holds the face fluxes, then x^2.
     """
     face_coeff, curv_mass, vol_mass, p = forms
@@ -106,7 +77,7 @@ def _evaluate(forms, x, ax, mwx, work):
 
 
 def _quotient(v, model: SphereModel | RadialGrid) -> float:
-    forms = _quotient_forms(model)
+    forms = model.quotient_form
     v = np.asarray(v, dtype=float)
     if v.shape != forms[2].shape:
         raise ValueError("profile shape does not match the model resolution")
@@ -149,7 +120,7 @@ class QuotientResult:
 
 def _minimize_ratio(forms, v0):
     """Preconditioned projected gradient descent on the p-normalized
-    quadratic quotient of :func:`_quotient_forms`'s tuple.
+    quadratic quotient of a model's ``quotient_form``.
 
     The iterate stays on the unit p-sphere of the volume mass.  The raw
     gradient is preconditioned by the tridiagonal Hessian majorant
@@ -244,7 +215,7 @@ def minimize_quotient(model: SphereModel | RadialGrid, *, init) -> QuotientResul
     the continuum local threshold and the descent converge there.  A start
     the arithmetic cannot carry raises ValueError.
     """
-    forms = _quotient_forms(model)
+    forms = model.quotient_form
     v0 = np.asarray(init, dtype=float)
     if v0.shape != forms[2].shape:
         raise ValueError("initial profile does not match the model resolution")
@@ -298,13 +269,19 @@ def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray) -> EigenResult:
     (``dstein``); one inverse-iteration step (``dgtsv``) shifted to that
     eigenvalue refines the vector, which is deflated against the constant
     nullspace and B-normalized, and lambda is its Rayleigh quotient; a zero
-    pivot in that step means the shift is exact, and keeps the vector.
+    pivot in that step means the shift is exact, and keeps the vector.  The
+    solve runs on A' = A / 2^kc and B' = B / 2^km, whose largest entries lie
+    near 1, so every pencil of normal doubles solves at one size; km is even,
+    and lambda = 2^(kc - km) lambda' and the B-normalized vector scale back
+    exactly.  The residual |A y - lambda B y| / (lambda |B y|) is relative.
     Inputs, or a symmetrized matrix, that are not finite raise ValueError; a
     failed LAPACK call, or a refined vector, eigenvalue or residual that is
-    not finite (as when the metric is so large that the vector's B-norm
-    overflows), raises LinAlgError.
+    not finite, raises LinAlgError.
     """
     routines = lapack()
+    kc, km = (int(np.frexp(np.max(array))[1]) for array in (face_coeff, metric))
+    km += km % 2
+    face_coeff, metric = np.ldexp(face_coeff, -kc), np.ldexp(metric, -km)
     root = np.sqrt(metric)
     bands = form_bands(face_coeff, 0.0)
     with np.errstate(all="ignore"):  # what a zero or subnormal metric makes is refused below
@@ -332,10 +309,11 @@ def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray) -> EigenResult:
     lam = inner(y, ay)
     my = metric * y
     r = ay - lam * my
-    res = math.sqrt(inner(r, r)) / math.sqrt(inner(my, my))
+    res = math.sqrt(inner(r, r)) / (lam * math.sqrt(inner(my, my))) if lam > 0.0 else math.nan
     if not (math.isfinite(lam) and math.isfinite(res)):
         raise np.linalg.LinAlgError(f"the eigenvalue {lam!r} or residual {res!r} is not finite")
-    return EigenResult(lambda1=lam, eigenfunction=y, residual=res)
+    return EigenResult(lambda1=math.ldexp(lam, kc - km), eigenfunction=np.ldexp(y, -km // 2),
+                       residual=res)
 
 
 def first_eigenvalue(state: FlowState) -> EigenResult:

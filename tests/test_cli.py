@@ -176,6 +176,29 @@ def test_flow_rejects_bad_inputs(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: diagnostics.{key} ")
 
 
+# a section whose type owns another key: an omitted type is the default one
+_OTHER_TYPE = {
+    "model.n": {"n": 4},
+    "model.a": {"type": "sphere", "a": 1.0},
+    "init.path": {"value": 1.0, "path": "start.csv"},
+    "init.value": {"type": "file", "path": "start.csv", "value": 1.0},
+}
+
+
+@pytest.mark.parametrize("key", list(_OTHER_TYPE))
+def test_key_of_another_type_is_refused(tmp_path, capsys, key):
+    # model.a and model.n, init.value and init.path each belong to one type
+    # of their section
+    _, data = _scenario(tmp_path)
+    data[key.split(".")[0]] = _OTHER_TYPE[key]
+    path = tmp_path / "variant.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert cli.main(["flow", str(path), "--quiet"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} only applies to ") and err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_flow_positivity_exit(tmp_path, monkeypatch):
     cfg_path, _ = _scenario(tmp_path, time={"t_end": 0.004, "safety": 0.4,
                                             "renorm_every": 0,
@@ -327,27 +350,21 @@ def _refuse_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
-def test_eigen_lapack_failure_exits_4(tmp_path):
-    # a start this small leaves the pencil's Gershgorin interval too narrow
-    # for the bisection, which computes no eigenvalue; its volume, 5e-305,
-    # is still a normal double, so the state is not refused
-    cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": 1.0e-76})
-    assert cli.main(["eigen", cfg_path, "--quiet"]) == cli.EXIT_NO_CONVERGENCE
-    payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
-    assert payload["lambda1"] is None
-    assert "dstebz" in payload["failure"] and "info=4" in payload["failure"]
-
-
-@pytest.mark.parametrize("value", [1.0e70, 1.0e75, 1.0e76, 1.0e77])
-def test_eigen_overflowing_start_exits_4(tmp_path, value):
-    # the refined eigenvector's metric norm overflows; the solve fails,
-    # rather than writing NaN or ending in a traceback
-    cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": value})
-    assert cli.main(["eigen", cfg_path, "--quiet"]) == cli.EXIT_NO_CONVERGENCE
-    payload = json.loads((tmp_path / "run" / "eigen.json").read_text(),
-                         parse_constant=_refuse_constant)
-    assert payload["lambda1"] is None
-    assert payload["failure"]
+@pytest.mark.parametrize("value", [1.0e-76, 1.0e-75, 1.0e70, 1.0e75, 1.0e76, 1.0e77])
+def test_eigen_solves_every_normal_start(tmp_path, value):
+    # the pencil scales as 1 / v^2 and is solved at unit size, so a start
+    # whose volume is a normal double solves like the constant 1: at 1e-76
+    # the bisection found no eigenvalue, and from 1e70 up the refined
+    # vector's B-norm overflowed
+    scaled = {}
+    for v in (1.0, value):
+        cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": v})
+        out = tmp_path / f"v{v:g}"
+        assert cli.main(["eigen", cfg_path, "--output-dir", str(out), "--quiet"]) == 0
+        payload = json.loads((out / "eigen.json").read_text(), parse_constant=_refuse_constant)
+        assert payload["residual"] < 1e-12
+        scaled[v] = payload["lambda1"] * v * v
+    assert scaled[value] == pytest.approx(scaled[1.0], rel=1e-12)
 
 
 @pytest.mark.parametrize("value", [1.0e-4, 1.0e-52])

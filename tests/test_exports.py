@@ -173,3 +173,30 @@ def test_defaulted_parameters_take_more_than_one_value():
     # a parameter every caller sets to the same literal is a constant too
     single = _single_valued_defaulted_parameters(_sources())
     assert not single, f"defaulted parameters every call in src/ or the tracer sets alike: {single}"
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a module imports that its code never reads and its __all__
+    does not list; ``from __future__`` imports are directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    return sorted(imported - read - exported)
+
+
+def test_imports_are_used():
+    # a deletion that leaves its import behind keeps a dead dependency
+    src = Path(__file__).parents[1] / "src" / "singular_yamabe"
+    paths = sorted(src.glob("*.py"))
+    assert {"__init__.py", "__main__.py"} <= {path.name for path in paths}
+    unused = {path.name: names for path in paths if (names := _unused_imports(path))}
+    assert not unused, f"imported names the module does not use: {unused}"

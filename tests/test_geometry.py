@@ -66,25 +66,16 @@ def test_grid_refuses_cells_below_the_width_floor():
 # ---------------------------------------------------------------------------
 
 
-@given(x=st.floats(1e-6, 1.0), a=st.sampled_from([0.5, 1.0, 2.0]))
-@settings(max_examples=60, deadline=None)
-def test_coordinate_round_trip(x, a):
-    # r_of_x is in units of the core scale
-    r = a * geo.r_of_x(x)
-    assert r >= 0.0
-    assert math.isclose(geo.x_of_r(r, a), x, rel_tol=1e-12, abs_tol=1e-14)
-
-
-@given(r=st.floats(0.4, 50.0), a=st.sampled_from([0.5, 1.0, 2.0]))
-@settings(max_examples=60, deadline=None)
-def test_coordinate_round_trip_from_radius(r, a):
-    # starting from r is ill conditioned once x sits against 1, so keep
-    # r away from the bolt and the tolerance consistent with the
-    # cancellation in 1 - x**2
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_coordinate_closed_form(a):
+    # x = a^2 / sqrt(a^4 + r^4): 1 at the bolt, falling like (a / r)^2
+    r = a * np.concatenate(([0.0], np.logspace(-4.0, 40.0, 89)))
     x = geo.x_of_r(r, a)
-    assert 0.0 < x <= 1.0
-    cond = max(1.0, 1.0 / (1.0 - x * x))
-    assert math.isclose(a * geo.r_of_x(x), r, rel_tol=1e-13 * cond)
+    np.testing.assert_allclose(x, a**2 / np.sqrt(a**4 + r**4), rtol=1e-15, atol=0.0)
+    assert geo.x_of_r(0.0, a) == 1.0
+    assert math.isclose(geo.x_of_r(a, a), math.sqrt(0.5), rel_tol=1e-15)
+    with pytest.raises(ValueError):
+        geo.x_of_r(-1.0, a)
 
 
 def test_scalar_curvature_closed_form():
@@ -200,6 +191,24 @@ def test_curvature_form_is_the_flux_divergence(grading):
     assert np.allclose(scalar, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
     with pytest.raises(ValueError, match="does not match grid"):
         geo.scalar_from_v(v[:-1], g)
+
+
+@pytest.mark.parametrize("n, grading", [(64, "uniform"), (4096, "uniform"),
+                                        (512, "geometric")])
+def test_quotient_form_is_the_flow_energy(n, grading):
+    # expanding 12 pi^2 (x v)^T A (x v) over v leaves the conductances
+    # 12 pi^2 c x_- x_+ and, on each node, 24 pi^2 x w = 8 pi^2 diff(faces^3)
+    g = geo.build_grid(n, grading)
+    c, mass, vol, p = g.quotient_form
+    assert p == 4.0
+    assert math.isclose(float(np.sum(vol)), geo.eh_volume(), rel_tol=1e-15)
+    rng = np.random.default_rng(n)
+    for v in (np.ones(n), 0.1 + rng.random(n), np.exp(4.0 * rng.standard_normal(n))):
+        xv = g.cell_centers * v
+        energy = 12.0 * math.pi**2 * geo.inner(xv, geo.apply_form(*g.curvature_form, xv))
+        assert math.isclose(geo.inner(v, geo.apply_form(c, mass, v)), energy, rel_tol=1e-13)
+    with pytest.raises(ValueError, match="read-only"):
+        c[0] = 0.0
 
 
 def test_face_fluxes_boundary_conditions():
