@@ -127,8 +127,10 @@ def _minimize_ratio(forms, v0):
     H = A + q (p - 1) diag(m |v|^(p - 2)) (a Sobolev gradient), so smooth and
     grid-scale modes take the same step and the iteration count does not
     grow with the resolution; a backtracking line search halving from the
-    initial step guarantees the value sequence is nonincreasing.  A line
-    search that finds no decrease ends the descent unconverged.
+    initial step guarantees the value sequence is nonincreasing.  Steps
+    back-substitute (``dpttrs``) against H factored (``dpttrf``) at the
+    start; a stalled line search refactors H at the iterate and retries from
+    the initial step, and a stall on a fresh factor ends it unconverged.
 
     The normalization is carried as a scalar: the loop keeps an unnormalized
     u with its form product A u and weight m |u|^(p - 2), and the point on
@@ -136,18 +138,16 @@ def _minimize_ratio(forms, v0):
     direction are those at v divided by s, so the trial s (u - t d) is the
     trial at v, and the quotient, being scale-invariant, needs no rescaled
     copy of u, A u or the weight.  Every array the loop writes is allocated
-    once per descent.
+    once per descent, except the factor, once per factorization.
     """
-    dptsv = lapack().dptsv
+    routines = lapack()
     face_coeff, curv_mass, vol_mass, p = forms
     bands = form_bands(face_coeff, curv_mass)
     n = vol_mass.size
     u, au, mw = np.array(v0, dtype=float), np.empty(n), np.empty(n)
     trial, a_trial, mw_trial = np.empty(n), np.empty(n), np.empty(n)
-    # grad is overwritten by the direction; work holds an evaluation's face
-    # fluxes and u^2, and during the solve H's off-diagonal
+    # grad is overwritten by the direction; work holds face fluxes, then u^2
     grad, work = np.empty(n), np.empty(n)
-    per_face = work[:-1]
     # a start of order 1e100 or 1e-100 overflows the quotient, and one of order
     # 1e-80 leaves its p-norm sum subnormal: refuse them, not descend from garbage
     with np.errstate(all="ignore"):
@@ -160,10 +160,10 @@ def _minimize_ratio(forms, v0):
     total = inner(mw, work)  # sum m |u|^p, as work holds u^2
     if total < np.finfo(float).tiny:
         raise ValueError(f"the start's sum m |v|^p is {total!r}, a subnormal double; rescale init")
-    step = _INITIAL_STEP
     history = [q]
     grad_norm = math.inf
-    for it in range(_MAX_ITERS):
+    factor = None  # H's LDL^T factor; None when H is to be factored at the iterate
+    while len(history) <= _MAX_ITERS:
         # half the gradient of N(v) / (sum m |v|^p)^(2/p) at v = s u, over s:
         # A u - q s^(p - 2) m |u|^(p - 2) u
         weight = s ** (p - 2.0)
@@ -172,16 +172,13 @@ def _minimize_ratio(forms, v0):
         grad += au
         grad_norm = 2.0 * s * math.sqrt(inner(grad, grad))
         if grad_norm <= _GRAD_TOL * max(1.0, abs(q)):
-            return QuotientResult(q, s * u, it, grad_norm, True, history)
-        # H is strictly diagonally dominant with a positive diagonal, so the
-        # SPD tridiagonal solve cannot break down; it factors H in place, the
-        # diagonal in the trial buffer (free until the line search)
-        h_diag = np.multiply(mw, q * (p - 1.0) * weight, out=trial)
-        h_diag += bands[1]
-        per_face[:] = bands[0, 1:]
-        direction = dptsv(h_diag, per_face, grad, overwrite_d=1, overwrite_e=1,
-                          overwrite_b=1)[2]
-        moved = False
+            return QuotientResult(q, s * u, len(history) - 1, grad_norm, True, history)
+        if fresh := factor is None:
+            # H is SPD and strictly diagonally dominant: dpttrf cannot break down
+            h_diag = mw * (q * (p - 1.0) * weight) + bands[1]
+            factor = routines.dpttrf(h_diag, bands[0, 1:], overwrite_d=1)[:2]
+            step = _INITIAL_STEP
+        direction = routines.dpttrs(*factor, grad, overwrite_b=1)[0]
         while step >= 1e-12:
             np.multiply(direction, -step, out=trial)
             trial += u
@@ -193,12 +190,12 @@ def _minimize_ratio(forms, v0):
                 q, s = qt, st
                 history.append(q)
                 step = min(step * 1.3, _INITIAL_STEP)
-                moved = True
                 break
             step *= 0.5
-        if not moved:
-            # no decrease possible along this direction at any step length
-            return QuotientResult(q, s * u, it, grad_norm, False, history)
+        else:  # no decrease along this direction at any step length
+            if fresh:
+                return QuotientResult(q, s * u, len(history) - 1, grad_norm, False, history)
+            factor = None
     return QuotientResult(q, s * u, _MAX_ITERS, grad_norm, False, history)
 
 
@@ -227,6 +224,9 @@ def minimize_quotient(model: SphereModel | RadialGrid, *, init) -> QuotientResul
 # ---------------------------------------------------------------------------
 # first nonzero eigenvalue
 # ---------------------------------------------------------------------------
+
+
+_MAX_RESIDUAL = 1e-6  # relative; working pencils end at round-off, about 3e-9 at most
 
 
 @dataclass(frozen=True)
@@ -275,8 +275,8 @@ def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray) -> EigenResult:
     and lambda = 2^(kc - km) lambda' and the B-normalized vector scale back
     exactly.  The residual |A y - lambda B y| / (lambda |B y|) is relative.
     Inputs, or a symmetrized matrix, that are not finite raise ValueError; a
-    failed LAPACK call, or a refined vector, eigenvalue or residual that is
-    not finite, raises LinAlgError.
+    failed LAPACK call, a refined vector or eigenvalue that is not finite, or
+    a residual that is not at most ``_MAX_RESIDUAL``, raises LinAlgError.
     """
     routines = lapack()
     kc, km = (int(np.frexp(np.max(array))[1]) for array in (face_coeff, metric))
@@ -310,8 +310,8 @@ def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray) -> EigenResult:
     my = metric * y
     r = ay - lam * my
     res = math.sqrt(inner(r, r)) / (lam * math.sqrt(inner(my, my))) if lam > 0.0 else math.nan
-    if not (math.isfinite(lam) and math.isfinite(res)):
-        raise np.linalg.LinAlgError(f"the eigenvalue {lam!r} or residual {res!r} is not finite")
+    if not (math.isfinite(lam) and res <= _MAX_RESIDUAL):
+        raise np.linalg.LinAlgError(f"the relative residual {res!r} is not <= {_MAX_RESIDUAL}")
     return EigenResult(lambda1=math.ldexp(lam, kc - km), eigenfunction=np.ldexp(y, -km // 2),
                        residual=res)
 

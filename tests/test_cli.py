@@ -323,6 +323,27 @@ def test_eigen_sphere(tmp_path):
     assert set(payload["criteria"]) == {"uniqueness", "no_concentration"}
 
 
+@pytest.mark.parametrize("n, n_cells", [(10, 4096), (3, 16384), (4, 16384), (5, 16384)])
+def test_eigen_sphere_large_residual_exits_4(tmp_path, n, n_cells):
+    # lambda1 = n on the round sphere: n = 10 on 4096 cells solves 35% off
+    # with a relative residual of 0.26 and is no result, while the working
+    # solves end at round-off
+    _, data = _scenario(tmp_path, grid={"n_cells": n_cells})
+    data["model"] = {"type": "sphere", "n": n}
+    path = tmp_path / "sphere.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code = cli.main(["eigen", str(path), "--quiet"])
+    payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
+    if n == 10:
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert payload["lambda1"] is None
+        assert "residual" in payload["failure"]
+    else:
+        assert code == 0
+        assert payload["lambda1"] == pytest.approx(n, rel=1e-8)
+        assert payload["residual"] <= 1e-6
+
+
 def test_eigen_eh(tmp_path):
     cfg_path, _ = _scenario(tmp_path, grid={"n_cells": 256})
     assert cli.main(["eigen", cfg_path, "--quiet"]) == 0

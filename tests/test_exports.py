@@ -200,3 +200,34 @@ def test_imports_are_used():
     assert {"__init__.py", "__main__.py"} <= {path.name for path in paths}
     unused = {path.name: names for path in paths if (names := _unused_imports(path))}
     assert not unused, f"imported names the module does not use: {unused}"
+
+
+def _lapack_routines(src: Path) -> set:
+    """Routines the package's modules take from ``geometry.lapack()``: the
+    attributes read off that call, or off a name bound to its result."""
+
+    def is_lapack(node):
+        return isinstance(node, ast.Call) and getattr(
+            node.func, "id", getattr(node.func, "attr", None)) == "lapack"
+
+    routines = set()
+    for path in sorted(src.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        bound = {target.id for node in nodes
+                 if isinstance(node, ast.Assign) and is_lapack(node.value)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        routines |= {node.attr for node in nodes if isinstance(node, ast.Attribute) and (
+            is_lapack(node.value) or getattr(node.value, "id", None) in bound)}
+    return routines
+
+
+def test_lapack_routines_exist():
+    # a scipy build whose LAPACK extension lacks a routine the solves call
+    # fails here, by name, rather than inside a solve
+    from singular_yamabe import geometry
+
+    routines = _lapack_routines(Path(__file__).parents[1] / "src" / "singular_yamabe")
+    missing = sorted(name for name in routines if not hasattr(geometry.lapack(), name))
+    assert not missing, f"{geometry.lapack().__file__} lacks the LAPACK routines {missing}"
+    # the list the CI workflow's dependency-floor job names
+    assert routines == {"dgttrf", "dgttrs", "dpttrf", "dpttrs", "dstebz", "dstein", "dgtsv"}

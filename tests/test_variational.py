@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ def dense_lambda1(face_coeff, metric):
 def reference_minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
     """Reference oracle for the quotient descent: the loop that rescales the
     iterate, its form product and its weights onto the p-sphere on every
-    trial, with fresh arrays and BLAS dots.  Returns the result and the
-    number of trial steps the line search rejected."""
+    trial, with fresh arrays and BLAS dots.  The preconditioner H is factored
+    at the start and again after a line search that stalls on an older
+    factor.  Returns the result and the number of trial steps the line search
+    rejected."""
     from scipy.linalg import lapack
 
     bands = geo.form_bands(face_coeff, curv_mass)
@@ -41,12 +44,19 @@ def reference_minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
         au = geo.apply_form(face_coeff, curv_mass, u)
         return u * scale, w * scale ** (p - 2.0), au * scale
 
+    def factor(q, mass):
+        """The LDL^T factor of H = A + q (p - 1) diag(mass)."""
+        d, e, info = lapack.dpttrf(bands[1] + (q * (p - 1.0)) * mass, bands[0, 1:])
+        assert info == 0
+        return d, e
+
     v, w, av = project(np.asarray(v0, dtype=float))
     q = float(np.dot(v, av))  # denominator is 1 on the sphere
-    step = var._INITIAL_STEP
     history = [q]
     grad_norm = math.inf
     rejected = 0
+    d, e = factor(q, vol_mass * w)
+    fresh, step = True, var._INITIAL_STEP
     for it in range(var._MAX_ITERS):
         # half the gradient of N(v) / (sum m |v|^p)^(2/p) at a p-normalized iterate
         mass = vol_mass * w
@@ -54,24 +64,29 @@ def reference_minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
         grad_norm = 2.0 * math.sqrt(float(np.dot(half_grad, half_grad)))
         if grad_norm <= var._GRAD_TOL * max(1.0, abs(q)):
             return var.QuotientResult(q, v, it, grad_norm, True, history), rejected
-        # H is strictly diagonally dominant with a positive diagonal, so the
-        # SPD tridiagonal solve cannot break down
-        direction = lapack.dptsv(bands[1] + (q * (p - 1.0)) * mass, bands[0, 1:], half_grad)[2]
-        moved = False
-        while step >= 1e-12:
-            trial, w_t, av_t = project(v - step * direction)
-            qt = float(np.dot(trial, av_t))
-            if qt <= q - 1e-12 * max(1.0, abs(q)):
-                v, w, av, q = trial, w_t, av_t, qt
-                history.append(q)
-                step = min(step * 1.3, var._INITIAL_STEP)
-                moved = True
+        while True:
+            direction = lapack.dpttrs(d, e, half_grad)[0]
+            moved = False
+            while step >= 1e-12:
+                trial, w_t, av_t = project(v - step * direction)
+                qt = float(np.dot(trial, av_t))
+                if qt <= q - 1e-12 * max(1.0, abs(q)):
+                    v, w, av, q = trial, w_t, av_t, qt
+                    history.append(q)
+                    step = min(step * 1.3, var._INITIAL_STEP)
+                    moved = True
+                    break
+                rejected += 1
+                step *= 0.5
+            if moved or fresh:
                 break
-            rejected += 1
-            step *= 0.5
+            # a stall on an older factor: refactor here and search again
+            d, e = factor(q, mass)
+            fresh, step = True, var._INITIAL_STEP
         if not moved:
             # no decrease possible along this direction at any step length
             return var.QuotientResult(q, v, it, grad_norm, False, history), rejected
+        fresh = False
     return var.QuotientResult(q, v, var._MAX_ITERS, grad_norm, False, history), rejected
 
 
@@ -205,6 +220,62 @@ def test_minimize_stall_is_not_convergence(monkeypatch):
     assert res.iterations < var._MAX_ITERS // 10
 
 
+def test_minimize_gets_further_on_a_frozen_factor(monkeypatch):
+    # the reference iteration's 4096-cell start, cut at 300 iterations: a
+    # factor refreshed on every step reached 43.5590729083696 there, and the
+    # factor kept from the start goes lower by more than round-off
+    monkeypatch.setattr(var, "_MAX_ITERS", 300)
+    grid = geo.build_grid(4096, "uniform")
+    init = 1.0 + 0.05 * np.cos(2.0 * np.pi * grid.cell_centers + 0.7)
+    res = var.minimize_quotient(grid, init=init)
+    assert (res.iterations, res.converged) == (300, False)
+    assert res.value < 43.5590729083696 - 1e-3
+
+
+@pytest.mark.parametrize("ending", ["converged", "cap", "stalled"])
+def test_minimize_iterations_count_accepted_steps(monkeypatch, ending):
+    if ending == "stalled":
+        monkeypatch.setattr(var, "_GRAD_TOL", 0.0)
+    if ending == "cap":
+        monkeypatch.setattr(var, "_MAX_ITERS", 40)
+        model = geo.build_grid(256, "uniform")
+    else:
+        model = geo.build_sphere_model(4, 256)
+    res = var.minimize_quotient(model, init=1.0 + 0.05 * np.cos(model.cell_centers + 0.7))
+    assert res.converged == (ending == "converged")
+    assert res.iterations == len(res.history) - 1
+    assert (res.iterations == var._MAX_ITERS) == (ending == "cap")
+
+
+def test_minimize_refactors_after_a_stall(monkeypatch):
+    # the stall test's setting: a line search that stalls on the start's
+    # factor refactors H and searches again, and the descent ends only when
+    # it stalls on a fresh factor
+    monkeypatch.setattr(var, "_GRAD_TOL", 0.0)
+    routines, calls = geo.lapack(), []
+
+    def logged(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return getattr(routines, name)(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(var, "lapack", lambda: SimpleNamespace(
+        dpttrf=logged("dpttrf"), dpttrs=logged("dpttrs")))
+    model = geo.build_sphere_model(4, 256)
+    init = 1.0 + 0.05 * np.cos(model.cell_centers + 0.7)
+    res = var.minimize_quotient(model, init=init)
+    assert not res.converged
+    assert calls.count("dpttrf") >= 2
+    # one solve per accepted step and one per stall; every stall but the
+    # last asked for a factorization, and the last came right after one
+    assert calls.count("dpttrs") == res.iterations + calls.count("dpttrf")
+    assert calls[-2:] == ["dpttrf", "dpttrs"]
+    ref, _ = reference_minimize_ratio(*model.quotient_form, init)
+    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+    assert math.isclose(res.value, ref.value, rel_tol=1e-12)
+
+
 def test_minimize_sphere_constant_init_is_immediate():
     model = geo.build_sphere_model(4, 128)
     res = var.minimize_quotient(model, init=np.ones(128))
@@ -257,6 +328,13 @@ def test_sphere_first_eigenvalue_fine_grid():
     res = var.sphere_first_eigenvalue(geo.build_sphere_model(4, 4096))
     assert abs(res.lambda1 - 4.0) < 1e-6
     assert res.residual < 1e-8
+
+
+def test_sphere_first_eigenvalue_refuses_a_large_residual():
+    # lambda1 = 10 on the round 10-sphere; on 4096 cells the solve lands 35%
+    # off with a relative residual of 0.26, which is no eigenvalue
+    with pytest.raises(np.linalg.LinAlgError, match="residual"):
+        var.sphere_first_eigenvalue(geo.build_sphere_model(10, 4096))
 
 
 def test_first_eigenvalue_matches_dense_oracle():
