@@ -47,7 +47,9 @@ def yamabe_sphere_constant(n: int) -> float:
 
 # The local threshold at the Z/2 orbifold point of the four-dimensional space:
 # the sphere constant divided by order^(2/n) = 2^(1/2), that is 8 sqrt(3) pi.
-# For the geometry simulated here the global invariant Y coincides with it.
+# For the geometry simulated here the global invariant Y coincides with it;
+# tests/test_variational.py::test_ladder_floors_extrapolate_to_the_local_threshold
+# checks that from below, on the descent's floors over a geometric ladder.
 Y_LOCAL = yamabe_sphere_constant(4) / 2 ** (2.0 / 4)
 
 
@@ -106,6 +108,7 @@ def yamabe_quotient_sphere(phi, model: SphereModel) -> float:
 _MAX_ITERS = 5000
 _GRAD_TOL = 1e-6
 _INITIAL_STEP = 1.0
+_MEMORY = 5  # curvature pairs the quasi-Newton direction keeps
 
 
 @dataclass(frozen=True)
@@ -119,18 +122,22 @@ class QuotientResult:
 
 
 def _minimize_ratio(forms, v0):
-    """Preconditioned projected gradient descent on the p-normalized
-    quadratic quotient of a model's ``quotient_form``.
+    """Preconditioned limited-memory BFGS on the p-normalized quadratic
+    quotient of a model's ``quotient_form`` (Nocedal 1980; Nocedal & Wright,
+    Numerical Optimization, section 7.2).
 
-    The iterate stays on the unit p-sphere of the volume mass.  The raw
-    gradient is preconditioned by the tridiagonal Hessian majorant
-    H = A + q (p - 1) diag(m |v|^(p - 2)) (a Sobolev gradient), so smooth and
-    grid-scale modes take the same step and the iteration count does not
-    grow with the resolution; a backtracking line search halving from the
-    initial step guarantees the value sequence is nonincreasing.  Steps
-    back-substitute (``dpttrs``) against H factored (``dpttrf``) at the
-    start; a stalled line search refactors H at the iterate and retries from
-    the initial step, and a stall on a fresh factor ends it unconverged.
+    The iterate stays on the unit p-sphere of the volume mass.  The direction
+    is the two-loop recursion over the last ``_MEMORY`` curvature pairs
+    (s, y): the steps between p-normalized iterates and the changes in their
+    gradients; a pair with s.y <= 0 is skipped.  Its initial inverse Hessian
+    is the tridiagonal Hessian majorant H = A + q (p - 1) diag(m |v|^(p - 2))
+    (a Sobolev gradient), factored (``dpttrf``) at the start and applied by
+    one back-substitution (``dpttrs``) per step, so smooth and grid-scale
+    modes take the same step and the iteration count does not grow with the
+    resolution.  A backtracking line search halving from the initial step
+    guarantees the value sequence is nonincreasing.  A stalled line search
+    drops the pairs, refactors H at the iterate and searches again; a stall
+    on a fresh factor with no pairs ends it unconverged.
 
     The normalization is carried as a scalar: the loop keeps an unnormalized
     u with its form product A u and weight m |u|^(p - 2), and the point on
@@ -146,8 +153,13 @@ def _minimize_ratio(forms, v0):
     n = vol_mass.size
     u, au, mw = np.array(v0, dtype=float), np.empty(n), np.empty(n)
     trial, a_trial, mw_trial = np.empty(n), np.empty(n), np.empty(n)
-    # grad is overwritten by the direction; work holds face fluxes, then u^2
+    # grad is overwritten by the direction; work holds face fluxes, then u^2,
+    # then a scaled iterate, gradient or pair row
     grad, work = np.empty(n), np.empty(n)
+    # a ring of _MEMORY + 1 pair rows: the count newest pairs end just before
+    # row head, which holds the point and gradient the last step started from
+    pair_s, pair_y = np.empty((_MEMORY + 1, n)), np.empty((_MEMORY + 1, n))
+    rho, alpha = np.empty(_MEMORY + 1), np.empty(_MEMORY + 1)
     # a start of order 1e100 or 1e-100 overflows the quotient, and one of order
     # 1e-80 leaves its p-norm sum subnormal: refuse them, not descend from garbage
     with np.errstate(all="ignore"):
@@ -163,6 +175,8 @@ def _minimize_ratio(forms, v0):
     history = [q]
     grad_norm = math.inf
     factor = None  # H's LDL^T factor; None when H is to be factored at the iterate
+    head = count = 0
+    moved = False  # whether the last line search accepted a step
     while len(history) <= _MAX_ITERS:
         # half the gradient of N(v) / (sum m |v|^p)^(2/p) at v = s u, over s:
         # A u - q s^(p - 2) m |u|^(p - 2) u
@@ -173,12 +187,33 @@ def _minimize_ratio(forms, v0):
         grad_norm = 2.0 * s * math.sqrt(inner(grad, grad))
         if grad_norm <= _GRAD_TOL * max(1.0, abs(q)):
             return QuotientResult(q, s * u, len(history) - 1, grad_norm, True, history)
+        if moved:
+            # the pair of the accepted step, between points on the p-sphere
+            step_s, step_y = pair_s[head], pair_y[head]
+            np.subtract(np.multiply(u, s, out=work), step_s, out=step_s)
+            np.subtract(np.multiply(grad, s, out=work), step_y, out=step_y)
+            sy = inner(step_s, step_y)
+            if sy > 0.0:
+                rho[head] = 1.0 / sy
+                head = (head + 1) % (_MEMORY + 1)
+                count = min(count + 1, _MEMORY)
         if fresh := factor is None:
             # H is SPD and strictly diagonally dominant: dpttrf cannot break down
             h_diag = mw * (q * (p - 1.0) * weight) + bands[1]
             factor = routines.dpttrf(h_diag, bands[0, 1:], overwrite_d=1)[:2]
-            step = _INITIAL_STEP
+            count = 0
+        np.multiply(u, s, out=pair_s[head])
+        np.multiply(grad, s, out=pair_y[head])
+        # the two-loop recursion: newest pair to oldest, H^(-1), oldest to newest
+        rows = [(head - k) % (_MEMORY + 1) for k in range(1, count + 1)]
+        for i in rows:
+            alpha[i] = rho[i] * inner(pair_s[i], grad)
+            grad -= np.multiply(pair_y[i], alpha[i], out=work)
         direction = routines.dpttrs(*factor, grad, overwrite_b=1)[0]
+        for i in reversed(rows):
+            beta = rho[i] * inner(pair_y[i], direction)
+            direction += np.multiply(pair_s[i], alpha[i] - beta, out=work)
+        step, moved = _INITIAL_STEP, False
         while step >= 1e-12:
             np.multiply(direction, -step, out=trial)
             trial += u
@@ -189,7 +224,7 @@ def _minimize_ratio(forms, v0):
                 mw, mw_trial = mw_trial, mw
                 q, s = qt, st
                 history.append(q)
-                step = min(step * 1.3, _INITIAL_STEP)
+                moved = True
                 break
             step *= 0.5
         else:  # no decrease along this direction at any step length
@@ -204,13 +239,15 @@ def minimize_quotient(model: SphereModel | RadialGrid, *, init) -> QuotientResul
     Eguchi-Hanson reduction on a radial grid.
 
     On the sphere the constant is the minimizer and the descent converges to
-    the sphere constant.  On the Eguchi-Hanson space the infimum is not
-    attained: the descent pushes mass toward the puncture and the value
-    sinks below the constant-profile level.  On fine or graded grids it
-    stops at the iteration cap with converged = False and the partial
-    minimizer; on coarse uniform grids the discrete quotient can go below
-    the continuum local threshold and the descent converge there.  A start
-    the arithmetic cannot carry raises ValueError.
+    the sphere constant.  On the Eguchi-Hanson space the continuum infimum
+    is not attained: the descent pushes mass toward the puncture, the value
+    sinks below the constant-profile level, and the descent converges to the
+    grid's discrete minimum.  On geometric grids that minimum lies above the
+    continuum local threshold and approaches it under refinement; on uniform
+    grids it lies below it.  A descent that reaches the iteration cap, or
+    whose line search stalls on a fresh factor, returns converged = False
+    and the partial minimizer.  A start the arithmetic cannot carry raises
+    ValueError.
     """
     forms = model.quotient_form
     v0 = np.asarray(init, dtype=float)
