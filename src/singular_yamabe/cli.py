@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -55,11 +54,13 @@ def _make_outdir(path: str) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
+    # a fresh file beside the target, so the rename stays on one file system
+    # and the artifact's mode is the one the umask gives a new file
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=False)
+        handle = open(tmp, "x", encoding="utf-8", newline="\n")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            with handle:
                 handle.write(text)
             os.replace(tmp, path)
         except BaseException:
@@ -110,13 +111,13 @@ def write_snapshots(directory: str, snapshots, grid) -> list:
     _make_outdir(directory)
     used: set = set()
     names = []
-    # every snapshot lies on the same grid, so its x column is formatted once
-    x_cells = [_fmt(x) + "," for x in grid.cell_centers.tolist()]
+    # every snapshot lies on the same grid, so its x column is formatted once,
+    # into a template that takes a snapshot's v column in one % operation
+    template = "".join(f"{_fmt(x)},%{_FLOAT_FORMAT}\n" for x in grid.cell_centers.tolist())
     for t, v in snapshots:
         name = _snapshot_name(t, used)
         used.add(name)
-        lines = [x + format(val, _FLOAT_FORMAT) for x, val in zip(x_cells, v.tolist())]
-        _atomic_write(os.path.join(directory, name), "\n".join(lines) + "\n")
+        _atomic_write(os.path.join(directory, name), template % tuple(v.tolist()))
         names.append(name)
     return names
 

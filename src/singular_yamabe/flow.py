@@ -7,11 +7,12 @@ is the volume-weighted curvature mean.  The semi-discrete flow preserves the
 discrete volume identically (the mean is built from the same fluxes), so all
 drift is time error, removed periodically by renormalization.
 
-:func:`run` integrates with the two-stage linearly implicit Rosenbrock
+:func:`advance` integrates with the two-stage linearly implicit Rosenbrock
 method ROS2 (Verwer, Spee, Blom & Hundsdorfer 1999), whose embedded Euler
 solution controls the step size; its Jacobian is built from the same form A
 as the rate, so a step costs one tridiagonal factorization, two
-back-substitutions and two curvature evaluations.  The explicit Euler
+back-substitutions and two curvature evaluations; :func:`run` is the
+consumer that keeps a scenario's records and snapshots.  The explicit Euler
 :func:`step` under the diffusion bound :func:`stable_dt` is kept as the
 reference the tests replay.
 """
@@ -38,6 +39,7 @@ __all__ = [
     "step",
     "rosenbrock_step",
     "renormalize",
+    "advance",
     "run",
 ]
 
@@ -227,6 +229,60 @@ def renormalize(state: FlowState) -> FlowState:
                      volume_target=state.volume_target)
 
 
+def _reached(t: float, stop: float) -> bool:
+    return t >= stop * (1.0 - 1e-12)
+
+
+def advance(state: FlowState, stops, safety: float, renorm_every: int):
+    """Step the flow through the increasing times ``stops`` with
+    error-controlled ROS2 steps; yields (state, h, stopped) after every
+    accepted step.
+
+    The first step is the explicit stability bound :func:`stable_dt` at
+    ``safety``; after each attempt the step size becomes
+    h * clip(0.9 / sqrt(err / _TOL), 0.2, 2), and only attempts with
+    err <= _TOL are kept.  Steps are clipped to end exactly on the next
+    stop, and a step that clipping cut short does not shrink the next
+    proposal.  A stop counts as reached within a relative 1e-12; ``stopped``
+    says that the yielded state reached one or more stops, and stops the
+    start has reached are passed over.  Every ``renorm_every``-th accepted
+    step is renormalized before it is yielded (never when 0).
+
+    An attempt that loses positivity is retried at a fifth of its size,
+    unless it was already within the explicit bound: then the
+    PositivityError propagates, after the last accepted state was yielded.
+    The generator ends on the last stop.
+    """
+    stops = iter(stops)
+    stop = next(stops, None)
+    while stop is not None and _reached(state.t, stop):
+        stop = next(stops, None)
+    h = stable_dt(state, safety)
+    accepted = 0
+    while stop is not None:
+        h_try = min(h, stop - state.t)
+        try:
+            new, err = rosenbrock_step(state, h_try)
+        except PositivityError:
+            if h_try <= stable_dt(state, safety):
+                raise
+            h = 0.2 * h_try
+            continue
+        factor = min(2.0, max(0.2, 0.9 * math.sqrt(_TOL / err))) if err > 0.0 else 2.0
+        if not err <= _TOL:
+            h = h_try * factor
+            continue
+        h = max(h_try * factor, h) if h_try < h else h_try * factor
+        state = new
+        accepted += 1
+        if renorm_every > 0 and accepted % renorm_every == 0:
+            state = renormalize(state)
+        stopped = False
+        while stop is not None and _reached(state.t, stop):
+            stop, stopped = next(stops, None), True
+        yield state, h_try, stopped
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -285,53 +341,38 @@ def initial_state(scenario: Scenario) -> FlowState:
     return FlowState(grid, np.full(grid.n_cells, scenario.init_value))
 
 
+def _snapshot_stops(every: float, t_end: float):
+    """The multiples k * every below t_end, then t_end; only t_end when every
+    is 0."""
+    if every > 0.0:
+        k = 1
+        while k * every < t_end:
+            yield k * every
+            k += 1
+    yield t_end
+
+
 def run(scenario: Scenario) -> RunResult:
-    """Drive the scenario's flow to t_end with error-controlled ROS2 steps.
+    """Drive the scenario's flow to t_end through :func:`advance`.
 
-    The first step is the explicit stability bound; after each attempt the
-    step size becomes h * clip(0.9 / sqrt(err / _TOL), 0.2, 2), and only
-    attempts with err <= _TOL are kept.  Steps are clipped to end exactly on
-    t_end and on every multiple of snapshot_every.  An attempt that loses
-    positivity is retried at a fifth of its size, unless it was already
-    within the explicit bound.
-
-    Records are emitted for the initial state and after every accepted step
-    (post renormalization when due).  Snapshots are taken at t = 0, at every
-    multiple of snapshot_every, and at the final time.  On positivity loss
-    the partial history is returned with completed = False.
+    The stops are the multiples of snapshot_every and t_end.  Records are
+    emitted for the initial state and after every accepted step (post
+    renormalization when due).  Snapshots are taken at t = 0 and on every
+    stop.  On positivity loss the partial history, ending in a snapshot of
+    the last accepted state, is returned with completed = False.
     """
     state = initial_state(scenario)
     records = [_make_record(state, 0.0, scenario.cutoffs)]
     snapshots = [(state.t, state.v)]  # the state's profile is read-only
-    every = scenario.snapshot_every
-    next_snap = every if every > 0.0 else np.inf
-    t_stop = scenario.t_end * (1.0 - 1e-12)
-    h = stable_dt(state, scenario.safety)
-    failure = None
-    while state.t < t_stop:
-        h_try = min(h, next_snap - state.t, scenario.t_end - state.t)
-        try:
-            new, err = rosenbrock_step(state, h_try)
-        except PositivityError as exc:
-            if h_try <= stable_dt(state, scenario.safety):
-                failure = str(exc)
-                break
-            h = 0.2 * h_try
-            continue
-        factor = min(2.0, max(0.2, 0.9 * math.sqrt(_TOL / err))) if err > 0.0 else 2.0
-        if not err <= _TOL:
-            h = h_try * factor
-            continue
-        # a step cut short by a clip does not shrink the next proposal
-        h = max(h_try * factor, h) if h_try < h else h_try * factor
-        state = new
-        # len(records) counts this step: the initial record and one per earlier step
-        if scenario.renorm_every > 0 and len(records) % scenario.renorm_every == 0:
-            state = renormalize(state)
-        records.append(_make_record(state, h_try, scenario.cutoffs))
-        if state.t >= next_snap * (1.0 - 1e-12):
+    stops = _snapshot_stops(scenario.snapshot_every, scenario.t_end)
+    try:
+        for state, h, stopped in advance(state, stops, scenario.safety,
+                                         scenario.renorm_every):
+            records.append(_make_record(state, h, scenario.cutoffs))
+            if stopped:
+                snapshots.append((state.t, state.v))
+    except PositivityError as exc:
+        if snapshots[-1][0] != state.t:
             snapshots.append((state.t, state.v))
-            next_snap = len(snapshots) * every
-    if snapshots[-1][0] != state.t:
-        snapshots.append((state.t, state.v))
-    return RunResult(records, snapshots, failure is None, failure, state)
+        return RunResult(records, snapshots, False, str(exc), state)
+    return RunResult(records, snapshots, True, None, state)

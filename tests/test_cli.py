@@ -257,6 +257,26 @@ def test_unwritable_artifacts_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write")
     assert not [name for name in os.listdir(run) if name.startswith(".tmp-")]
 
+def test_artifacts_take_the_umask_mode(tmp_path):
+    # a new artifact is 0o666 & ~umask, as a plain open would make it, and a
+    # rerun into the same directory replaces every file without a temp left
+    cfg_path, _ = _scenario(tmp_path)
+    run = tmp_path / "run"
+    previous = os.umask(0o022)
+    try:
+        for _ in range(2):
+            assert cli.main(["flow", cfg_path, "--quiet"]) == 0
+            assert cli.main(["report", str(run), "--quiet"]) == 0
+    finally:
+        os.umask(previous)
+    files = [path for path in run.rglob("*") if path.is_file()]
+    assert {"series.csv", "report.json", "dichotomy.json"} <= {path.name for path in files}
+    assert len([path for path in files if path.parent.name == "snapshots"]) == 3
+    modes = {path.name: oct(path.stat().st_mode & 0o777) for path in files}
+    assert set(modes.values()) == {oct(0o666 & ~0o022)}, modes
+    assert not [path for path in files if path.name.startswith(".tmp-")]
+
+
 def test_yamabe_sphere(tmp_path):
     cfg_path, data = _scenario(tmp_path, grid={"n_cells": 96})
     data["model"] = {"type": "sphere", "n": 4}

@@ -314,6 +314,75 @@ def test_run_retries_positivity_loss_above_explicit_bound(monkeypatch):
     assert res.final_state.t == pytest.approx(0.004)
 
 
+def test_advance_through_two_stops_reaches_the_first_as_run_does():
+    # one pass through [t1, t2] takes the steps a run to t_end = t1 takes
+    t1, t2 = 0.004, 0.01
+    cfg = Scenario(n_cells=64, t_end=t1, snapshot_every=0.0)
+    result = flow.run(cfg)
+    passed = flow.advance(flow.initial_state(cfg), [t1, t2], cfg.safety, cfg.renorm_every)
+    steps = []
+    for state, h, stopped in passed:
+        steps.append(h)
+        if stopped:
+            break
+    assert state.t == result.final_state.t
+    assert state.v.tobytes() == result.final_state.v.tobytes()
+    assert steps == [rec.dt_used for rec in result.records[1:]]
+    # the pass goes on to t2 from there
+    *_, (last, _h, stopped) = passed
+    assert stopped and last.t == pytest.approx(t2, rel=1e-12)
+
+
+def test_advance_stops_on_every_stop():
+    stops = [0.001, 0.0025, 0.004]
+    state = flow.initial_state(Scenario(n_cells=64))
+    yielded = list(flow.advance(state, stops, 0.4, 5))
+    on_stops = [s.t for s, _h, stopped in yielded if stopped]
+    assert len(on_stops) == len(stops)
+    for t, stop in zip(on_stops, stops):
+        assert abs(t - stop) <= 1e-12 * stop
+    assert yielded[-1][2] and yielded[-1][0].t == on_stops[-1]
+    # between stops the states advance in time, and every fifth is renormalized
+    times = [s.t for s, _h, _stopped in yielded]
+    assert np.all(np.diff(times) > 0.0)
+    assert all(s.volume == pytest.approx(s.volume_target, rel=1e-14)
+               for s, _h, _stopped in yielded[4::5])
+
+
+def _stops_of_run(monkeypatch, cfg):
+    """The stops run passes to advance, and the run's result."""
+    real, seen = flow.advance, []
+
+    def recording(state, stops, safety, renorm_every):
+        seen.extend(stops)
+        return real(state, seen, safety, renorm_every)
+
+    monkeypatch.setattr(flow, "advance", recording)
+    return seen, flow.run(cfg)
+
+
+def test_run_without_snapshot_interval_stops_only_at_t_end(monkeypatch):
+    stops, result = _stops_of_run(monkeypatch, Scenario(n_cells=64, t_end=0.01,
+                                                        snapshot_every=0.0))
+    assert stops == [0.01]
+    assert [t for t, _v in result.snapshots] == [0.0, result.final_state.t]
+
+
+# 400 * 0.005 is 2.0 exactly, so t_end alone stops there; 9 * 0.0013 falls
+# 2e-18 short of 0.0117, within the relative 1e-12 that counts as reaching
+# t_end, so the step onto the multiple reaches both stops
+@pytest.mark.parametrize("t_end, every, multiples, snapshots",
+                         [(2.0, 0.005, 399, 401), (0.0117, 0.0013, 9, 10)])
+def test_run_takes_one_snapshot_where_a_multiple_meets_t_end(monkeypatch, t_end, every,
+                                                             multiples, snapshots):
+    stops, result = _stops_of_run(monkeypatch, Scenario(n_cells=64, t_end=t_end,
+                                                        snapshot_every=every))
+    assert stops == [k * every for k in range(1, multiples + 1)] + [t_end]
+    times = [t for t, _v in result.snapshots]
+    assert len(times) == len(set(times)) == snapshots
+    assert times[-1] == result.final_state.t == pytest.approx(t_end, rel=1e-12)
+
+
 def test_run_rejects_sphere_model():
     with pytest.raises(ValueError):
         flow.run(Scenario(model_type="sphere", n_cells=64, t_end=0.001))
