@@ -236,13 +236,19 @@ def cmd_flow(args) -> int:
                       "snapshots": [f"snapshots/{n}" for n in names]},
     }
     _write_json(os.path.join(outdir, "report.json"), payload)
+    failed = os.path.join(outdir, "FAILED")
     if not result.completed:
-        _atomic_write(os.path.join(outdir, "FAILED"),
-                      (result.failure or "positivity failure") + "\n")
+        _atomic_write(failed, (result.failure or "positivity failure") + "\n")
         if not args.quiet:
             print(f"flow stopped early: {result.failure}")
             print(f"partial artifacts in {outdir}")
         return EXIT_POSITIVITY
+    try:  # a completed run clears the marker an earlier run left
+        os.remove(failed)
+    except FileNotFoundError:
+        pass
+    except OSError as err:
+        raise ConfigError(f"cannot remove {failed}: {err}") from err
     if not args.quiet:
         print(f"flow finished: {len(result.records) - 1} steps to t={_fmt(final.t)}")
         print(f"sigma_tilde {_fmt(result.records[0].sigma_tilde)} -> {_fmt(final.sigma_tilde)}")

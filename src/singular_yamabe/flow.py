@@ -342,11 +342,12 @@ def initial_state(scenario: Scenario) -> FlowState:
 
 
 def _snapshot_stops(every: float, t_end: float):
-    """The multiples k * every below t_end, then t_end; only t_end when every
-    is 0."""
+    """The multiples k * every that do not reach t_end, then t_end; only
+    t_end when every is 0.  A multiple within the relative 1e-12 that counts
+    as reaching t_end is left out, so the run ends on t_end itself."""
     if every > 0.0:
         k = 1
-        while k * every < t_end:
+        while not _reached(k * every, t_end):
             yield k * every
             k += 1
     yield t_end

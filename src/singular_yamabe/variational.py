@@ -4,13 +4,16 @@ Two geometries share one algebraic core, the tridiagonal form layer of
 :mod:`singular_yamabe.geometry`.  A quotient is a form (face conductances
 plus a diagonal mass) over a p-norm denominator; an eigenvalue problem is a
 form paired with a diagonal metric.  Each model carries its quotient form
-as ``quotient_form``.  The descent's preconditioner and the eigen solves
-read their matrices from :func:`~singular_yamabe.geometry.form_bands`.
+as ``quotient_form``.  The quotient, the descent and the eigen residuals
+apply forms with :func:`~singular_yamabe.geometry.apply_form`; the descent's
+preconditioner and the eigen solves read their matrices from
+:func:`~singular_yamabe.geometry.form_bands`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,24 +61,16 @@ Y_LOCAL = yamabe_sphere_constant(4) / 2 ** (2.0 / 4)
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(forms, x, ax, mwx, work):
-    """Fill A x and m |x|^(p - 2) and return the quotient of x and its
-    normalization s = (sum m |x|^p)^(-1/p).
-
-    forms is a model's ``quotient_form``; A x is apply_form's arithmetic,
-    in place, and work holds the face fluxes, then x^2.
-    """
+def _evaluate(forms, x):
+    """The quotient of x, its normalization s = (sum m |x|^p)^(-1/p), A x
+    and m |x|^(p - 2); forms is a model's ``quotient_form``."""
     face_coeff, curv_mass, vol_mass, p = forms
-    np.multiply(curv_mass, x, out=ax)
-    flux = np.subtract(x[:-1], x[1:], out=work[:-1])
-    flux *= face_coeff
-    ax[:-1] += flux
-    ax[1:] -= flux
-    uu = np.multiply(x, x, out=work)
-    np.power(uu, 0.5 * p - 1.0, out=mwx)
-    mwx *= vol_mass
+    ax = apply_form(face_coeff, curv_mass, x)
+    uu = x * x
+    # np.power, not **, whose fast paths for some exponents round differently
+    mwx = np.power(uu, 0.5 * p - 1.0) * vol_mass
     scale = inner(mwx, uu) ** (-1.0 / p)
-    return inner(x, ax) * scale * scale, scale
+    return inner(x, ax) * scale * scale, scale, ax, mwx
 
 
 def _quotient(v, model: SphereModel | RadialGrid) -> float:
@@ -83,7 +78,7 @@ def _quotient(v, model: SphereModel | RadialGrid) -> float:
     v = np.asarray(v, dtype=float)
     if v.shape != forms[2].shape:
         raise ValueError("profile shape does not match the model resolution")
-    return _evaluate(forms, v, np.empty(v.size), np.empty(v.size), np.empty(v.size))[0]
+    return _evaluate(forms, v)[0]
 
 
 def yamabe_quotient_eh(v, grid: RadialGrid) -> float:
@@ -121,119 +116,6 @@ class QuotientResult:
     history: list = field(repr=False, default_factory=list)
 
 
-def _minimize_ratio(forms, v0):
-    """Preconditioned limited-memory BFGS on the p-normalized quadratic
-    quotient of a model's ``quotient_form`` (Nocedal 1980; Nocedal & Wright,
-    Numerical Optimization, section 7.2).
-
-    The iterate stays on the unit p-sphere of the volume mass.  The direction
-    is the two-loop recursion over the last ``_MEMORY`` curvature pairs
-    (s, y): the steps between p-normalized iterates and the changes in their
-    gradients; a pair with s.y <= 0 is skipped.  Its initial inverse Hessian
-    is the tridiagonal Hessian majorant H = A + q (p - 1) diag(m |v|^(p - 2))
-    (a Sobolev gradient), factored (``dpttrf``) at the start and applied by
-    one back-substitution (``dpttrs``) per step, so smooth and grid-scale
-    modes take the same step and the iteration count does not grow with the
-    resolution.  A backtracking line search halving from the initial step
-    guarantees the value sequence is nonincreasing.  A stalled line search
-    drops the pairs, refactors H at the iterate and searches again; a stall
-    on a fresh factor with no pairs ends it unconverged.
-
-    The normalization is carried as a scalar: the loop keeps an unnormalized
-    u with its form product A u and weight m |u|^(p - 2), and the point on
-    the sphere is v = s u with s = (sum m |u|^p)^(-1/p).  Gradient and
-    direction are those at v divided by s, so the trial s (u - t d) is the
-    trial at v, and the quotient, being scale-invariant, needs no rescaled
-    copy of u, A u or the weight.  Every array the loop writes is allocated
-    once per descent, except the factor, once per factorization.
-    """
-    routines = lapack()
-    face_coeff, curv_mass, vol_mass, p = forms
-    bands = form_bands(face_coeff, curv_mass)
-    n = vol_mass.size
-    u, au, mw = np.array(v0, dtype=float), np.empty(n), np.empty(n)
-    trial, a_trial, mw_trial = np.empty(n), np.empty(n), np.empty(n)
-    # grad is overwritten by the direction; work holds face fluxes, then u^2,
-    # then a scaled iterate, gradient or pair row
-    grad, work = np.empty(n), np.empty(n)
-    # a ring of _MEMORY + 1 pair rows: the count newest pairs end just before
-    # row head, which holds the point and gradient the last step started from
-    pair_s, pair_y = np.empty((_MEMORY + 1, n)), np.empty((_MEMORY + 1, n))
-    rho, alpha = np.empty(_MEMORY + 1), np.empty(_MEMORY + 1)
-    # a start of order 1e100 or 1e-100 overflows the quotient, and one of order
-    # 1e-80 leaves its p-norm sum subnormal: refuse them, not descend from garbage
-    with np.errstate(all="ignore"):
-        try:
-            q, s = _evaluate(forms, u, au, mw, work)
-        except (OverflowError, ZeroDivisionError):  # Python float arithmetic
-            q = math.nan
-    if not 0.0 < q < math.inf:
-        raise ValueError(f"the start's quotient is {q!r}, not finite and positive; rescale init")
-    total = inner(mw, work)  # sum m |u|^p, as work holds u^2
-    if total < np.finfo(float).tiny:
-        raise ValueError(f"the start's sum m |v|^p is {total!r}, a subnormal double; rescale init")
-    history = [q]
-    grad_norm = math.inf
-    factor = None  # H's LDL^T factor; None when H is to be factored at the iterate
-    head = count = 0
-    moved = False  # whether the last line search accepted a step
-    while len(history) <= _MAX_ITERS:
-        # half the gradient of N(v) / (sum m |v|^p)^(2/p) at v = s u, over s:
-        # A u - q s^(p - 2) m |u|^(p - 2) u
-        weight = s ** (p - 2.0)
-        np.multiply(mw, u, out=grad)
-        grad *= -q * weight
-        grad += au
-        grad_norm = 2.0 * s * math.sqrt(inner(grad, grad))
-        if grad_norm <= _GRAD_TOL * max(1.0, abs(q)):
-            return QuotientResult(q, s * u, len(history) - 1, grad_norm, True, history)
-        if moved:
-            # the pair of the accepted step, between points on the p-sphere
-            step_s, step_y = pair_s[head], pair_y[head]
-            np.subtract(np.multiply(u, s, out=work), step_s, out=step_s)
-            np.subtract(np.multiply(grad, s, out=work), step_y, out=step_y)
-            sy = inner(step_s, step_y)
-            if sy > 0.0:
-                rho[head] = 1.0 / sy
-                head = (head + 1) % (_MEMORY + 1)
-                count = min(count + 1, _MEMORY)
-        if fresh := factor is None:
-            # H is SPD and strictly diagonally dominant: dpttrf cannot break down
-            h_diag = mw * (q * (p - 1.0) * weight) + bands[1]
-            factor = routines.dpttrf(h_diag, bands[0, 1:], overwrite_d=1)[:2]
-            count = 0
-        np.multiply(u, s, out=pair_s[head])
-        np.multiply(grad, s, out=pair_y[head])
-        # the two-loop recursion: newest pair to oldest, H^(-1), oldest to newest
-        rows = [(head - k) % (_MEMORY + 1) for k in range(1, count + 1)]
-        for i in rows:
-            alpha[i] = rho[i] * inner(pair_s[i], grad)
-            grad -= np.multiply(pair_y[i], alpha[i], out=work)
-        direction = routines.dpttrs(*factor, grad, overwrite_b=1)[0]
-        for i in reversed(rows):
-            beta = rho[i] * inner(pair_y[i], direction)
-            direction += np.multiply(pair_s[i], alpha[i] - beta, out=work)
-        step, moved = _INITIAL_STEP, False
-        while step >= 1e-12:
-            np.multiply(direction, -step, out=trial)
-            trial += u
-            qt, st = _evaluate(forms, trial, a_trial, mw_trial, work)
-            if qt <= q - 1e-12 * max(1.0, abs(q)):
-                u, trial = trial, u
-                au, a_trial = a_trial, au
-                mw, mw_trial = mw_trial, mw
-                q, s = qt, st
-                history.append(q)
-                moved = True
-                break
-            step *= 0.5
-        else:  # no decrease along this direction at any step length
-            if fresh:
-                return QuotientResult(q, s * u, len(history) - 1, grad_norm, False, history)
-            factor = None
-    return QuotientResult(q, s * u, _MAX_ITERS, grad_norm, False, history)
-
-
 def minimize_quotient(model: SphereModel | RadialGrid, *, init) -> QuotientResult:
     """Descend the conformal quotient of a sphere model or of the
     Eguchi-Hanson reduction on a radial grid.
@@ -248,14 +130,99 @@ def minimize_quotient(model: SphereModel | RadialGrid, *, init) -> QuotientResul
     whose line search stalls on a fresh factor, returns converged = False
     and the partial minimizer.  A start the arithmetic cannot carry raises
     ValueError.
+
+    The method is preconditioned limited-memory BFGS on the p-normalized
+    quadratic quotient of the model's ``quotient_form`` (Nocedal 1980;
+    Nocedal & Wright, Numerical Optimization, section 7.2).  The iterate
+    stays on the unit p-sphere of the volume mass.  The direction is the
+    two-loop recursion over the last ``_MEMORY`` curvature pairs (s, y): the
+    steps between p-normalized iterates and the changes in their gradients;
+    a pair with s.y <= 0 is skipped.  Its initial inverse Hessian is the
+    tridiagonal Hessian majorant H = A + q (p - 1) diag(m |v|^(p - 2)) (a
+    Sobolev gradient), factored (``dpttrf``) at the start and applied by one
+    back-substitution (``dpttrs``) per step, so smooth and grid-scale modes
+    take the same step and the iteration count does not grow with the
+    resolution.  A backtracking line search halving from the initial step
+    guarantees the value sequence is nonincreasing.  A stalled line search
+    drops the pairs, refactors H at the iterate and searches again; a stall
+    on a fresh factor with no pairs ends it unconverged.
+
+    The normalization is carried as a scalar: the loop keeps an unnormalized
+    u with its form product A u and weight m |u|^(p - 2), and the point on
+    the sphere is v = s u with s = (sum m |u|^p)^(-1/p).  Gradient and
+    direction are those at v divided by s, so the trial s (u - t d) is the
+    trial at v, and the quotient, being scale-invariant, needs no rescaled
+    copy of u, A u or the weight.
     """
     forms = model.quotient_form
-    v0 = np.asarray(init, dtype=float)
-    if v0.shape != forms[2].shape:
+    u = np.array(init, dtype=float)
+    if u.shape != forms[2].shape:
         raise ValueError("initial profile does not match the model resolution")
-    if np.any(v0 <= 0.0):
+    if np.any(u <= 0.0):
         raise ValueError("initial profile must be positive")
-    return _minimize_ratio(forms, v0)
+    routines = lapack()
+    face_coeff, curv_mass, vol_mass, p = forms
+    bands = form_bands(face_coeff, curv_mass)
+    # a start of order 1e100 or 1e-100 overflows the quotient, and one of order
+    # 1e-80 leaves its p-norm sum subnormal: refuse them, not descend from garbage
+    with np.errstate(all="ignore"):
+        try:
+            q, s, au, mw = _evaluate(forms, u)
+        except (OverflowError, ZeroDivisionError):  # Python float arithmetic
+            q = math.nan
+        if not 0.0 < q < math.inf:
+            raise ValueError(f"the start's quotient is {q!r}, not finite and positive; rescale init")
+        total = inner(mw, u * u)
+    if total < np.finfo(float).tiny:
+        raise ValueError(f"the start's sum m |v|^p is {total!r}, a subnormal double; rescale init")
+    history = [q]
+    grad_norm = math.inf
+    factor = None  # H's LDL^T factor; None when H is to be factored at the iterate
+    pairs = deque(maxlen=_MEMORY)  # (s, y, 1 / s.y), oldest first
+    last = None  # the point and gradient the last accepted step started from, if any
+    while len(history) <= _MAX_ITERS:
+        # half the gradient of N(v) / (sum m |v|^p)^(2/p) at v = s u, over s:
+        # A u - q s^(p - 2) m |u|^(p - 2) u
+        weight = s ** (p - 2.0)
+        grad = (mw * u) * (-q * weight) + au
+        grad_norm = 2.0 * s * math.sqrt(inner(grad, grad))
+        if grad_norm <= _GRAD_TOL * max(1.0, abs(q)):
+            return QuotientResult(q, s * u, len(history) - 1, grad_norm, True, history)
+        v, g = u * s, grad * s  # the point on the p-sphere and its gradient
+        if last is not None:
+            # the pair of the accepted step, between points on the p-sphere
+            step_s, step_y = v - last[0], g - last[1]
+            sy = inner(step_s, step_y)
+            if sy > 0.0:
+                pairs.append((step_s, step_y, 1.0 / sy))
+        if fresh := factor is None:
+            # H is SPD and strictly diagonally dominant: dpttrf cannot break down
+            h_diag = mw * (q * (p - 1.0) * weight) + bands[1]
+            factor = routines.dpttrf(h_diag, bands[0, 1:], overwrite_d=1)[:2]
+            pairs.clear()
+        # the two-loop recursion: newest pair to oldest, H^(-1), oldest to newest
+        direction, alphas = grad, []
+        for step_s, step_y, rho in reversed(pairs):
+            alphas.append(rho * inner(step_s, direction))
+            direction = direction - step_y * alphas[-1]
+        direction = routines.dpttrs(*factor, direction)[0]
+        for (step_s, step_y, rho), alpha in zip(pairs, reversed(alphas)):
+            direction = direction + step_s * (alpha - rho * inner(step_y, direction))
+        step, last = _INITIAL_STEP, None
+        while step >= 1e-12:
+            trial = u - step * direction
+            qt, st, a_trial, mw_trial = _evaluate(forms, trial)
+            if qt <= q - 1e-12 * max(1.0, abs(q)):
+                u, au, mw, q, s = trial, a_trial, mw_trial, qt, st
+                history.append(q)
+                last = v, g
+                break
+            step *= 0.5
+        else:  # no decrease along this direction at any step length
+            if fresh:
+                return QuotientResult(q, s * u, len(history) - 1, grad_norm, False, history)
+            factor = None
+    return QuotientResult(q, s * u, _MAX_ITERS, grad_norm, False, history)
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,27 @@ def test_flow_positivity_loss_in_the_stepper_exits_3(tmp_path, monkeypatch):
     assert json.loads((outdir / "report.json").read_text())["completed"] is False
 
 
+def test_completed_rerun_removes_the_failed_marker(tmp_path, monkeypatch, capsys):
+    cfg_path, _ = _scenario(tmp_path)
+    real_step = flow.rosenbrock_step
+
+    def lose_positivity(state, h):
+        raise flow.PositivityError("conformal cube lost positivity in 1 cells")
+
+    monkeypatch.setattr(flow, "rosenbrock_step", lose_positivity)
+    assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_POSITIVITY
+    outdir = tmp_path / "run"
+    assert (outdir / "FAILED").exists()
+    monkeypatch.setattr(flow, "rosenbrock_step", real_step)
+    assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_OK
+    assert not (outdir / "FAILED").exists()
+    assert json.loads((outdir / "report.json").read_text())["completed"] is True
+    # a marker that cannot be removed is an unusable output directory
+    (outdir / "FAILED").mkdir()
+    assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: cannot remove")
+
+
 @pytest.mark.parametrize("command", ["flow", "yamabe", "eigen", "validate"])
 def test_output_dir_that_is_a_file_is_an_input_error(tmp_path, capsys, command):
     cfg_path, _ = _scenario(tmp_path)
