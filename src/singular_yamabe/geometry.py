@@ -329,10 +329,10 @@ def form_bands(c: np.ndarray, d: np.ndarray | float) -> np.ndarray:
     """The matrix of the form (c, d) as (1, 1) bands, a new writable array.
 
     Row 0 holds the superdiagonal, row 1 the diagonal and row 2 the
-    subdiagonal.  The general tridiagonal routines ``dgttrf`` and ``dgtsv``
-    read row 2 without its last column, row 1, and row 0 from column 1 on;
-    the symmetric ones, ``dpttrf``, ``dstebz`` and ``dstein``, read row 1
-    and row 0 from column 1 on.
+    subdiagonal.  The general tridiagonal routine ``dgttrf`` reads row 2
+    without its last column, row 1, and row 0 from column 1 on; the
+    symmetric ones, ``dpttrf``, ``dstebz`` and ``dstein``, read row 1 and
+    row 0 from column 1 on.
     """
     bands = np.zeros((3, c.size + 1))
     bands[0, 1:] = -c

@@ -230,7 +230,7 @@ def minimize_quotient(model: SphereModel | RadialGrid, *, init) -> QuotientResul
 # ---------------------------------------------------------------------------
 
 
-_MAX_RESIDUAL = 1e-6  # relative; working pencils end at round-off, about 3e-9 at most
+_ROUNDOFF_FACTOR = 1e3  # K: a residual past K round-off scales is no eigenpair
 
 
 @dataclass(frozen=True)
@@ -260,27 +260,22 @@ def _check_info(routine: str, info: int) -> None:
         raise np.linalg.LinAlgError(f"{routine} failed (LAPACK info={info})")
 
 
-def _check_finite(*arrays: np.ndarray) -> None:
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ValueError("array must not contain infs or NaNs")
-
-
 def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray) -> EigenResult:
     """Smallest nonzero eigenvalue of the Neumann pencil A phi = lambda B phi.
 
-    The second eigenpair of the symmetrized tridiagonal B^(-1/2) A B^(-1/2)
-    comes from LAPACK bisection (``dstebz``) and inverse iteration
-    (``dstein``); one inverse-iteration step (``dgtsv``) shifted to that
-    eigenvalue refines the vector, which is deflated against the constant
-    nullspace and B-normalized, and lambda is its Rayleigh quotient; a zero
-    pivot in that step means the shift is exact, and keeps the vector.  The
-    solve runs on A' = A / 2^kc and B' = B / 2^km, whose largest entries lie
-    near 1, so every pencil of normal doubles solves at one size; km is even,
-    and lambda = 2^(kc - km) lambda' and the B-normalized vector scale back
+    The second eigenvector z of the symmetrized tridiagonal
+    T = B^(-1/2) A B^(-1/2) comes from LAPACK bisection (``dstebz``) and
+    inverse iteration (``dstein``); since |z| = 1, y = B^(-1/2) z is
+    B-normalized, and lambda is its Rayleigh quotient y^T A y.  The solve
+    runs on A' = A / 2^kc and B' = B / 2^km, whose largest entries lie near
+    1, so every pencil of normal doubles solves at one size; km is even, and
+    lambda = 2^(kc - km) lambda' and the B-normalized vector scale back
     exactly.  The residual |A y - lambda B y| / (lambda |B y|) is relative.
+    A backward-stable solve leaves it near its round-off scale
+    eps | |A| |y| + lambda B |y| | / (lambda |B y|), which grows with |T|.
     Inputs, or a symmetrized matrix, that are not finite raise ValueError; a
-    failed LAPACK call, a refined vector or eigenvalue that is not finite, or
-    a residual that is not at most ``_MAX_RESIDUAL``, raises LinAlgError.
+    failed LAPACK call, an eigenvalue that is not finite and positive, or a
+    residual above ``_ROUNDOFF_FACTOR`` round-off scales raises LinAlgError.
     """
     routines = lapack()
     kc, km = (int(np.frexp(np.max(array))[1]) for array in (face_coeff, metric))
@@ -290,32 +285,33 @@ def _lambda1_pencil(face_coeff: np.ndarray, metric: np.ndarray) -> EigenResult:
     bands = form_bands(face_coeff, 0.0)
     with np.errstate(all="ignore"):  # what a zero or subnormal metric makes is refused below
         d, e = bands[1] / metric, bands[0, 1:] / (root[:-1] * root[1:])
-    _check_finite(d, e)
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("array must not contain infs or NaNs")
     # the second eigenvalue by index (range 2, il = iu = 2, tol 0), block-ordered
     m, w, iblock, isplit, info = routines.dstebz(d, e, 2, 0.0, 1.0, 2, 2, 0.0, "B")
     _check_info("dstebz", info)
     vecs, info = routines.dstein(d, e, w[:m], iblock, isplit)
     _check_info("dstein", info)
-    x = vecs[:, 0] / root
-    lam = inner(x, apply_form(face_coeff, 0.0, x)) / inner(metric, x * x)
-    bands = form_bands(face_coeff, -lam * metric)
-    rhs = metric * x
-    _check_finite(bands, rhs)
-    *_, y, info = routines.dgtsv(bands[2, :-1], bands[1], bands[0, 1:], rhs)
-    _check_info("dgtsv", min(info, 0))
-    y = x if info > 0 else y  # a zero pivot: the shift is exact, and x is its vector
-    y -= inner(metric, y) / np.sum(metric)
-    norm = math.sqrt(inner(metric, y * y))
-    if not 0.0 < norm < math.inf:
-        raise np.linalg.LinAlgError(f"the refined eigenvector's B-norm is {norm!r}")
-    y /= norm
+    y = vecs[:, 0] / root
     ay = apply_form(face_coeff, 0.0, y)
     lam = inner(y, ay)
+    if not 0.0 < lam < math.inf:
+        raise np.linalg.LinAlgError(f"the eigenvalue {lam!r} is not finite and positive")
     my = metric * y
     r = ay - lam * my
-    res = math.sqrt(inner(r, r)) / (lam * math.sqrt(inner(my, my))) if lam > 0.0 else math.nan
-    if not (math.isfinite(lam) and res <= _MAX_RESIDUAL):
-        raise np.linalg.LinAlgError(f"the relative residual {res!r} is not <= {_MAX_RESIDUAL}")
+    # the residual's round-off scale is eps ||A| |y| + lambda B |y||, where
+    # (|A| |y|)_i sums c (|y_i| + |y_j|) over the faces at node i
+    size = np.abs(y)
+    flux = face_coeff * (size[:-1] + size[1:])
+    size *= lam * metric
+    size[:-1] += flux
+    size[1:] += flux
+    norm = lam * math.sqrt(inner(my, my))
+    res = math.sqrt(inner(r, r)) / norm
+    roundoff = math.ulp(1.0) * math.sqrt(inner(size, size)) / norm
+    if not res <= _ROUNDOFF_FACTOR * roundoff < math.inf:
+        raise np.linalg.LinAlgError(f"the relative residual {res!r} is above {_ROUNDOFF_FACTOR:g} "
+                                    f"times its round-off scale {roundoff!r}")
     return EigenResult(lambda1=math.ldexp(lam, kc - km), eigenfunction=np.ldexp(y, -km // 2),
                        residual=res)
 

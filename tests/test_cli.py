@@ -380,24 +380,47 @@ def test_eigen_sphere(tmp_path):
 
 
 @pytest.mark.parametrize("n, n_cells", [(10, 4096), (3, 16384), (4, 16384), (5, 16384)])
-def test_eigen_sphere_large_residual_exits_4(tmp_path, n, n_cells):
-    # lambda1 = n on the round sphere: n = 10 on 4096 cells solves 35% off
-    # with a relative residual of 0.26 and is no result, while the working
-    # solves end at round-off
+def test_eigen_sphere_large_residual_exits_4(tmp_path, monkeypatch, n, n_cells):
+    # lambda1 = n on the round sphere, and the solve ends near its residual's
+    # round-off scale; with no multiple of that scale allowed, the same solve
+    # is refused as no result
     _, data = _scenario(tmp_path, grid={"n_cells": n_cells})
     data["model"] = {"type": "sphere", "n": n}
     path = tmp_path / "sphere.yaml"
     path.write_text(yaml.safe_dump(data))
-    code = cli.main(["eigen", str(path), "--quiet"])
+    assert cli.main(["eigen", str(path), "--quiet"]) == 0
     payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
-    if n == 10:
-        assert code == cli.EXIT_NO_CONVERGENCE
-        assert payload["lambda1"] is None
-        assert "residual" in payload["failure"]
-    else:
-        assert code == 0
-        assert payload["lambda1"] == pytest.approx(n, rel=1e-8)
-        assert payload["residual"] <= 1e-6
+    assert payload["lambda1"] == pytest.approx(n, rel=1e-7)
+    monkeypatch.setattr(variational, "_ROUNDOFF_FACTOR", 0.0)
+    assert cli.main(["eigen", str(path), "--quiet"]) == cli.EXIT_NO_CONVERGENCE
+    payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
+    assert payload["lambda1"] is None
+    assert "residual" in payload["failure"]
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_eigen_sphere_high_dimensions_solve(tmp_path, n):
+    # on 16384 cells lambda1 lies 3.06393e-9 relative below n in every
+    # dimension, the grid's discretization error; a shifted refinement in
+    # the unsymmetrized pencil read n = 5 as 4.999999984966, n = 6 as
+    # 6.000001064 and refused n = 7 to 10
+    _, data = _scenario(tmp_path, grid={"n_cells": 16384})
+    data["model"] = {"type": "sphere", "n": n}
+    path = tmp_path / "sphere.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert cli.main(["eigen", str(path), "--quiet"]) == 0
+    payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
+    assert (n - payload["lambda1"]) / n == pytest.approx(3.06393e-9, rel=1e-4)
+
+
+def test_eigen_eh_fine_uniform_grid_solves(tmp_path):
+    # the residual of a backward-stable solve grows with the pencil's norm,
+    # about 2e-4 relative on 524288 cells, where a fixed bar of 1e-6 refused
+    # a correct lambda1
+    cfg_path, _ = _scenario(tmp_path, grid={"n_cells": 524288})
+    assert cli.main(["eigen", cfg_path, "--quiet"]) == 0
+    payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
+    assert payload["lambda1"] == pytest.approx(0.38907816768, rel=1e-9)
 
 
 def test_eigen_eh(tmp_path):
@@ -427,12 +450,12 @@ def _refuse_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
-@pytest.mark.parametrize("value", [1.0e-76, 1.0e-75, 1.0e70, 1.0e75, 1.0e76, 1.0e77])
+@pytest.mark.parametrize("value", [1.0e-76, 1.0e-75, 1.0e-52, 1.0e-4, 1.0e70, 1.0e75, 1.0e76,
+                                   1.0e77])
 def test_eigen_solves_every_normal_start(tmp_path, value):
     # the pencil scales as 1 / v^2 and is solved at unit size, so a start
     # whose volume is a normal double solves like the constant 1: at 1e-76
-    # the bisection found no eigenvalue, and from 1e70 up the refined
-    # vector's B-norm overflowed
+    # the bisection found no eigenvalue
     scaled = {}
     for v in (1.0, value):
         cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": v})
@@ -441,20 +464,6 @@ def test_eigen_solves_every_normal_start(tmp_path, value):
         payload = json.loads((out / "eigen.json").read_text(), parse_constant=_refuse_constant)
         assert payload["residual"] < 1e-12
         scaled[v] = payload["lambda1"] * v * v
-    assert scaled[value] == pytest.approx(scaled[1.0], rel=1e-12)
-
-
-@pytest.mark.parametrize("value", [1.0e-4, 1.0e-52])
-def test_eigen_exact_shift_keeps_the_bisection_vector(tmp_path, value):
-    # the refinement's shift is the eigenvalue to the last bit, so its last
-    # pivot is zero; the pencil scales as 1 / v^2, and lambda1 v^2 does not
-    # move
-    scaled = {}
-    for v in (1.0, value):
-        cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": v})
-        out = tmp_path / f"v{v:g}"
-        assert cli.main(["eigen", cfg_path, "--output-dir", str(out), "--quiet"]) == 0
-        scaled[v] = json.loads((out / "eigen.json").read_text())["lambda1"] * v * v
     assert scaled[value] == pytest.approx(scaled[1.0], rel=1e-12)
 
 

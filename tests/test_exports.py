@@ -230,4 +230,4 @@ def test_lapack_routines_exist():
     missing = sorted(name for name in routines if not hasattr(geometry.lapack(), name))
     assert not missing, f"{geometry.lapack().__file__} lacks the LAPACK routines {missing}"
     # the list the CI workflow's dependency-floor job names
-    assert routines == {"dgttrf", "dgttrs", "dpttrf", "dpttrs", "dstebz", "dstein", "dgtsv"}
+    assert routines == {"dgttrf", "dgttrs", "dpttrf", "dpttrs", "dstebz", "dstein"}
