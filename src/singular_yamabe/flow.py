@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import RadialGrid, form_bands, inner, lapack, scalar_from_v
-from .scenario import Scenario, load_profile
+from .scenario import STOP_RTOL, Scenario, load_profile
 
 __all__ = [
     "PositivityError",
@@ -72,15 +72,14 @@ class FlowState:
 
     def __post_init__(self):
         v = np.array(self.v, dtype=float)
-        if v.shape != (self.grid.n_cells,):
-            raise ValueError("profile shape does not match grid")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-            raise ValueError("profile must be positive and finite")
-        if not np.isfinite(self.t):
-            raise ValueError("time must be finite")
-        with np.errstate(over="ignore"):  # an infinite volume is refused below
+        # powers of v past the double range are refused with the volume below,
+        # unless only some cubes underflow: those cells get infinite curvature
+        with np.errstate(over="ignore", divide="ignore"):
+            scalar = scalar_from_v(v, self.grid)  # checks the shape, then positivity
             dvol = v**4 * self.grid.weights
             volume = float(np.sum(dvol))
+        if not math.isfinite(self.t):
+            raise ValueError("time must be finite")
         tiny = np.finfo(float).tiny
         if not tiny <= volume < math.inf:
             raise ValueError(f"profile volume {volume:g} must be finite and at least {tiny:.2g}")
@@ -88,7 +87,6 @@ class FlowState:
             object.__setattr__(self, "volume_target", volume)
         elif not 0.0 < self.volume_target < math.inf:
             raise ValueError("volume target must be finite and positive")
-        scalar = scalar_from_v(v, self.grid)
         for name, array in (("v", v), ("scalar", scalar), ("dvol", dvol)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -156,8 +154,8 @@ def stable_dt(state: FlowState, safety: float = 0.4) -> float:
 def _cube_state(state: FlowState, w: np.ndarray, t: float) -> FlowState:
     """The state with conformal cube w at time t; PositivityError unless every
     cell of w is positive and finite."""
-    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
-    if bad.size:
+    if not (w.min() > 0.0 and w.max() < math.inf):  # a NaN fails the first test
+        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
         raise PositivityError(
             f"conformal cube lost positivity in {bad.size} cells at t={t:.6g}"
             f" (first cell {bad[0]}, x={state.grid.cell_centers[bad[0]]:.4g})")
@@ -166,7 +164,7 @@ def _cube_state(state: FlowState, w: np.ndarray, t: float) -> FlowState:
 
 
 def _check_step_size(dt: float) -> None:
-    if not dt > 0.0 or not np.isfinite(dt):
+    if not dt > 0.0 or not math.isfinite(dt):
         raise ValueError(f"step size must be positive and finite, got {dt}")
 
 
@@ -180,11 +178,6 @@ def step(state: FlowState, dt: float) -> FlowState:
 
 _GAMMA = 1.0 + 1.0 / math.sqrt(2.0)  # ROS2's stage coefficient, L-stable
 _TOL = 1e-5  # largest accepted error estimate max |w_ros2 - w_euler| / w per step
-
-
-def _rate(state: FlowState) -> np.ndarray:
-    """dw/dt = sigma w + D v = w (sigma - scalar)."""
-    return state.v**3 * (state.sigma_tilde - state.scalar)
 
 
 def rosenbrock_step(state: FlowState, h: float) -> tuple[FlowState, float]:
@@ -214,10 +207,11 @@ def rosenbrock_step(state: FlowState, h: float) -> tuple[FlowState, float]:
     *factors, info = lapack().dgttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
     if info != 0:
         raise np.linalg.LinAlgError("singular matrix")
-    w = state.v**3
-    k1 = lapack().dgttrs(*factors, dx * _rate(state))[0]
+    w = state.v**3  # the rate dw/dt = sigma w + D v is w (sigma - scalar)
+    k1 = lapack().dgttrs(*factors, dx * (w * (state.sigma_tilde - state.scalar)))[0]
     stage = _cube_state(state, w + h * k1, state.t + h)
-    k2 = lapack().dgttrs(*factors, dx * (_rate(stage) - 2.0 * k1))[0]
+    rate = stage.v**3 * (stage.sigma_tilde - stage.scalar)
+    k2 = lapack().dgttrs(*factors, dx * (rate - 2.0 * k1))[0]
     new = _cube_state(state, w + h * (1.5 * k1 + 0.5 * k2), state.t + h)
     return new, float(np.max(np.abs(0.5 * h * (k1 + k2)) / w))
 
@@ -230,7 +224,7 @@ def renormalize(state: FlowState) -> FlowState:
 
 
 def _reached(t: float, stop: float) -> bool:
-    return t >= stop * (1.0 - 1e-12)
+    return t >= stop * (1.0 - STOP_RTOL)
 
 
 def advance(state: FlowState, stops, safety: float, renorm_every: int):

@@ -95,9 +95,12 @@ class RadialGrid:
         if np.any(np.diff(self.faces) <= 0.0):
             raise ValueError("faces must be strictly increasing")
 
-    @property
+    @cached_property
     def cell_widths(self) -> np.ndarray:
-        return np.diff(self.faces)
+        """np.diff(faces), built on first use, then read-only."""
+        widths = np.diff(self.faces)
+        widths.setflags(write=False)
+        return widths
 
     @cached_property
     def curvature_form(self) -> tuple[np.ndarray, np.ndarray]:
@@ -381,10 +384,10 @@ def scalar_from_v(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
     profiles c map to 2 x / c^2 up to the centroid truncation error.
     """
     v = np.asarray(v, dtype=float)
-    if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-        raise ValueError("profile must be positive and finite")
     if v.shape != (grid.n_cells,):
         raise ValueError("profile shape does not match grid")
+    if not (v.min() > 0.0 and v.max() < math.inf):  # a NaN fails the first test
+        raise ValueError("profile must be positive and finite")
     return apply_form(*grid.curvature_form, grid.cell_centers * v) / (grid.cell_widths * v**3)
 
 

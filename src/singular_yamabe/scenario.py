@@ -39,6 +39,11 @@ _VARIANT_KEYS = {("model", "a"): "eguchi-hanson", ("model", "n"): "sphere",
                  ("init", "value"): "constant", ("init", "path"): "file"}
 
 
+# A run counts a stop time as reached within this relative tolerance, so it
+# cannot tell apart snapshot times closer than STOP_RTOL * t_end.
+STOP_RTOL = 1e-12
+
+
 class ConfigError(ValueError):
     """A scenario or a profile table failed validation."""
 
@@ -101,6 +106,10 @@ class Scenario:
                      hi_strict=True)
         self._number("renorm_every", "time.renorm_every", lo=0, integer=True)
         self._number("snapshot_every", "time.snapshot_every", lo=0.0)
+        if 0.0 < self.snapshot_every < STOP_RTOL * self.t_end:
+            raise ConfigError(f"time.snapshot_every {self.snapshot_every:g} is below "
+                              f"{STOP_RTOL:g} * time.t_end {self.t_end:g}: a run cannot "
+                              "tell its snapshot times apart")
         if self.init_type == "constant":
             if self.init_value is not None:
                 self._number("init_value", "init.value", lo=0.0, lo_strict=True)

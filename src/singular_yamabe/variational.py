@@ -120,7 +120,11 @@ def minimize_quotient(model: SphereModel | RadialGrid, *, init) -> QuotientResul
     """Descend the conformal quotient of a sphere model or of the
     Eguchi-Hanson reduction on a radial grid.
 
-    On the sphere the constant is the minimizer and the descent converges to
+    On the round sphere the constant is the minimizer, and from a smooth
+    start the descent converges to the sphere constant.  The polar model's
+    discrete minimum need not be the constant (ROADMAP item 17): from the
+    rough start exp(0.7 g), g standard normal from seed 9, on 256 cells the
+    descent ends on a profile with max/min 3.91, a relative 1.16e-6 below
     the sphere constant.  On the Eguchi-Hanson space the continuum infimum
     is not attained: the descent pushes mass toward the puncture, the value
     sinks below the constant-profile level, and the descent converges to the
@@ -141,9 +145,11 @@ def minimize_quotient(model: SphereModel | RadialGrid, *, init) -> QuotientResul
     tridiagonal Hessian majorant H = A + q (p - 1) diag(m |v|^(p - 2)) (a
     Sobolev gradient), factored (``dpttrf``) at the start and applied by one
     back-substitution (``dpttrs``) per step, so smooth and grid-scale modes
-    take the same step and the iteration count does not grow with the
-    resolution.  A backtracking line search halving from the initial step
-    guarantees the value sequence is nonincreasing.  A stalled line search
+    take the same step, and from smooth starts the iteration count does not
+    grow with the resolution (5 to 7 on the sphere).  From rough starts it
+    does: the start above takes 382 iterations on 256 cells and 1804 on 1024
+    (ROADMAP items 15 and 17).  A backtracking line search halving from the
+    initial step guarantees the value sequence is nonincreasing.  A stalled line search
     drops the pairs, refactors H at the iterate and searches again; a stall
     on a fresh factor with no pairs ends it unconverged.
 
@@ -333,6 +339,13 @@ def eigen_criteria(lambda1: float, sigma_inf: float, n: int) -> dict:
     uniqueness holds when lambda1 stays more than 1e-8 away from
     sigma_inf / (n - 1); no_concentration when it sits more than 1e-8
     above that level.
+
+    The fixed margins are finer than lambda1's discretization error on the
+    polar sphere model, so they misread its degenerate cases: at 16384 cells
+    S^4 gives lambda1 = 3.9999999877442884 and S^6 5.999999981616435, where
+    the round spheres have lambda1 = n exactly, and both read uniqueness
+    true.  The fix is a sphere model that keeps the degeneracy exactly
+    (ROADMAP item 17), not a wider margin.
     """
     if n < 3:
         raise ValueError(f"dimension must be at least 3, got {n}")

@@ -176,6 +176,21 @@ def test_flow_rejects_bad_inputs(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: diagnostics.{key} ")
 
 
+@pytest.mark.parametrize("every", [1.0e-17, 1.0e-300])
+def test_indistinguishable_snapshot_interval_is_refused(tmp_path, every):
+    # these intervals once made the flow step without end; in a child under a
+    # timeout a regression fails here instead of hanging the suite
+    cfg_path, _ = _scenario(tmp_path, time={"t_end": 1.0e-3, "snapshot_every": every})
+    out = subprocess.run([sys.executable, "-m", "singular_yamabe", "flow", cfg_path,
+                          "--quiet"], capture_output=True, text=True, env=_child_env(),
+                         timeout=30)
+    assert out.returncode == cli.EXIT_INPUT
+    assert out.stderr.startswith(f"error: time.snapshot_every {every:g} is below "
+                                 "1e-12 * time.t_end 0.001"), out.stderr
+    assert out.stderr.count("\n") == 1, out.stderr
+    assert not (tmp_path / "run").exists()
+
+
 # a section whose type owns another key: an omitted type is the default one
 _OTHER_TYPE = {
     "model.n": {"n": 4},

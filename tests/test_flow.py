@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from singular_yamabe import flow
 from singular_yamabe import geometry as geo
-from singular_yamabe.scenario import ConfigError, Scenario
+from singular_yamabe.scenario import STOP_RTOL, ConfigError, Scenario
 
 
 @pytest.fixture(scope="module")
@@ -63,12 +63,16 @@ def test_state_is_immutable():
 
 
 def test_state_validation(grid64):
-    with pytest.raises(ValueError):
-        flow.FlowState(grid=grid64, v=np.ones(10))
-    bad = np.ones(64)
-    bad[5] = -2.0
-    with pytest.raises(ValueError):
-        flow.FlowState(grid=grid64, v=bad)
+    # a profile both off the grid and not positive gets the shape error, and
+    # an empty one never reaches min()
+    for v in (np.ones(10), -np.ones(10), np.zeros(0), np.full(65, math.nan)):
+        with pytest.raises(ValueError, match="profile shape does not match grid"):
+            flow.FlowState(grid=grid64, v=v)
+    for value in (-2.0, 0.0, math.nan, math.inf):
+        bad = np.ones(64)
+        bad[5] = value
+        with pytest.raises(ValueError, match="profile must be positive and finite"):
+            flow.FlowState(grid=grid64, v=bad)
     with pytest.raises(ValueError):
         flow.FlowState(grid=grid64, v=np.ones(64), t=math.nan)
     with pytest.raises(ValueError):
@@ -80,6 +84,17 @@ def test_state_validation(grid64):
     for extreme in (1e100, 1e-100, 1e-80):
         with pytest.raises(ValueError):
             flow.FlowState(grid=grid64, v=np.full(64, extreme))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_cube_state_refuses_a_cube_not_positive_and_finite(grid64, bad):
+    state = flow.FlowState(grid64, np.ones(64))
+    w = np.ones(64)
+    w[[9, 30]] = bad
+    x9 = f"{grid64.cell_centers[9]:.4g}"
+    with pytest.raises(flow.PositivityError,
+                       match=rf"in 2 cells at t=0\.5 \(first cell 9, x={x9}\)$"):
+        flow._cube_state(state, w, 0.5)
 
 
 def test_boundary_value_extrapolates_linearly(grid64):
@@ -437,6 +452,15 @@ def test_flow_config_validation():
         Scenario(t_end=0.01, renorm_every=-1)
     with pytest.raises(ValueError):
         Scenario(t_end=0.01, snapshot_every=-0.1)
+    # a stop counts as reached within a relative STOP_RTOL, so a positive
+    # snapshot interval below STOP_RTOL * t_end is refused, naming both
+    # values; these are constructed only, never run
+    for every in (1e-17, 1e-300, 0.5 * STOP_RTOL * 1e-3):
+        with pytest.raises(ConfigError, match=rf"^time.snapshot_every {every:g} is below "
+                                              r"1e-12 \* time.t_end 0.001: "):
+            Scenario(t_end=1e-3, snapshot_every=every)
+    for every in (0.0, STOP_RTOL * 1e-3, 2e-15):
+        assert Scenario(t_end=1e-3, snapshot_every=every).snapshot_every == every
     # distinct values that would share a series column or a moment key
     with pytest.raises(ConfigError, match="diagnostics.cutoffs"):
         Scenario(cutoffs=[0.1, 0.1000001])

@@ -43,6 +43,17 @@ def test_geometric_grading_shrinks_cells_toward_origin():
     assert np.allclose(ratios, 0.97, atol=1e-12)
 
 
+@pytest.mark.parametrize("grading", ["uniform", "geometric"])
+def test_cell_widths_are_built_once_and_read_only(grading):
+    g = geo.build_grid(64, grading, 0.9)
+    widths = g.cell_widths
+    assert g.cell_widths is widths
+    assert np.array_equal(widths, np.diff(g.faces))
+    assert not widths.flags.writeable
+    with pytest.raises(ValueError):
+        widths[0] = 1.0
+
+
 def test_grid_rejects_bad_inputs():
     with pytest.raises(ValueError):
         geo.build_grid(4)
