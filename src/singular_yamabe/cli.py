@@ -9,6 +9,10 @@ Subcommands
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 positivity
 failure during a run (partial artifacts are kept), 4 non-convergence.
+
+Each process runs one command, so the solver layers (flow, variational,
+diagnostics) are imported inside the commands that call them: a command
+loads only the layers it runs.
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from . import diagnostics, flow, geometry, variational
+from . import __version__, geometry
 from .scenario import (
     ConfigError,
     Scenario,
@@ -128,6 +131,8 @@ def read_series_csv(path: str):
     Raises ConfigError when the file cannot be read or is not a series of
     finite numbers.
     """
+    from . import flow
+
     try:
         with open(path, encoding="utf-8") as handle:
             header = handle.readline().strip().split(",")
@@ -162,6 +167,8 @@ def read_series_csv(path: str):
 
 
 def cmd_validate(args) -> int:
+    from . import diagnostics, variational
+
     pi = math.pi
     checks = []
     checks.append(("eh_volume_a1", geometry.eh_volume(),
@@ -180,7 +187,7 @@ def cmd_validate(args) -> int:
         value = variational.yamabe_quotient_sphere(np.ones(512), model)
         checks.append((f"sphere_quotient_n{n}", expected, value, 1e-6))
     checks.append(("orbifold_local_threshold", 8.0 * math.sqrt(3.0) * pi,
-                   variational.Y_LOCAL, 1e-12))
+                   geometry.Y_LOCAL, 1e-12))
     small = diagnostics.small_energy_test(12.0 * math.sqrt(2.0) * pi)
     checks.append(("small_energy_on_initial_data", 0.0, float(small), 0.0))
     checks.append(("green_kernel_origin", 2.0,
@@ -212,6 +219,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    from . import flow
+
     cfg = load_config(args.config)
     try:
         result = flow.run(cfg)
@@ -257,6 +266,8 @@ def cmd_flow(args) -> int:
 
 
 def cmd_yamabe(args) -> int:
+    from . import variational
+
     cfg = load_config(args.config)
     model = cfg.model()  # the quotient does not depend on the core scale model.a
     if cfg.init_type == "file":
@@ -267,8 +278,8 @@ def cmd_yamabe(args) -> int:
         result = variational.minimize_quotient(model, init=init)
     except ValueError as err:  # a start the arithmetic cannot carry
         raise ConfigError(str(err)) from err
-    reference = (variational.yamabe_sphere_constant(cfg.sphere_n)
-                 if cfg.model_type == "sphere" else variational.Y_LOCAL)
+    reference = (geometry.yamabe_sphere_constant(cfg.sphere_n)
+                 if cfg.model_type == "sphere" else geometry.Y_LOCAL)
     outdir = _make_outdir(args.output_dir or cfg.output_dir)
     payload = {
         "scenario": cfg.echo(),
@@ -290,6 +301,8 @@ def cmd_yamabe(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    from . import variational
+
     cfg = load_config(args.config)
     outdir = args.output_dir or cfg.output_dir
     payload = {"scenario": cfg.echo(), "package_version": __version__}
@@ -299,6 +312,8 @@ def cmd_eigen(args) -> int:
             sigma_inf = float(cfg.sphere_n * (cfg.sphere_n - 1))
             n = cfg.sphere_n
         else:
+            from . import flow
+
             state = flow.initial_state(cfg)
             result = variational.first_eigenvalue(state)
             sigma_inf = state.sigma_tilde
@@ -327,6 +342,8 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import diagnostics, flow
+
     run_dir = args.run_dir
     series_path = os.path.join(run_dir, "series.csv")
     report_path = os.path.join(run_dir, "report.json")

@@ -15,9 +15,8 @@ import math
 import numpy as np
 
 from .flow import FlowState, TimeSeriesRecord, boundary_value, mass_fraction, moment
-from .geometry import distance_from_singular_point, green_kernel, inner
+from .geometry import Y_LOCAL, distance_from_singular_point, green_kernel, inner
 from .scenario import Scenario, value_name
-from .variational import Y_LOCAL
 
 
 class BubbleFitError(RuntimeError):

@@ -45,7 +45,8 @@ __all__ = [
 
 
 class PositivityError(RuntimeError):
-    """A step drove the conformal cube nonpositive somewhere."""
+    """A step drove the conformal cube nonpositive, or too small to carry its
+    curvature, somewhere."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,9 @@ class FlowState:
     sigma_tilde the dvol-weighted mean of scalar, which makes it equal to
     the summation-by-parts energy quotient exactly.  The volume target
     defaults to the state's own volume.  A profile whose discrete volume
-    overflows or is subnormal (v of order 1e100 or 1e-80) is refused.
+    overflows or is subnormal (v of order 1e100 or 1e-80) is refused, and so
+    is one whose curvature is not finite (a cell whose cube underflows, v
+    below about 1e-104 next to cells of order 1).
     """
 
     grid: RadialGrid
@@ -73,7 +76,8 @@ class FlowState:
     def __post_init__(self):
         v = np.array(self.v, dtype=float)
         # powers of v past the double range are refused with the volume below,
-        # unless only some cubes underflow: those cells get infinite curvature
+        # unless only some cubes underflow: those cells get infinite curvature,
+        # refused with the curvature mean
         with np.errstate(over="ignore", divide="ignore"):
             scalar = scalar_from_v(v, self.grid)  # checks the shape, then positivity
             dvol = v**4 * self.grid.weights
@@ -87,11 +91,15 @@ class FlowState:
             object.__setattr__(self, "volume_target", volume)
         elif not 0.0 < self.volume_target < math.inf:
             raise ValueError("volume target must be finite and positive")
+        sigma_tilde = inner(scalar, dvol) / volume
+        if not math.isfinite(sigma_tilde):  # nor is the curvature of some cell
+            raise ValueError("profile curvature is not finite in "
+                             f"{np.count_nonzero(~np.isfinite(scalar))} cells")
         for name, array in (("v", v), ("scalar", scalar), ("dvol", dvol)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         object.__setattr__(self, "volume", volume)
-        object.__setattr__(self, "sigma_tilde", inner(scalar, dvol) / volume)
+        object.__setattr__(self, "sigma_tilde", sigma_tilde)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +161,17 @@ def stable_dt(state: FlowState, safety: float = 0.4) -> float:
 
 def _cube_state(state: FlowState, w: np.ndarray, t: float) -> FlowState:
     """The state with conformal cube w at time t; PositivityError unless every
-    cell of w is positive and finite."""
+    cell of w is positive and finite and the state can be built from it."""
     if not (w.min() > 0.0 and w.max() < math.inf):  # a NaN fails the first test
         bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
         raise PositivityError(
             f"conformal cube lost positivity in {bad.size} cells at t={t:.6g}"
             f" (first cell {bad[0]}, x={state.grid.cell_centers[bad[0]]:.4g})")
-    return FlowState(grid=state.grid, v=np.cbrt(w), t=t,
-                     volume_target=state.volume_target)
+    try:
+        return FlowState(grid=state.grid, v=np.cbrt(w), t=t,
+                         volume_target=state.volume_target)
+    except ValueError as err:  # a run's failure, not a bad input
+        raise PositivityError(f"conformal cube at t={t:.6g} is out of range: {err}") from err
 
 
 def _check_step_size(dt: float) -> None:

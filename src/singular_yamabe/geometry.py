@@ -47,6 +47,8 @@ __all__ = [
     "green_kernel",
     "distance_from_singular_point",
     "sphere_volume",
+    "yamabe_sphere_constant",
+    "Y_LOCAL",
     "improper_radial_integral",
     "tanh_sinh_rule",
 ]
@@ -221,6 +223,21 @@ def build_sphere_model(n: int = 4, n_cells: int = 256) -> SphereModel:
 def sphere_volume(n: int) -> float:
     """Total measure of the round unit n-sphere."""
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+
+
+def yamabe_sphere_constant(n: int) -> float:
+    """Yamabe constant of the round n-sphere, n(n-1) Vol(S^n)^(2/n)."""
+    if n < 3:
+        raise ValueError(f"dimension must be at least 3, got {n}")
+    return n * (n - 1) * sphere_volume(n) ** (2.0 / n)
+
+
+# The local threshold at the Z/2 orbifold point of the four-dimensional space:
+# the sphere constant divided by order^(2/n) = 2^(1/2), that is 8 sqrt(3) pi.
+# For the geometry simulated here the global invariant Y coincides with it;
+# tests/test_variational.py::test_ladder_floors_extrapolate_to_the_local_threshold
+# checks that from below, on the descent's floors over a geometric ladder.
+Y_LOCAL = yamabe_sphere_constant(4) / 2 ** (2.0 / 4)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from . import geometry
 
@@ -39,9 +38,13 @@ _VARIANT_KEYS = {("model", "a"): "eguchi-hanson", ("model", "n"): "sphere",
                  ("init", "value"): "constant", ("init", "path"): "file"}
 
 
-# A run counts a stop time as reached within this relative tolerance, so it
-# cannot tell apart snapshot times closer than STOP_RTOL * t_end.
+# A run counts a stop time as reached within this relative tolerance.
 STOP_RTOL = 1e-12
+
+# Most snapshot stops a run takes: a run steps onto each stop and keeps a
+# snapshot there, so t_end / snapshot_every is bounded.  The bound also keeps
+# stops at least t_end / MAX_STOPS apart, far above STOP_RTOL * t_end.
+MAX_STOPS = 10_000
 
 
 class ConfigError(ValueError):
@@ -106,10 +109,10 @@ class Scenario:
                      hi_strict=True)
         self._number("renorm_every", "time.renorm_every", lo=0, integer=True)
         self._number("snapshot_every", "time.snapshot_every", lo=0.0)
-        if 0.0 < self.snapshot_every < STOP_RTOL * self.t_end:
+        if 0.0 < self.snapshot_every < self.t_end / MAX_STOPS:
             raise ConfigError(f"time.snapshot_every {self.snapshot_every:g} is below "
-                              f"{STOP_RTOL:g} * time.t_end {self.t_end:g}: a run cannot "
-                              "tell its snapshot times apart")
+                              f"time.t_end {self.t_end:g} / {MAX_STOPS}: a run takes at "
+                              f"most {MAX_STOPS} snapshot stops")
         if self.init_type == "constant":
             if self.init_value is not None:
                 self._number("init_value", "init.value", lo=0.0, lo_strict=True)
@@ -209,6 +212,8 @@ def parse_config(data) -> Scenario:
 
 
 def load_config(path: str) -> Scenario:
+    import yaml  # here: only the commands that read or write a scenario file load it
+
     try:
         with open(path, encoding="utf-8") as handle:
             data = yaml.safe_load(handle)
@@ -220,6 +225,8 @@ def load_config(path: str) -> Scenario:
 
 
 def default_config_text() -> str:
+    import yaml
+
     return yaml.safe_dump(Scenario().echo(), sort_keys=False)
 
 

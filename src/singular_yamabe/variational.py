@@ -1,4 +1,4 @@
-"""Variational quotients, threshold constants, and spectral gap estimates.
+"""Variational quotients and spectral gap estimates.
 
 Two geometries share one algebraic core, the tridiagonal form layer of
 :mod:`singular_yamabe.geometry`.  A quotient is a form (face conductances
@@ -15,17 +15,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .flow import FlowState
-from .geometry import RadialGrid, SphereModel, apply_form, form_bands, inner, lapack, sphere_volume
+from .geometry import RadialGrid, SphereModel, apply_form, form_bands, inner, lapack
+
+if TYPE_CHECKING:  # annotations only: the solves never build a flow state
+    from .flow import FlowState
 
 __all__ = [
-    "Y_LOCAL",
     "QuotientResult",
     "EigenResult",
-    "yamabe_sphere_constant",
     "yamabe_quotient_eh",
     "yamabe_quotient_sphere",
     "minimize_quotient",
@@ -34,26 +35,6 @@ __all__ = [
     "eigen_criteria",
     "reduced_pencil",
 ]
-
-
-# ---------------------------------------------------------------------------
-# thresholds
-# ---------------------------------------------------------------------------
-
-
-def yamabe_sphere_constant(n: int) -> float:
-    """Yamabe constant of the round n-sphere, n(n-1) Vol(S^n)^(2/n)."""
-    if n < 3:
-        raise ValueError(f"dimension must be at least 3, got {n}")
-    return n * (n - 1) * sphere_volume(n) ** (2.0 / n)
-
-
-# The local threshold at the Z/2 orbifold point of the four-dimensional space:
-# the sphere constant divided by order^(2/n) = 2^(1/2), that is 8 sqrt(3) pi.
-# For the geometry simulated here the global invariant Y coincides with it;
-# tests/test_variational.py::test_ladder_floors_extrapolate_to_the_local_threshold
-# checks that from below, on the descent's floors over a geometric ladder.
-Y_LOCAL = yamabe_sphere_constant(4) / 2 ** (2.0 / 4)
 
 
 # ---------------------------------------------------------------------------

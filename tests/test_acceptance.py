@@ -55,10 +55,10 @@ def test_criterion_1_closed_form_suite():
         if abs(q - expected) / expected > 1e-6:
             failures.append(f"sphere quotient off at n={n}: {q!r}")
 
-    if not math.isclose(var.Y_LOCAL, 8.0 * math.sqrt(3.0) * math.pi, rel_tol=1e-12):
+    if not math.isclose(geo.Y_LOCAL, 8.0 * math.sqrt(3.0) * math.pi, rel_tol=1e-12):
         failures.append("local threshold is not 8 sqrt(3) pi")
     s0 = 12.0 * math.sqrt(2.0) * math.pi
-    if not s0 > var.Y_LOCAL:
+    if not s0 > geo.Y_LOCAL:
         failures.append("initial curvature norm does not exceed the local threshold")
     if diag.small_energy_test(s0) is not False:
         failures.append("small-energy test unexpectedly passed")
@@ -222,7 +222,7 @@ def test_criterion_4_diagnostics_suite():
     if abs(rate - 3.0) > 1e-6:
         failures.append(f"decay rate {rate!r} misses 3 by more than 1e-6")
 
-    y = var.Y_LOCAL
+    y = geo.Y_LOCAL
     counts = (diag.max_bubble_count(y),
               diag.max_bubble_count(0.9 * y),
               diag.max_bubble_count(y * 2.0 ** 0.5))

@@ -176,18 +176,18 @@ def test_flow_rejects_bad_inputs(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: diagnostics.{key} ")
 
 
-@pytest.mark.parametrize("every", [1.0e-17, 1.0e-300])
+@pytest.mark.parametrize("every", [1.0e-17, 1.0e-300, 2.0e-15])
 def test_indistinguishable_snapshot_interval_is_refused(tmp_path, every):
-    # these intervals once made the flow step without end; in a child under a
+    # these intervals once made the flow step without end: the first two lie
+    # below the stop tolerance, 2e-15 asks for 5e11 stops; in a child under a
     # timeout a regression fails here instead of hanging the suite
     cfg_path, _ = _scenario(tmp_path, time={"t_end": 1.0e-3, "snapshot_every": every})
     out = subprocess.run([sys.executable, "-m", "singular_yamabe", "flow", cfg_path,
                           "--quiet"], capture_output=True, text=True, env=_child_env(),
                          timeout=30)
     assert out.returncode == cli.EXIT_INPUT
-    assert out.stderr.startswith(f"error: time.snapshot_every {every:g} is below "
-                                 "1e-12 * time.t_end 0.001"), out.stderr
-    assert out.stderr.count("\n") == 1, out.stderr
+    assert out.stderr == (f"error: time.snapshot_every {every:g} is below time.t_end "
+                          "0.001 / 10000: a run takes at most 10000 snapshot stops\n")
     assert not (tmp_path / "run").exists()
 
 
@@ -224,7 +224,7 @@ def test_flow_positivity_exit(tmp_path, monkeypatch):
                              completed=False,
                              failure="conformal cube lost positivity in 1 cells",
                              final_state=real.final_state)
-    monkeypatch.setattr(cli.flow, "run", lambda *a, **k: stopped)
+    monkeypatch.setattr(flow, "run", lambda *a, **k: stopped)
     assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_POSITIVITY
     outdir = tmp_path / "run"
     assert (outdir / "FAILED").read_text().startswith("conformal cube")
@@ -493,6 +493,36 @@ def test_subnormal_start_is_refused(tmp_path, capsys):
     for command in ("flow", "yamabe"):
         cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": 1.0e-75})
         assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_OK, command
+
+
+def test_start_whose_cube_underflows_is_refused(tmp_path, capsys):
+    # 1e-110 below x = 0.04 cubes to zero, which gives those cells infinite
+    # curvature: the start is refused with one error line, before the output
+    # directory, where it once wrote a series row of nan and exited 3
+    table = tmp_path / "tiny.csv"
+    table.write_text("".join(f"{x!r},{1e-110 if x < 0.04 else 1.0!r}\n"
+                             for x in np.linspace(0.0, 1.0, 64).tolist()))
+    cfg_path, _ = _scenario(tmp_path, init={"type": "file", "path": str(table)})
+    assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot start the run: profile curvature is not finite in ")
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cube_underflow_mid_run_exits_3(tmp_path, monkeypatch):
+    # the same cube reached by a step ends the run with its partial artifacts
+    def underflow(state, h):
+        w = state.v**3
+        w[:3] = 1e-320
+        return flow._cube_state(state, w, state.t + h), 0.0
+
+    monkeypatch.setattr(flow, "rosenbrock_step", underflow)
+    cfg_path, _ = _scenario(tmp_path)
+    assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_POSITIVITY
+    outdir = tmp_path / "run"
+    assert "profile curvature is not finite" in (outdir / "FAILED").read_text()
+    assert json.loads((outdir / "report.json").read_text())["completed"] is False
 
 
 def test_report_dichotomy(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from singular_yamabe import diagnostics as diag
 from singular_yamabe import flow
 from singular_yamabe import geometry as geo
-from singular_yamabe import variational as var
 from singular_yamabe.scenario import Scenario
 
 GRID_G512 = geo.build_grid(512, "geometric", 0.97)
@@ -102,7 +101,7 @@ def test_physical_sigma_of_default_start():
                         rel_tol=1e-14)
     # the reduced local level 1/sqrt(3) maps onto the orbifold threshold
     assert math.isclose(diag.physical_sigma(1.0 / math.sqrt(3.0), 2.0),
-                        var.Y_LOCAL, rel_tol=1e-13)
+                        geo.Y_LOCAL, rel_tol=1e-13)
 
 
 def test_positive_scalar_norm_of_default_start():
@@ -113,9 +112,9 @@ def test_positive_scalar_norm_of_default_start():
 
 def test_small_energy_test_comparisons():
     assert diag.small_energy_test(12.0 * math.sqrt(2.0) * math.pi) is False
-    assert diag.small_energy_test(0.5 * var.Y_LOCAL) is True
+    assert diag.small_energy_test(0.5 * geo.Y_LOCAL) is True
     # strict: a tie does not pass
-    assert diag.small_energy_test(var.Y_LOCAL) is False
+    assert diag.small_energy_test(geo.Y_LOCAL) is False
     with pytest.raises(ValueError):
         diag.small_energy_test(-1.0)
 
@@ -124,14 +123,14 @@ def test_low_average_test_comparisons():
     # 256 pi^2 against 384 pi^2
     assert diag.low_average_test(16.0 * math.pi) is True
     assert diag.low_average_test(100.0 * math.pi) is False
-    combined = (var.Y_LOCAL**2 + var.Y_LOCAL**2) ** 0.5
+    combined = (geo.Y_LOCAL**2 + geo.Y_LOCAL**2) ** 0.5
     assert diag.low_average_test(combined) is True
     with pytest.raises(ValueError):
         diag.low_average_test(-1.0)
 
 
 def test_max_bubble_count_arithmetic():
-    y = var.Y_LOCAL
+    y = geo.Y_LOCAL
     assert diag.max_bubble_count(y) == 1
     assert diag.max_bubble_count(0.9 * y) == 0
     # ratio 2^(2/n) squares to exactly two bubbles worth of volume
@@ -152,14 +151,14 @@ def test_max_bubble_count_monotone(lo, hi):
 
 
 def test_concentration_threshold_fraction():
-    val = diag.concentration_threshold_fraction(2.0 * var.Y_LOCAL, 2.0)
+    val = diag.concentration_threshold_fraction(2.0 * geo.Y_LOCAL, 2.0)
     assert math.isclose(val, 0.125, rel_tol=1e-13)
     assert diag.concentration_threshold_fraction(0.0, 2.0) == math.inf
 
 
 def test_detect_concentration_fires_on_bubble():
     s = flow.renormalize(_bubble_state(0.02, 2.0, volume_target=2.0))
-    flag, hist = diag.detect_concentration(s, 1.05 * var.Y_LOCAL)
+    flag, hist = diag.detect_concentration(s, 1.05 * geo.Y_LOCAL)
     assert flag
     assert len(hist) == 3
     assert [entry["cutoff"] for entry in hist] == [0.1, 0.05, 0.025]
@@ -263,7 +262,7 @@ def test_dichotomy_report_of_short_run():
     assert d["max_bubble_count"] == 1
     assert d["concentration_detected"] is False
     assert len(d["concentration_cutoff_history"]) == 3
-    assert d["thresholds"] == {"Y": var.Y_LOCAL, "Y_local": var.Y_LOCAL, "n": 4}
+    assert d["thresholds"] == {"Y": geo.Y_LOCAL, "Y_local": geo.Y_LOCAL, "n": 4}
     # the stored scalars reproduce the stored booleans
     assert diag.small_energy_test(d["s0_plus_norm"]) == d["small_energy_ok"]
     assert diag.low_average_test(d["sigma0"]) == d["low_average_ok"]

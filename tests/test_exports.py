@@ -1,7 +1,7 @@
 """Public names: every exported name resolves, the package root loads no
-layer, every function the benchmark's tracer times (perfbench/traced_cli.py
-SPANS) is still there, and every public definition is used by the package or
-traced."""
+layer, each command loads only the layers it runs, every function the
+benchmark's tracer times (perfbench/traced_cli.py SPANS) is still there, and
+every public definition is used by the package or traced."""
 
 import ast
 import importlib
@@ -37,6 +37,47 @@ def test_package_import_loads_no_submodule():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# command -> modules its process must not load: report and validate read no
+# scenario file, and each command imports only the solver layers it runs
+_NOT_LOADED = {
+    "validate": {"yaml"},
+    "report": {"yaml", "singular_yamabe.variational"},
+    "flow": {"singular_yamabe.variational", "singular_yamabe.diagnostics"},
+    "yamabe": {"singular_yamabe.flow", "singular_yamabe.diagnostics"},
+}
+
+
+@pytest.mark.parametrize("command", list(_NOT_LOADED))
+def test_command_loads_only_the_layers_it_runs(tmp_path, command):
+    import yaml
+
+    from singular_yamabe import cli
+
+    run_dir = tmp_path / "run"
+    flow_cfg, sphere_cfg = tmp_path / "flow.yaml", tmp_path / "sphere.yaml"
+    flow_cfg.write_text(yaml.safe_dump({"grid": {"n_cells": 32},
+                                        "time": {"t_end": 1e-3, "snapshot_every": 0.0},
+                                        "output": {"dir": str(run_dir)}}))
+    sphere_cfg.write_text(yaml.safe_dump({"model": {"type": "sphere", "n": 4},
+                                          "grid": {"n_cells": 32},
+                                          "output": {"dir": str(tmp_path / "sphere")}}))
+    if command == "report":
+        assert cli.main(["flow", str(flow_cfg), "--quiet"]) == 0
+    argv = {"validate": ["validate", "--quiet"], "report": ["report", str(run_dir), "--quiet"],
+            "flow": ["flow", str(flow_cfg), "--quiet"],
+            "yamabe": ["yamabe", str(sphere_cfg), "--quiet"]}[command]
+    root = str(Path(importlib.import_module("singular_yamabe").__file__).parents[1])
+    code = (f"import sys\nsys.path.insert(0, {root!r})\nfrom singular_yamabe.cli import main\n"
+            f"code = main({argv!r})\nprint(code, *sorted(sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=tmp_path)
+    status, *loaded = out.stdout.split()
+    assert status == "0", out.stdout
+    unwanted = sorted(_NOT_LOADED[command] & set(loaded))
+    assert not unwanted, f"{command} loads {unwanted}"
+
 
 def _traced_spans():
     path = Path(__file__).parents[1] / "perfbench" / "traced_cli.py"

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from singular_yamabe import flow
 from singular_yamabe import geometry as geo
-from singular_yamabe.scenario import STOP_RTOL, ConfigError, Scenario
+from singular_yamabe.scenario import MAX_STOPS, ConfigError, Scenario
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,21 @@ def test_cube_state_refuses_a_cube_not_positive_and_finite(grid64, bad):
     with pytest.raises(flow.PositivityError,
                        match=rf"in 2 cells at t=0\.5 \(first cell 9, x={x9}\)$"):
         flow._cube_state(state, w, 0.5)
+
+
+def test_cube_that_underflows_gives_no_state(grid64):
+    # a cube that underflows gives its cell infinite curvature: the profile
+    # is refused as input, and the same cube reached by a step is the run's
+    # positivity failure, not a ValueError a caller would take for bad input
+    v = np.ones(64)
+    v[:3] = 1e-110
+    with pytest.raises(ValueError, match=r"^profile curvature is not finite in 3 cells$"):
+        flow.FlowState(grid64, v)
+    w = np.ones(64)
+    w[:3] = 1e-320
+    with pytest.raises(flow.PositivityError, match=r"^conformal cube at t=0\.5 is out of range: "
+                                                   r"profile curvature is not finite in 1 cells$"):
+        flow._cube_state(flow.FlowState(grid64, np.ones(64)), w, 0.5)
 
 
 def test_boundary_value_extrapolates_linearly(grid64):
@@ -452,14 +467,14 @@ def test_flow_config_validation():
         Scenario(t_end=0.01, renorm_every=-1)
     with pytest.raises(ValueError):
         Scenario(t_end=0.01, snapshot_every=-0.1)
-    # a stop counts as reached within a relative STOP_RTOL, so a positive
-    # snapshot interval below STOP_RTOL * t_end is refused, naming both
-    # values; these are constructed only, never run
-    for every in (1e-17, 1e-300, 0.5 * STOP_RTOL * 1e-3):
+    # a run takes at most MAX_STOPS snapshot stops, so a positive snapshot
+    # interval below t_end / MAX_STOPS is refused, naming both values; these
+    # are constructed only, never run
+    for every in (1e-17, 1e-300, 2e-15, 0.5e-3 / MAX_STOPS):
         with pytest.raises(ConfigError, match=rf"^time.snapshot_every {every:g} is below "
-                                              r"1e-12 \* time.t_end 0.001: "):
+                                              r"time.t_end 0.001 / 10000: "):
             Scenario(t_end=1e-3, snapshot_every=every)
-    for every in (0.0, STOP_RTOL * 1e-3, 2e-15):
+    for every in (0.0, 1e-3 / MAX_STOPS, 1e-3):
         assert Scenario(t_end=1e-3, snapshot_every=every).snapshot_every == every
     # distinct values that would share a series column or a moment key
     with pytest.raises(ConfigError, match="diagnostics.cutoffs"):

@@ -305,3 +305,19 @@ def test_sphere_volume_closed_forms():
                         rel_tol=1e-15)
     with pytest.raises(ValueError):
         geo.build_sphere_model(2, 64)
+
+
+def test_sphere_constants():
+    assert math.isclose(geo.yamabe_sphere_constant(4), 8.0 * math.sqrt(6.0) * math.pi,
+                        rel_tol=1e-14)
+    assert math.isclose(geo.yamabe_sphere_constant(3),
+                        6.0 * (2.0 * math.pi**2) ** (2.0 / 3.0), rel_tol=1e-14)
+    with pytest.raises(ValueError):
+        geo.yamabe_sphere_constant(2)
+
+
+def test_threshold_values():
+    assert math.isclose(geo.Y_LOCAL, 8.0 * math.sqrt(3.0) * math.pi, rel_tol=1e-14)
+    # halving the sphere constant in the n/2 power: order 2 divides by sqrt(2)
+    assert math.isclose(geo.Y_LOCAL, geo.yamabe_sphere_constant(4) / math.sqrt(2.0),
+                        rel_tol=1e-14)

@@ -110,22 +110,6 @@ def reference_minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
     return var.QuotientResult(q, v, var._MAX_ITERS, grad_norm, False, history), rejected
 
 
-def test_sphere_constants():
-    assert math.isclose(var.yamabe_sphere_constant(4), 8.0 * math.sqrt(6.0) * math.pi,
-                        rel_tol=1e-14)
-    assert math.isclose(var.yamabe_sphere_constant(3),
-                        6.0 * (2.0 * math.pi**2) ** (2.0 / 3.0), rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        var.yamabe_sphere_constant(2)
-
-
-def test_threshold_values():
-    assert math.isclose(var.Y_LOCAL, 8.0 * math.sqrt(3.0) * math.pi, rel_tol=1e-14)
-    # halving the sphere constant in the n/2 power: order 2 divides by sqrt(2)
-    assert math.isclose(var.Y_LOCAL, var.yamabe_sphere_constant(4) / math.sqrt(2.0),
-                        rel_tol=1e-14)
-
-
 def test_constant_profile_quotient_eh():
     grid = geo.build_grid(256, "uniform")
     q = var.yamabe_quotient_eh(np.full(256, 2.0**0.25), grid)
@@ -136,7 +120,7 @@ def test_constant_profile_quotient_sphere():
     for n in (3, 4):
         model = geo.build_sphere_model(n, 256)
         q = var.yamabe_quotient_sphere(np.ones(256), model)
-        assert math.isclose(q, var.yamabe_sphere_constant(n), rel_tol=1e-9)
+        assert math.isclose(q, geo.yamabe_sphere_constant(n), rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("n_cells", [64, 256, 4096])
@@ -177,7 +161,7 @@ def test_bubble_family_dips_toward_local_threshold():
     def q(eps):
         return var.yamabe_quotient_eh(eps / (eps**2 + d0**2), grid)
 
-    assert var.Y_LOCAL < q(0.05) < q(0.2)
+    assert geo.Y_LOCAL < q(0.05) < q(0.2)
 
 
 def test_minimize_sphere_reaches_constant():
@@ -185,7 +169,7 @@ def test_minimize_sphere_reaches_constant():
     rng = np.random.default_rng(3)
     init = 1.0 + 0.3 * np.sin(2.0 * model.cell_centers) + 0.1 * rng.random(128)
     res = var.minimize_quotient(model, init=init)
-    y = var.yamabe_sphere_constant(4)
+    y = geo.yamabe_sphere_constant(4)
     assert abs(res.value - y) / y < 1e-3
     assert res.value <= res.history[0]
     assert all(b <= a + 1e-12 for a, b in zip(res.history, res.history[1:]))
@@ -199,7 +183,7 @@ def test_minimize_sphere_iterations_do_not_grow_with_resolution(n_cells, k):
     assert res.converged
     assert res.iterations < 50
     assert all(b <= a for a, b in zip(res.history, res.history[1:]))
-    y = var.yamabe_sphere_constant(4)
+    y = geo.yamabe_sphere_constant(4)
     assert abs(res.value - y) / y < 1e-6
 
 
@@ -305,7 +289,7 @@ def test_minimize_skips_pairs_without_positive_curvature():
     res = var.minimize_quotient(model, init=init)
     assert res.converged
     assert all(b <= a for a, b in zip(res.history, res.history[1:]))
-    y = var.yamabe_sphere_constant(4)
+    y = geo.yamabe_sphere_constant(4)
     assert abs(res.value - y) / y <= 1e-5
     ref, _ = reference_minimize_ratio(*model.quotient_form, init)
     assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
@@ -317,7 +301,7 @@ def test_minimize_sphere_constant_init_is_immediate():
     res = var.minimize_quotient(model, init=np.ones(128))
     assert res.iterations == 0
     assert res.converged
-    assert abs(res.value - var.yamabe_sphere_constant(4)) < 1e-6
+    assert abs(res.value - geo.yamabe_sphere_constant(4)) < 1e-6
 
 
 def test_minimize_eh_sinks_below_constant_level():
@@ -331,7 +315,7 @@ def test_minimize_eh_sinks_below_constant_level():
     assert flow.mass_fraction(end, 0.1) > 2.0 * flow.mass_fraction(start, 0.1)
     assert flow.mass_fraction(end, 0.1) > 0.5
     # and never undercuts the local threshold
-    assert res.value > var.Y_LOCAL
+    assert res.value > geo.Y_LOCAL
 
 
 def test_ladder_floors_extrapolate_to_the_local_threshold():
@@ -349,17 +333,17 @@ def test_ladder_floors_extrapolate_to_the_local_threshold():
         assert res.converged
         floors.append(res.value)
         widths.append(float(np.max(np.diff(grid.faces))))
-    gaps = [f - var.Y_LOCAL for f in floors]
+    gaps = [f - geo.Y_LOCAL for f in floors]
     assert all(gap > 0.0 for gap in gaps)
     assert all(3.5 <= a / b <= 4.5 for a, b in zip(gaps, gaps[1:]))
     refinement = (widths[1] / widths[2]) ** 2
     limit = floors[2] + (floors[2] - floors[1]) / (refinement - 1.0)
-    assert abs(limit - var.Y_LOCAL) < 5e-5
+    assert abs(limit - geo.Y_LOCAL) < 5e-5
     # bubbles eps / (eps^2 + d^2) at the puncture on the finest rung stay
     # above the threshold and approach it as they shrink: measured 7.20e-2,
     # 6.86e-3 and 9.70e-4 above at eps = 0.1, 0.03 and 0.01
     d0 = geo.distance_from_singular_point(grid.cell_centers)
-    bubbles = [var.yamabe_quotient_eh(eps / (eps**2 + d0**2), grid) - var.Y_LOCAL
+    bubbles = [var.yamabe_quotient_eh(eps / (eps**2 + d0**2), grid) - geo.Y_LOCAL
                for eps in (0.1, 0.03, 0.01)]
     assert bubbles[0] > bubbles[1] > bubbles[2] > 0.0
 
