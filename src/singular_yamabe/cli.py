@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__, geometry
 from .scenario import (
     ConfigError,
-    Scenario,
     default_config_text,
     load_config,
     load_profile,
@@ -51,9 +50,19 @@ EXIT_NO_CONVERGENCE = 4
 def _make_outdir(path: str) -> str:
     try:
         os.makedirs(path, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"cannot use output directory {path}: {err}") from err
+    except (OSError, ValueError) as err:  # ValueError: a path with a NUL byte
+        raise ConfigError(f"cannot use output directory {path!r}: {err}") from err
     return path
+
+
+def _remove(path: str) -> None:
+    """Remove the file at ``path``, if there is one."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as err:
+        raise ConfigError(f"cannot remove {path}: {err}") from err
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -183,8 +192,8 @@ def cmd_validate(args) -> int:
                    geometry.eh_distance_to_infinity(), 1e-8))
     for n, expected in ((4, 8.0 * math.sqrt(6.0) * pi),
                         (3, 6.0 * (2.0 * pi**2) ** (2.0 / 3.0))):
-        model = Scenario(model_type="sphere", sphere_n=n, n_cells=512).model()
-        value = variational.yamabe_quotient_sphere(np.ones(512), model)
+        value = variational.yamabe_quotient_sphere(np.ones(512),
+                                                   geometry.build_sphere_model(n, 512))
         checks.append((f"sphere_quotient_n{n}", expected, value, 1e-6))
     checks.append(("orbifold_local_threshold", 8.0 * math.sqrt(3.0) * pi,
                    geometry.Y_LOCAL, 1e-12))
@@ -230,8 +239,8 @@ def cmd_flow(args) -> int:
 
     write_series_csv(os.path.join(outdir, "series.csv"), result.records,
                      cfg.cutoffs)
-    names = write_snapshots(os.path.join(outdir, "snapshots"), result.snapshots,
-                            result.final_state.grid)
+    snapdir = os.path.join(outdir, "snapshots")
+    names = write_snapshots(snapdir, result.snapshots, result.final_state.grid)
     final = result.records[-1]
     payload = {
         "scenario": cfg.echo(),
@@ -245,6 +254,11 @@ def cmd_flow(args) -> int:
                       "snapshots": [f"snapshots/{n}" for n in names]},
     }
     _write_json(os.path.join(outdir, "report.json"), payload)
+    # an earlier run's snapshots and report describe another run
+    for name in sorted(set(os.listdir(snapdir)) - set(names)):
+        if name.startswith("snap_") and name.endswith(".csv"):
+            _remove(os.path.join(snapdir, name))
+    _remove(os.path.join(outdir, "dichotomy.json"))
     failed = os.path.join(outdir, "FAILED")
     if not result.completed:
         _atomic_write(failed, (result.failure or "positivity failure") + "\n")
@@ -252,12 +266,7 @@ def cmd_flow(args) -> int:
             print(f"flow stopped early: {result.failure}")
             print(f"partial artifacts in {outdir}")
         return EXIT_POSITIVITY
-    try:  # a completed run clears the marker an earlier run left
-        os.remove(failed)
-    except FileNotFoundError:
-        pass
-    except OSError as err:
-        raise ConfigError(f"cannot remove {failed}: {err}") from err
+    _remove(failed)  # a completed run clears the marker an earlier run left
     if not args.quiet:
         print(f"flow finished: {len(result.records) - 1} steps to t={_fmt(final.t)}")
         print(f"sigma_tilde {_fmt(result.records[0].sigma_tilde)} -> {_fmt(final.sigma_tilde)}")

@@ -15,6 +15,9 @@ Conventions
 Cell grids carry exact masses of the measure x dx and centroid nodes, so that
 the trapezoid-free quadrature ``sum(f(centers) * weights)`` integrates 1 and x
 against x dx to machine precision.
+
+The round n-sphere, the cross-check of the thresholds, is the same model type,
+:class:`RadialGrid`, on a grid in the polar angle: :func:`build_sphere_model`.
 """
 
 from __future__ import annotations
@@ -23,14 +26,13 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
 __all__ = [
     "RadialGrid",
-    "SphereModel",
     "build_grid",
     "build_sphere_model",
     "x_of_r",
@@ -61,94 +63,78 @@ MIN_CELL_WIDTH = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# grids
+# models
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Cell-centered grid on (0, 1] for radial profiles in the x coordinate.
+    """A model: a cell-centered grid and the forms the solves read on it.
+
+    :func:`build_grid` builds the Eguchi-Hanson reduction, on (0, 1] in the x
+    coordinate, and :func:`build_sphere_model` the round n-sphere, on
+    [0, pi] in the polar angle theta; they are the only constructors.  Every
+    array is read-only, and models compare and hash by identity.
 
     Attributes
     ----------
-    n_cells : int
-        Number of cells, at least 8.
     faces : ndarray, shape (n_cells + 1,)
-        Cell interfaces, strictly increasing, faces[0] = 0 and faces[-1] = 1.
+        Cell interfaces, strictly increasing.
     cell_centers : ndarray, shape (n_cells,)
-        Centroid of the measure x dx over each cell.  Strictly inside the
-        cell, strictly increasing.
+        One node inside each cell, strictly increasing.
     weights : ndarray, shape (n_cells,)
-        Exact cell masses of x dx, i.e. (f_+^2 - f_-^2)/2.  They sum to 1/2.
+        Cell masses of the model's measure.
+    curvature_form : (ndarray, ndarray or float)
+        A form, face conductances c and diagonal d, in the layout of
+        :func:`apply_form`: the grid's flux divergence, or the sphere's
+        polar Laplacian.
+    quotient_form : (ndarray, ndarray, ndarray, float)
+        Conductances, curvature mass, volume mass and exponent p of the
+        conformal quotient form(c, curvature mass) / |v|_p^2.
     """
 
-    n_cells: int
     faces: np.ndarray
     cell_centers: np.ndarray
     weights: np.ndarray
+    curvature_form: tuple[np.ndarray, np.ndarray | float]
+    quotient_form: tuple[np.ndarray, np.ndarray, np.ndarray, float]
 
-    def __post_init__(self):
-        if self.n_cells < 8:
-            raise ValueError(f"need at least 8 cells, got {self.n_cells}")
-        if self.faces.shape != (self.n_cells + 1,):
-            raise ValueError("faces shape does not match n_cells")
-        if self.faces[0] != 0.0 or self.faces[-1] != 1.0:
-            raise ValueError("faces must span [0, 1]")
-        if np.any(np.diff(self.faces) <= 0.0):
-            raise ValueError("faces must be strictly increasing")
+    @property
+    def n_cells(self) -> int:
+        return self.cell_centers.size
 
     @cached_property
     def cell_widths(self) -> np.ndarray:
         """np.diff(faces), built on first use, then read-only."""
-        widths = np.diff(self.faces)
-        widths.setflags(write=False)
-        return widths
+        return _read_only(np.diff(self.faces))[0]
 
-    @cached_property
-    def curvature_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """The form A, face conductances c and diagonal d, of the flux divergence.
 
-        The flux divergence is D v = -A(x v) / dx: interior face i carries
-        the flux c_i (x_i v_i - x_{i-1} v_{i-1}) with
-        c_i = (1 - f_i^2) / (x_i - x_{i-1}), the diagonal d = e_0 / x_0
-        gives the first face the flux v_0, and the last face carries none.
-        Built on first use, then read-only.
-        """
-        x = self.cell_centers
-        c = (1.0 - self.faces[1:-1] ** 2) / np.diff(x)
-        d = np.zeros(self.n_cells)
-        d[0] = 1.0 / x[0]
-        for array in (c, d):
-            array.setflags(write=False)
-        return c, d
-
-    @cached_property
-    def quotient_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Conductances, curvature mass, volume mass and exponent p = 4 of the
-        conformal quotient form(c, curvature mass) / |v|_p^2 at core scale 1;
-        a core scale a scales the form by a^2 and the volume mass by a^4.
-
-        The form is the flow's energy 12 pi^2 (x v)^T A (x v), A the
-        :attr:`curvature_form`: face i carries 12 pi^2 c_i x_(i-1) x_i, and
-        node j keeps 24 pi^2 x_j w_j = 8 pi^2 (f_+^3 - f_-^3), as x_j is the
-        centroid of the cell mass w_j.  The volume mass is pi^2 / 2 x dx.
-        Built on first use, then read-only.
-        """
-        x = self.cell_centers
-        c = 12.0 * np.pi**2 * self.curvature_form[0] * x[:-1] * x[1:]
-        form = (c, 8.0 * np.pi**2 * np.diff(self.faces**3), 0.5 * np.pi**2 * self.weights)
-        for array in form:
-            array.setflags(write=False)
-        return (*form, 4.0)
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> RadialGrid:
-    """Build a RadialGrid with exact x dx cell masses and centroid nodes.
+    """Build the Eguchi-Hanson model on a grid in x with exact x dx cell
+    masses and centroid nodes.
 
     Geometric grading shrinks cells toward x = 0 by the given width ratio,
     which is where the flow concentrates; uniform grading is the default.
     Grids whose smallest cell is narrower than MIN_CELL_WIDTH are refused
-    as degenerate in floating point.
+    as degenerate in floating point.  The faces span [0, 1], and the weights
+    (f_+^2 - f_-^2) / 2 sum to 1/2.
+
+    The curvature form is that of the flux divergence D v = -A(x v) / dx:
+    interior face i carries the flux c_i (x_i v_i - x_{i-1} v_{i-1}) with
+    c_i = (1 - f_i^2) / (x_i - x_{i-1}), the diagonal d = e_0 / x_0 gives
+    the first face the flux v_0, and the last face carries none.
+
+    The quotient form, at core scale 1, is the flow's energy
+    12 pi^2 (x v)^T A (x v): face i carries 12 pi^2 c_i x_(i-1) x_i, and
+    node j keeps 24 pi^2 x_j w_j = 8 pi^2 (f_+^3 - f_-^3), as x_j is the
+    centroid of the cell mass w_j.  The volume mass is pi^2 / 2 x dx and
+    p = 4; a core scale a scales the form by a^2 and the volume mass by a^4.
     """
     if n_cells < 8:
         raise ValueError(f"need at least 8 cells, got {n_cells}")
@@ -171,44 +157,28 @@ def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> R
     lo, hi = faces[:-1], faces[1:]
     # centroid of x dx over [lo, hi]; the (lo^2+lo*hi+hi^2)/(lo+hi) form is
     # safe in the first cell where lo = 0
-    centers = (2.0 / 3.0) * (lo * lo + lo * hi + hi * hi) / (lo + hi)
+    x = (2.0 / 3.0) * (lo * lo + lo * hi + hi * hi) / (lo + hi)
     weights = 0.5 * (hi * hi - lo * lo)
-    return RadialGrid(
-        n_cells=n_cells,
-        faces=faces,
-        cell_centers=centers,
-        weights=weights,
-    )
+    c = (1.0 - faces[1:-1] ** 2) / np.diff(x)
+    d = np.zeros(n_cells)
+    d[0] = 1.0 / x[0]
+    quotient = _read_only(12.0 * np.pi**2 * c * x[:-1] * x[1:],
+                          8.0 * np.pi**2 * np.diff(faces**3), 0.5 * np.pi**2 * weights)
+    _read_only(faces, x, weights, c, d)
+    return RadialGrid(faces, x, weights, (c, d), (*quotient, 4.0))
 
 
-@dataclass(frozen=True)
-class SphereModel:
-    """Round n-sphere sampled by polar angle, for cross-checking thresholds.
+def build_sphere_model(n: int = 4, n_cells: int = 256) -> RadialGrid:
+    """Build the round n-sphere on a uniform grid in the polar angle theta.
 
-    The polar grid covers [0, pi] with nodes cell_centers at the cell
-    midpoints; weights are the latitude band volumes omega_{n-1}
-    sin^{n-1}(theta) dtheta by the midpoint rule, summing to about Vol(S^n).
-    laplacian holds the face conductances omega_{n-1} sin^{n-1}(theta_f)
-    / dtheta of the polar Laplacian, one per interior face.
+    The nodes are the cell midpoints, and the weights the latitude band
+    volumes omega_{n-1} sin^{n-1}(theta) dtheta by the midpoint rule,
+    summing to about Vol(S^n).  The curvature form is the polar Laplacian:
+    face conductances omega_{n-1} sin^{n-1}(theta_f) / dtheta, one per
+    interior face, and no diagonal.  The quotient form is the Laplacian's
+    conductances times 4 (n - 1) / (n - 2), the curvature mass n (n - 1)
+    times the band volumes, the band volumes, and p = 2n / (n - 2).
     """
-
-    n: int
-    cell_centers: np.ndarray = field(repr=False)
-    laplacian: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-    @cached_property
-    def quotient_form(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """The conformal quotient's form, laid out as :attr:`RadialGrid.quotient_form`:
-        the polar Laplacian's conductances times 4 (n - 1) / (n - 2), the
-        curvature mass n (n - 1) and the volume mass of the bands, p = 2n / (n - 2).
-        """
-        n = self.n
-        return (4.0 * (n - 1) / (n - 2) * self.laplacian, n * (n - 1) * self.weights,
-                self.weights, 2.0 * n / (n - 2))
-
-
-def build_sphere_model(n: int = 4, n_cells: int = 256) -> SphereModel:
     if n < 3:
         raise ValueError(f"sphere dimension must be at least 3, got {n}")
     if n_cells < 8:
@@ -216,8 +186,10 @@ def build_sphere_model(n: int = 4, n_cells: int = 256) -> SphereModel:
     faces = np.linspace(0.0, np.pi, n_cells + 1)
     centers = 0.5 * (faces[:-1] + faces[1:])
     band = sphere_volume(n - 1) * np.sin(centers) ** (n - 1) * np.diff(faces)
-    laplacian = sphere_volume(n - 1) * np.sin(faces[1:-1]) ** (n - 1) / np.diff(centers)
-    return SphereModel(n=n, cell_centers=centers, laplacian=laplacian, weights=band)
+    c = sphere_volume(n - 1) * np.sin(faces[1:-1]) ** (n - 1) / np.diff(centers)
+    quotient = _read_only(4.0 * (n - 1) / (n - 2) * c, n * (n - 1) * band)
+    _read_only(faces, centers, band, c)
+    return RadialGrid(faces, centers, band, (c, 0.0), (*quotient, band, 2.0 * n / (n - 2)))
 
 
 def sphere_volume(n: int) -> float:

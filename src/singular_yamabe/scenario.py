@@ -159,8 +159,9 @@ class Scenario:
                               "which must differ")
         object.__setattr__(self, name, values)
 
-    def model(self) -> geometry.RadialGrid | geometry.SphereModel:
-        """The polar sphere model, or the eguchi-hanson reduction's radial grid."""
+    def model(self) -> geometry.RadialGrid:
+        """The configured model: the sphere on its polar grid, or the
+        eguchi-hanson reduction on its grid in x."""
         if self.model_type == "sphere":
             return geometry.build_sphere_model(self.sphere_n, self.n_cells)
         try:
@@ -217,9 +218,9 @@ def load_config(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as handle:
             data = yaml.safe_load(handle)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, ValueError) as err:  # ValueError: a NUL byte in the path, or a bad date
         raise ConfigError(f"cannot parse config {path}: {err}") from err
     return parse_config(data)
 

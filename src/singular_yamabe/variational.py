@@ -1,12 +1,13 @@
 """Variational quotients and spectral gap estimates.
 
-Two geometries share one algebraic core, the tridiagonal form layer of
-:mod:`singular_yamabe.geometry`.  A quotient is a form (face conductances
-plus a diagonal mass) over a p-norm denominator; an eigenvalue problem is a
-form paired with a diagonal metric.  Each model carries its quotient form
-as ``quotient_form``.  The quotient, the descent and the eigen residuals
-apply forms with :func:`~singular_yamabe.geometry.apply_form`; the descent's
-preconditioner and the eigen solves read their matrices from
+Both models, each a :class:`~singular_yamabe.geometry.RadialGrid`, share one
+algebraic core, the tridiagonal form layer of :mod:`singular_yamabe.geometry`.
+A quotient is a form (face conductances plus a diagonal mass) over a p-norm
+denominator; an eigenvalue problem is a form paired with a diagonal metric.
+Each model carries its quotient form as ``quotient_form``.  The quotient,
+the descent and the eigen residuals apply forms with
+:func:`~singular_yamabe.geometry.apply_form`; the descent's preconditioner
+and the eigen solves read their matrices from
 :func:`~singular_yamabe.geometry.form_bands`.
 """
 
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import RadialGrid, SphereModel, apply_form, form_bands, inner, lapack
+from .geometry import RadialGrid, apply_form, form_bands, inner, lapack
 
 if TYPE_CHECKING:  # annotations only: the solves never build a flow state
     from .flow import FlowState
@@ -54,7 +55,7 @@ def _evaluate(forms, x):
     return inner(x, ax) * scale * scale, scale, ax, mwx
 
 
-def _quotient(v, model: SphereModel | RadialGrid) -> float:
+def _quotient(v, model: RadialGrid) -> float:
     forms = model.quotient_form
     v = np.asarray(v, dtype=float)
     if v.shape != forms[2].shape:
@@ -71,7 +72,7 @@ def yamabe_quotient_eh(v, grid: RadialGrid) -> float:
     return _quotient(v, grid)
 
 
-def yamabe_quotient_sphere(phi, model: SphereModel) -> float:
+def yamabe_quotient_sphere(phi, model: RadialGrid) -> float:
     """Conformal quotient of a polar test profile on the round n-sphere."""
     return _quotient(phi, model)
 
@@ -97,9 +98,9 @@ class QuotientResult:
     history: list = field(repr=False, default_factory=list)
 
 
-def minimize_quotient(model: SphereModel | RadialGrid, *, init) -> QuotientResult:
-    """Descend the conformal quotient of a sphere model or of the
-    Eguchi-Hanson reduction on a radial grid.
+def minimize_quotient(model: RadialGrid, *, init) -> QuotientResult:
+    """Descend the conformal quotient of a model: the round sphere or the
+    Eguchi-Hanson reduction.
 
     On the round sphere the constant is the minimizer, and from a smooth
     start the descent converges to the sphere constant.  The polar model's
@@ -111,7 +112,11 @@ def minimize_quotient(model: SphereModel | RadialGrid, *, init) -> QuotientResul
     sinks below the constant-profile level, and the descent converges to the
     grid's discrete minimum.  On geometric grids that minimum lies above the
     continuum local threshold and approaches it under refinement; on uniform
-    grids it lies below it.  A descent that reaches the iteration cap, or
+    grids it lies below it.  Where it stops depends on the start's
+    rounding, though the quotient is scale-invariant: on 512 geometric
+    cells at ratio 0.97, the constant starts 0.5, 1 and 2 converge in 284
+    iterations to 43.534889423442124, and 4^(1/4) in 166 to a value 3.2e-6
+    higher (ROADMAP item 15).  A descent that reaches the iteration cap, or
     whose line search stalls on a fresh factor, returns converged = False
     and the partial minimizer.  A start the arithmetic cannot carry raises
     ValueError.
@@ -309,9 +314,9 @@ def first_eigenvalue(state: FlowState) -> EigenResult:
     return _lambda1_pencil(fc, metric)
 
 
-def sphere_first_eigenvalue(model: SphereModel) -> EigenResult:
+def sphere_first_eigenvalue(model: RadialGrid) -> EigenResult:
     """First nonzero Laplace eigenvalue of the round n-sphere (exactly n)."""
-    return _lambda1_pencil(model.laplacian, model.weights)
+    return _lambda1_pencil(model.curvature_form[0], model.weights)
 
 
 def eigen_criteria(lambda1: float, sigma_inf: float, n: int) -> dict:

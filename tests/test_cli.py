@@ -154,6 +154,11 @@ def test_flow_rejects_bad_inputs(tmp_path, capsys):
     broken.write_text("model: [unclosed\n")
     assert cli.main(["flow", str(broken), "--quiet"]) == cli.EXIT_INPUT
     assert cli.main(["flow", str(tmp_path / "absent.yaml"), "--quiet"]) == cli.EXIT_INPUT
+    # bytes that are not UTF-8, a date yaml cannot build, a path with a NUL byte
+    (tmp_path / "latin1.yaml").write_bytes(b"# caf\xe9\n")
+    (tmp_path / "date.yaml").write_text("time: {t_end: 2020-13-45}\n")
+    for path in ("latin1.yaml", "date.yaml", "a\0b.yaml"):
+        assert cli.main(["flow", str(tmp_path / path), "--quiet"]) == cli.EXIT_INPUT, path
     capsys.readouterr()
 
     # a degenerate grid and a start whose volume or quotient overflows are
@@ -268,14 +273,39 @@ def test_completed_rerun_removes_the_failed_marker(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err.startswith("error: cannot remove")
 
 
+def test_flow_rerun_removes_an_earlier_runs_artifacts(tmp_path):
+    # a shorter rerun leaves only its own snapshots, and drops the report
+    # made from the earlier run; other files in the directory stay
+    cfg_path, _ = _scenario(tmp_path, time={"t_end": 0.02, "snapshot_every": 0.005})
+    run = tmp_path / "run"
+    assert cli.main(["flow", cfg_path, "--quiet"]) == 0
+    assert cli.main(["report", str(run), "--quiet"]) == 0
+    for name in ("notes.txt", "snapshots/notes.txt", "snapshots/snap_x.txt"):
+        (run / name).write_text("kept\n")
+    cfg_path, _ = _scenario(tmp_path, time={"t_end": 0.01, "snapshot_every": 0.005})
+    assert cli.main(["flow", cfg_path, "--quiet"]) == 0
+    listed = json.loads((run / "report.json").read_text())["artifacts"]["snapshots"]
+    assert listed == ["snapshots/snap_0.csv", "snapshots/snap_0.005.csv",
+                      "snapshots/snap_0.01.csv"]
+    assert sorted(os.listdir(run / "snapshots")) == sorted(
+        [name.split("/")[1] for name in listed] + ["notes.txt", "snap_x.txt"])
+    assert sorted(os.listdir(run)) == ["notes.txt", "report.json", "series.csv", "snapshots"]
+
+
 @pytest.mark.parametrize("command", ["flow", "yamabe", "eigen", "validate"])
 def test_output_dir_that_is_a_file_is_an_input_error(tmp_path, capsys, command):
     cfg_path, _ = _scenario(tmp_path)
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n")
     argv = [command] + ([] if command == "validate" else [cfg_path])
-    assert cli.main(argv + ["--output-dir", str(afile), "--quiet"]) == cli.EXIT_INPUT
-    assert capsys.readouterr().err.startswith("error: cannot use output directory")
+    # a path with a NUL byte, which no file system call takes, is refused too
+    for outdir in (str(afile), str(tmp_path / "a\0b")):
+        assert cli.main(argv + ["--output-dir", outdir, "--quiet"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: cannot use output directory")
+    if command != "validate":  # the same path as the scenario file's output.dir
+        cfg_path, _ = _scenario(tmp_path, output={"dir": str(tmp_path / "run\0x")})
+        assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: cannot use output directory")
 
 
 

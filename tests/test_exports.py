@@ -1,7 +1,8 @@
 """Public names: every exported name resolves, the package root loads no
 layer, each command loads only the layers it runs, every function the
-benchmark's tracer times (perfbench/traced_cli.py SPANS) is still there, and
-every public definition is used by the package or traced."""
+benchmark's tracer times (perfbench/traced_cli.py SPANS) is still there,
+every public definition is used by the package or traced, and only
+geometry's builders construct a model."""
 
 import ast
 import importlib
@@ -121,6 +122,23 @@ def test_public_definitions_are_used_or_traced():
     src = Path(__file__).parents[1] / "src" / "singular_yamabe"
     unused = [name for name in _unreferenced_public_definitions(src) if name not in traced]
     assert not unused, f"public definitions nothing in src/ calls: {unused}"
+
+
+def _model_constructions(src: Path) -> list:
+    """Calls of ``RadialGrid(...)`` in the package's modules but geometry."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py")) if path.stem != "geometry"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "RadialGrid"]
+
+
+def test_models_are_built_by_their_builders():
+    # a model checks nothing itself: build_grid and build_sphere_model check
+    # their inputs, so a model built any other way is unchecked
+    src = Path(__file__).parents[1] / "src" / "singular_yamabe"
+    calls = _model_constructions(src)
+    assert not calls, f"RadialGrid built outside geometry's builders: {calls}"
 
 
 def _defaulted_parameters(sources: list) -> list:

@@ -419,18 +419,18 @@ def test_run_rejects_sphere_model():
 
 
 def test_scenario_builds_its_model():
-    # the one builder of the configured model: the polar sphere model, or
-    # the radial grid of the eguchi-hanson reduction, which alone has a
-    # flow state
+    # the one builder of the configured model, a RadialGrid for either type:
+    # the sphere on its polar grid, or the eguchi-hanson reduction, which
+    # alone has a flow state
     sphere = Scenario(model_type="sphere", sphere_n=5, n_cells=64)
-    model, expected = sphere.model(), geo.build_sphere_model(5, 64)
-    assert isinstance(model, geo.SphereModel) and model.n == 5
-    for name in ("cell_centers", "laplacian", "weights"):
-        assert np.array_equal(getattr(model, name), getattr(expected, name))
-    grid, expected = Scenario().model(), geo.build_grid(256)
-    assert isinstance(grid, geo.RadialGrid)
-    for name in ("faces", "cell_centers", "weights"):
-        assert np.array_equal(getattr(grid, name), getattr(expected, name))
+    for model, expected in ((sphere.model(), geo.build_sphere_model(5, 64)),
+                            (Scenario().model(), geo.build_grid(256))):
+        assert isinstance(model, geo.RadialGrid)
+        for name in ("faces", "cell_centers", "weights"):
+            assert np.array_equal(getattr(model, name), getattr(expected, name))
+        for mine, theirs in zip(model.quotient_form, expected.quotient_form):
+            assert np.array_equal(mine, theirs)
+    assert sphere.model().quotient_form[3] == 2.0 * 5 / 3
     with pytest.raises(ValueError, match="eguchi-hanson"):
         flow.initial_state(sphere)
 

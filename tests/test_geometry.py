@@ -54,6 +54,23 @@ def test_cell_widths_are_built_once_and_read_only(grading):
         widths[0] = 1.0
 
 
+@pytest.mark.parametrize("build", [lambda: geo.build_grid(64, "uniform"),
+                                   lambda: geo.build_grid(64, "geometric", 0.9),
+                                   lambda: geo.build_sphere_model(4, 64)],
+                         ids=["uniform", "geometric", "sphere"])
+def test_model_arrays_are_read_only(build):
+    # a model is the record its builder made: no array of it can be written
+    model = build()
+    arrays = [array for array in (model.faces, model.cell_centers, model.weights,
+                                  model.cell_widths, *model.curvature_form,
+                                  *model.quotient_form)
+              if isinstance(array, np.ndarray)]
+    assert len(arrays) >= 8
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
 def test_grid_rejects_bad_inputs():
     with pytest.raises(ValueError):
         geo.build_grid(4)

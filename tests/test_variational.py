@@ -416,7 +416,7 @@ def _scipy_lambda1_pencil(face_coeff, metric):
 def test_lambda1_pencil_matches_the_scipy_wrappers(model):
     if model == "sphere":
         sphere = geo.build_sphere_model(4, 4096)
-        fc, metric = sphere.laplacian, sphere.weights
+        fc, metric = sphere.curvature_form[0], sphere.weights
     else:
         fc, metric = var.reduced_pencil(flow.initial_state(Scenario(n_cells=4096)))
     res = var._lambda1_pencil(fc, metric)
