@@ -11,32 +11,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import geometry
-
-# (section, key) of the scenario file -> Scenario field, in the file's order
-_FIELDS = {
-    ("model", "type"): "model_type", ("model", "a"): "a", ("model", "n"): "sphere_n",
-    ("grid", "n_cells"): "n_cells", ("grid", "grading"): "grading",
-    ("grid", "ratio"): "ratio",
-    ("time", "t_end"): "t_end", ("time", "safety"): "safety",
-    ("time", "renorm_every"): "renorm_every",
-    ("time", "snapshot_every"): "snapshot_every",
-    ("init", "type"): "init_type", ("init", "value"): "init_value",
-    ("init", "path"): "init_path",
-    ("diagnostics", "cutoffs"): "cutoffs",
-    ("diagnostics", "f_p_exponents"): "f_p_exponents",
-    ("output", "dir"): "output_dir",
-}
-
-# (section, key) -> the section's type the key belongs to: a file that sets
-# the key under another type is refused, and the echo leaves the key out
-_VARIANT_KEYS = {("model", "a"): "eguchi-hanson", ("model", "n"): "sphere",
-                 ("init", "value"): "constant", ("init", "path"): "file"}
-
 
 # A run counts a stop time as reached within this relative tolerance.
 STOP_RTOL = 1e-12
@@ -55,6 +34,27 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _broken_bound(value, lo=None, hi=None, lo_strict=False, hi_strict=False):
+    """The bound ``value`` breaks, as ``"> 0.0"`` or ``"<= 1"``, or None."""
+    if lo is not None and not (value > lo if lo_strict else value >= lo):
+        return f"{'>' if lo_strict else '>='} {lo}"
+    if hi is not None and not (value < hi if hi_strict else value <= hi):
+        return f"{'<' if hi_strict else '<='} {hi}"
+
+
+def _key(key: str, default, owner=None, choices=(), **bounds):
+    """A Scenario field read from the scenario-file key ``section.name``.
+
+    ``owner`` is the type of the section the key belongs to, ``choices``
+    the strings it may hold, ``bounds`` its number bounds: ``lo``, ``hi``
+    and ``lo_strict``, and for a scalar ``hi_strict`` and ``integer``; a
+    list's bounds hold for each item.  A key that defaults to None is
+    optional: it is checked only when set and under its owner type.
+    """
+    return field(default=default, metadata={"key": tuple(key.split(".")), "owner": owner,
+                                            "choices": choices, "bounds": bounds})
+
+
 def value_name(value: float) -> str:
     """The name a cutoff or exponent goes by in series.csv columns and
     dichotomy.json keys."""
@@ -65,92 +65,88 @@ def value_name(value: float) -> str:
 class Scenario:
     """One run's model, grid, time stepping, start, diagnostics and output.
 
-    The field defaults are the file's, as :func:`default_config_text`
-    prints them.  Construction checks every value and raises
-    :class:`ConfigError`, naming the scenario-file key, on the first bad
-    one; numbers are stored as int or float, lists as tuples of floats.
+    Each field declares its scenario-file key, and its default is the
+    file's, as :func:`default_config_text` prints them.  Construction checks
+    every value and raises :class:`ConfigError`, naming the scenario-file
+    key, on the first bad one; numbers are stored as int or float, lists as
+    tuples of floats.
     """
 
-    model_type: str = "eguchi-hanson"
-    a: float = 1.0
-    sphere_n: int = 4
-    n_cells: int = 256
-    grading: str = "uniform"
-    ratio: float = 0.97
-    t_end: float = 0.02
-    safety: float = 0.4
-    renorm_every: int = 20
-    snapshot_every: float = 0.005
-    init_type: str = "constant"
-    init_value: float | None = None
-    init_path: str | None = None
-    cutoffs: tuple = (0.1, 0.05)
-    f_p_exponents: tuple = (2.0, 3.0)
-    output_dir: str = "runs/default"
+    model_type: str = _key("model.type", "eguchi-hanson", choices=("eguchi-hanson", "sphere"))
+    a: float = _key("model.a", 1.0, owner="eguchi-hanson", lo=0.0, lo_strict=True)
+    # n = 343 overflows the sphere's volume and Yamabe constant
+    sphere_n: int = _key("model.n", 4, owner="sphere", lo=3, hi=342, integer=True)
+    n_cells: int = _key("grid.n_cells", 256, lo=8, integer=True)
+    grading: str = _key("grid.grading", "uniform", choices=("uniform", "geometric"))
+    ratio: float = _key("grid.ratio", 0.97, lo=0.0, hi=1.0, lo_strict=True)
+    t_end: float = _key("time.t_end", 0.02, lo=0.0, lo_strict=True)
+    safety: float = _key("time.safety", 0.4, lo=0.0, hi=1.0, lo_strict=True, hi_strict=True)
+    renorm_every: int = _key("time.renorm_every", 20, lo=0, integer=True)
+    snapshot_every: float = _key("time.snapshot_every", 0.005, lo=0.0)
+    init_type: str = _key("init.type", "constant", choices=("constant", "file"))
+    init_value: float | None = _key("init.value", None, owner="constant", lo=0.0, lo_strict=True)
+    init_path: str | None = _key("init.path", None, owner="file")
+    cutoffs: tuple = _key("diagnostics.cutoffs", (0.1, 0.05), lo=0.0, hi=1.0, lo_strict=True)
+    f_p_exponents: tuple = _key("diagnostics.f_p_exponents", (2.0, 3.0), lo=1.0)
+    output_dir: str = _key("output.dir", "runs/default")
 
     def __post_init__(self):
-        if self.model_type not in ("eguchi-hanson", "sphere"):
-            raise ConfigError("model.type must be eguchi-hanson or sphere, "
-                              f"got {self.model_type!r}")
-        self._number("a", "model.a", lo=0.0, lo_strict=True)
-        self._number("sphere_n", "model.n", lo=3, integer=True)
-        self._number("n_cells", "grid.n_cells", lo=8, integer=True)
-        if self.grading not in ("uniform", "geometric"):
-            raise ConfigError("grid.grading must be uniform or geometric, "
-                              f"got {self.grading!r}")
-        if self.model_type == "sphere" and self.grading != "uniform":
-            raise ConfigError("grid.grading must be uniform for the sphere model, "
-                              "whose polar grid is uniform")
-        self._number("ratio", "grid.ratio", lo=0.0, hi=1.0, lo_strict=True)
-        if self.grading == "geometric" and self.ratio == 1.0:
-            raise ConfigError("grid.ratio must be < 1 for geometric grading")
-        self._number("t_end", "time.t_end", lo=0.0, lo_strict=True)
-        self._number("safety", "time.safety", lo=0.0, hi=1.0, lo_strict=True,
-                     hi_strict=True)
-        self._number("renorm_every", "time.renorm_every", lo=0, integer=True)
-        self._number("snapshot_every", "time.snapshot_every", lo=0.0)
-        if 0.0 < self.snapshot_every < self.t_end / MAX_STOPS:
-            raise ConfigError(f"time.snapshot_every {self.snapshot_every:g} is below "
-                              f"time.t_end {self.t_end:g} / {MAX_STOPS}: a run takes at "
-                              f"most {MAX_STOPS} snapshot stops")
-        if self.init_type == "constant":
-            if self.init_value is not None:
-                self._number("init_value", "init.value", lo=0.0, lo_strict=True)
-        elif self.init_type == "file":
-            if not self.init_path or not isinstance(self.init_path, str):
+        # each key's own check in field order; a rule that ties two keys
+        # together runs as soon as the later of them is checked
+        for spec in fields(self):
+            self._check_key(spec)
+            if spec.name == "grading" and self.model_type == "sphere" and self.grading != "uniform":
+                raise ConfigError("grid.grading must be uniform for the sphere model, "
+                                  "whose polar grid is uniform")
+            if spec.name == "ratio" and self.grading == "geometric" and self.ratio == 1.0:
+                raise ConfigError("grid.ratio must be < 1 for geometric grading")
+            if spec.name == "snapshot_every" and 0.0 < self.snapshot_every < self.t_end / MAX_STOPS:
+                raise ConfigError(f"time.snapshot_every {self.snapshot_every:g} is below "
+                                  f"time.t_end {self.t_end:g} / {MAX_STOPS}: a run takes "
+                                  f"at most {MAX_STOPS} snapshot stops")
+            if (spec.name == "init_path" and self.init_type == "file"
+                    and (not self.init_path or not isinstance(self.init_path, str))):
                 raise ConfigError("init.path must name a profile file")
-        else:
-            raise ConfigError(f"init.type must be constant or file, got {self.init_type!r}")
-        self._number_list("cutoffs", "diagnostics.cutoffs", "a nonempty list in (0, 1]",
-                          lambda c: 0.0 < c <= 1.0)
-        self._number_list("f_p_exponents", "diagnostics.f_p_exponents",
-                          "a nonempty list of numbers >= 1", lambda p: p >= 1.0)
         if not self.output_dir or not isinstance(self.output_dir, str):
             raise ConfigError("output.dir must be a nonempty path")
 
-    def _number(self, name, where, lo=None, hi=None, integer=False,
-                lo_strict=False, hi_strict=False):
+    def _check_key(self, spec):
+        """Check one field's value on its own, as its declaration states."""
+        (section, key), meta = spec.metadata["key"], spec.metadata
+        where, value = f"{section}.{key}", getattr(self, spec.name)
+        if spec.default is None and (value is None or self._owned_elsewhere(spec)):
+            return  # an optional key, unset or of another type
+        if meta["choices"] and value not in meta["choices"]:
+            raise ConfigError(f"{where} must be {' or '.join(meta['choices'])}, got {value!r}")
+        if isinstance(spec.default, tuple):
+            self._number_list(spec.name, where, **meta["bounds"])
+        elif meta["bounds"]:
+            self._number(spec.name, where, **meta["bounds"])
+
+    def _owned_elsewhere(self, spec) -> bool:
+        """Whether the field's key belongs to a type its section does not have."""
+        section, owner = spec.metadata["key"][0], spec.metadata["owner"]
+        return owner is not None and getattr(self, _FIELDS[section, "type"]) != owner
+
+    def _number(self, name, where, integer=False, **bounds):
         value = getattr(self, name)
         if not _is_number(value):
             raise ConfigError(f"{where} must be a number")
         if not math.isfinite(value):
             raise ConfigError(f"{where} must be finite")
-        if integer:
-            if value != int(value):
-                raise ConfigError(f"{where} must be an integer")
-            value = int(value)
-        else:
-            value = float(value)
-        if lo is not None and (value <= lo if lo_strict else value < lo):
-            raise ConfigError(f"{where} must be {'>' if lo_strict else '>='} {lo}")
-        if hi is not None and (value >= hi if hi_strict else value > hi):
-            raise ConfigError(f"{where} must be {'<' if hi_strict else '<='} {hi}")
+        if integer and value != int(value):
+            raise ConfigError(f"{where} must be an integer")
+        value = int(value) if integer else float(value)
+        if broken := _broken_bound(value, **bounds):
+            raise ConfigError(f"{where} must be {broken}")
         object.__setattr__(self, name, value)
 
-    def _number_list(self, name, where, what, accept):
+    def _number_list(self, name, where, lo, hi=None, lo_strict=False):
         values = getattr(self, name)
-        if (not isinstance(values, (list, tuple)) or not values
-                or not all(_is_number(c) and accept(c) for c in values)):
+        what = (f"a nonempty list of numbers {'>' if lo_strict else '>='} {lo:g}" if hi is None
+                else f"a nonempty list in {'(' if lo_strict else '['}{lo:g}, {hi:g}]")
+        if not isinstance(values, (list, tuple)) or not values or not all(
+                _is_number(c) and not _broken_bound(c, lo, hi, lo_strict) for c in values):
             raise ConfigError(f"{where} must be {what}")
         values = tuple(float(c) for c in values)
         names = [value_name(c) for c in values]
@@ -170,44 +166,45 @@ class Scenario:
             raise ConfigError(f"grid: {err}") from err
 
     def echo(self) -> dict:
-        """Resolved scenario as a plain dict, the round-trip source of truth."""
-        out = {section: {} for section, _ in _FIELDS}
-        for (section, key), name in _FIELDS.items():
-            value = getattr(self, name)
-            out[section][key] = list(value) if isinstance(value, tuple) else value
-        for (section, key), owner in _VARIANT_KEYS.items():
-            if out[section]["type"] != owner:
-                del out[section][key]
+        """Resolved scenario as a plain dict, the round-trip source of truth:
+        a key of another type of its section is left out."""
+        out = {}
+        for spec in fields(self):
+            (section, key), value = spec.metadata["key"], getattr(self, spec.name)
+            if not self._owned_elsewhere(spec):
+                out.setdefault(section, {})[key] = list(value) if isinstance(value, tuple) else value
         return out
 
 
+# (section, key) of the scenario file -> Scenario field, in the file's order
+_FIELDS = {spec.metadata["key"]: spec.name for spec in fields(Scenario)}
+
+
 def _section(data: dict, name: str) -> dict:
-    raw = data.get(name, {})
-    if raw is None:
-        raw = {}
+    raw = {} if data.get(name) is None else data[name]
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
-    unknown = set(raw) - {key for section, key in _FIELDS if section == name}
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in section {name!r}: {', '.join(sorted(unknown))}")
+    if unknown := set(raw) - {key for section, key in _FIELDS if section == name}:
+        # str: a YAML key may be a number, which sorts and joins with no string
+        raise ConfigError(f"unknown key(s) in section {name!r}: "
+                          f"{', '.join(sorted(map(str, unknown)))}")
     return raw
 
 
 def parse_config(data) -> Scenario:
-    """Validate a parsed scenario mapping; unknown keys anywhere are errors."""
+    """Validate a parsed scenario mapping; unknown keys anywhere are errors,
+    and so is a key of another type of its section."""
     if not isinstance(data, dict):
         raise ConfigError("the scenario file must contain a mapping at top level")
     names = dict.fromkeys(section for section, _ in _FIELDS)
-    unknown = set(data) - set(names)
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
+    if unknown := set(data) - set(names):
+        raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(map(str, unknown)))}")
     sections = {name: _section(data, name) for name in names}
-    cfg = Scenario(**{_FIELDS[name, key]: value
-                      for name, section in sections.items()
+    cfg = Scenario(**{_FIELDS[name, key]: value for name, section in sections.items()
                       for key, value in section.items()})
-    for (name, key), owner in _VARIANT_KEYS.items():
-        if key in sections[name] and getattr(cfg, _FIELDS[name, "type"]) != owner:
+    for spec in fields(cfg):
+        (name, key), owner = spec.metadata["key"], spec.metadata["owner"]
+        if key in sections[name] and cfg._owned_elsewhere(spec):
             raise ConfigError(f"{name}.{key} only applies to {name}.type {owner}")
     return cfg
 
@@ -215,9 +212,21 @@ def parse_config(data) -> Scenario:
 def load_config(path: str) -> Scenario:
     import yaml  # here: only the commands that read or write a scenario file load it
 
+    class UniqueKeyLoader(yaml.SafeLoader):
+        """Refuses a mapping that repeats a key, where PyYAML keeps the last value."""
+
+        def construct_mapping(self, node, deep=False):
+            # a << merge is left out: an explicit key may override a merged one
+            keys = [self.construct_object(key_node, deep=deep) for key_node, _ in node.value
+                    if key_node.tag != "tag:yaml.org,2002:merge"]
+            if repeated := [key for i, key in enumerate(keys) if key in keys[:i]]:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {repeated[0]!r}", node.start_mark)
+            return super().construct_mapping(node, deep)
+
     try:
         with open(path, encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=UniqueKeyLoader)
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except (yaml.YAMLError, ValueError) as err:  # ValueError: a NUL byte in the path, or a bad date

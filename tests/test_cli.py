@@ -45,6 +45,13 @@ def test_dump_default_config_round_trip(capsys):
     assert cli.parse_config(yaml.safe_load(text)) == scenario.Scenario()
 
 
+def test_readme_schema_block_is_the_declared_schema():
+    # README's first yaml block documents every key with its default
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert yaml.safe_load(block) == scenario.Scenario().echo()
+
+
 def test_no_command_prints_usage(capsys):
     assert cli.main([]) == cli.EXIT_INPUT
 
@@ -217,6 +224,72 @@ def test_key_of_another_type_is_refused(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} only applies to ") and err.count("\n") == 1, err
     assert not (tmp_path / "run").exists()
+
+
+# files with several bad values: the first key in the file's order is named
+_FIRST_ERROR = [
+    ({"grid": {"grading": "spiral", "ratio": 2.0}},
+     "grid.grading must be uniform or geometric, got 'spiral'"),
+    ({"model": {"type": "sphere", "n": 4}, "grid": {"grading": "geometric", "ratio": 0.0}},
+     "grid.grading must be uniform for the sphere model, whose polar grid is uniform"),
+    ({"init": {"type": "random"}, "output": {"dir": ""}},
+     "init.type must be constant or file, got 'random'"),
+]
+
+
+@pytest.mark.parametrize("data, message", _FIRST_ERROR)
+def test_first_of_several_bad_values_is_reported(data, message):
+    with pytest.raises(scenario.ConfigError) as err:
+        cli.parse_config(data)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("command", ["yamabe", "eigen"])
+@pytest.mark.parametrize("n", [343, 344])
+def test_sphere_dimension_above_342_is_refused(tmp_path, capsys, command, n):
+    # from n = 343 the sphere's volume and Yamabe constant overflow a double:
+    # the scenario is refused before any work, not by a traceback at the end
+    assert math.isfinite(geo.yamabe_sphere_constant(342))
+    _, data = _scenario(tmp_path)
+    data["model"] = {"type": "sphere", "n": n}
+    path = tmp_path / "sphere.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert cli.main([command, str(path), "--quiet"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: model.n must be <= 342\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ("grid: {n_cells: 64}\ngrid: {grading: geometric}\n", "grid"),
+    ("time: {t_end: 1.0e-3, t_end: 2.0e-3}\n", "t_end"),
+], ids=["section", "key-in-section"])
+def test_scenario_file_that_repeats_a_key_is_refused(tmp_path, capsys, text, key):
+    # yaml alone keeps the last value and runs a scenario the file does not say
+    path = tmp_path / "repeated.yaml"
+    path.write_text(text + f"output: {{dir: {json.dumps(str(tmp_path / 'run'))}}}\n")
+    assert cli.main(["flow", str(path), "--quiet"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse config {path}: found duplicate key {key!r}"), err
+    assert not (tmp_path / "run").exists()
+
+
+def test_merged_key_may_be_overridden(tmp_path):
+    # a << merge is not a repeat: the explicit key wins, as in YAML
+    path = tmp_path / "merged.yaml"
+    path.write_text("grid:\n  <<: {n_cells: 64, grading: geometric}\n  n_cells: 128\n")
+    cfg = scenario.load_config(str(path))
+    assert (cfg.n_cells, cfg.grading) == (128, "geometric")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("grid: {1: 2}\n", "unknown key(s) in section 'grid': 1"),
+    ("1: 2\nx: 3\n", "unknown top-level key(s): 1, x"),
+], ids=["in-section", "top-level"])
+def test_unknown_key_that_is_not_a_string_is_refused(tmp_path, capsys, text, message):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text)
+    assert cli.main(["flow", str(path), "--quiet"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_flow_positivity_exit(tmp_path, monkeypatch):
