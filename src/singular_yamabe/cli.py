@@ -10,9 +10,11 @@ Subcommands
 Exit codes are a stable contract: 0 success, 2 input error, 3 positivity
 failure during a run (partial artifacts are kept), 4 non-convergence.
 
-Each process runs one command, so the solver layers (flow, variational,
-diagnostics) are imported inside the commands that call them: a command
-loads only the layers it runs.
+Each process runs one command, so numpy, geometry and the solver layers
+(flow, variational, diagnostics) are imported inside the commands that call
+them, after their inputs are read and checked: a command loads only the
+layers it runs, and printing the default scenario, a usage error or a
+refused input loads none of them.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import __version__, geometry
+from . import __version__
 from .scenario import (
     ConfigError,
     default_config_text,
@@ -176,7 +176,9 @@ def read_series_csv(path: str):
 
 
 def cmd_validate(args) -> int:
-    from . import diagnostics, variational
+    import numpy as np
+
+    from . import diagnostics, geometry, variational
 
     pi = math.pi
     checks = []
@@ -228,9 +230,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    cfg = load_config(args.config)
+
     from . import flow
 
-    cfg = load_config(args.config)
     try:
         result = flow.run(cfg)
     except (OSError, ValueError) as err:
@@ -275,9 +278,12 @@ def cmd_flow(args) -> int:
 
 
 def cmd_yamabe(args) -> int:
-    from . import variational
-
     cfg = load_config(args.config)
+
+    import numpy as np
+
+    from . import geometry, variational
+
     model = cfg.model()  # the quotient does not depend on the core scale model.a
     if cfg.init_type == "file":
         init = load_profile(cfg.init_path, model.cell_centers)
@@ -310,9 +316,12 @@ def cmd_yamabe(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    cfg = load_config(args.config)
+
+    import numpy as np  # before the try: its handler names np.linalg.LinAlgError
+
     from . import variational
 
-    cfg = load_config(args.config)
     outdir = args.output_dir or cfg.output_dir
     payload = {"scenario": cfg.echo(), "package_version": __version__}
     try:
@@ -351,8 +360,6 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from . import diagnostics, flow
-
     run_dir = args.run_dir
     series_path = os.path.join(run_dir, "series.csv")
     report_path = os.path.join(run_dir, "report.json")
@@ -366,6 +373,10 @@ def cmd_report(args) -> int:
     cfg = parse_config(run_meta["scenario"])
     if cfg.model_type != "eguchi-hanson":
         raise ConfigError("reports cover eguchi-hanson runs")
+    import numpy as np
+
+    from . import diagnostics, flow
+
     records = read_series_csv(series_path)
     if not records:
         raise ConfigError(f"{series_path} holds no records")

@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy and geometry load only where a model or a table is built
+    import numpy as np
 
-from . import geometry
+    from . import geometry
 
 # A run counts a stop time as reached within this relative tolerance.
 STOP_RTOL = 1e-12
@@ -143,10 +145,11 @@ class Scenario:
 
     def _number_list(self, name, where, lo, hi=None, lo_strict=False):
         values = getattr(self, name)
-        what = (f"a nonempty list of numbers {'>' if lo_strict else '>='} {lo:g}" if hi is None
-                else f"a nonempty list in {'(' if lo_strict else '['}{lo:g}, {hi:g}]")
+        what = (f"a nonempty list of finite numbers {'>' if lo_strict else '>='} {lo:g}"
+                if hi is None else f"a nonempty list in {'(' if lo_strict else '['}{lo:g}, {hi:g}]")
         if not isinstance(values, (list, tuple)) or not values or not all(
-                _is_number(c) and not _broken_bound(c, lo, hi, lo_strict) for c in values):
+                _is_number(c) and math.isfinite(c) and not _broken_bound(c, lo, hi, lo_strict)
+                for c in values):
             raise ConfigError(f"{where} must be {what}")
         values = tuple(float(c) for c in values)
         names = [value_name(c) for c in values]
@@ -158,6 +161,8 @@ class Scenario:
     def model(self) -> geometry.RadialGrid:
         """The configured model: the sphere on its polar grid, or the
         eguchi-hanson reduction on its grid in x."""
+        from . import geometry
+
         if self.model_type == "sphere":
             return geometry.build_sphere_model(self.sphere_n, self.n_cells)
         try:
@@ -248,6 +253,8 @@ def default_config_text() -> str:
 def check_profile(x: np.ndarray, v: np.ndarray, source: str) -> None:
     """Refuse a tabulated profile unless it has two or more finite samples,
     strictly increasing x and positive v."""
+    import numpy as np
+
     if x.size < 2:
         raise ConfigError(f"{source} needs at least two x,v samples")
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(v)):
@@ -260,6 +267,8 @@ def check_profile(x: np.ndarray, v: np.ndarray, source: str) -> None:
 
 def read_profile(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read and check the headerless two-column x,v table in ``path``."""
+    import numpy as np
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty file, refused below
@@ -276,4 +285,6 @@ def read_profile(path: str) -> tuple[np.ndarray, np.ndarray]:
 def load_profile(path: str, coords) -> np.ndarray:
     """The profile in ``path`` interpolated onto ``coords``, held constant
     beyond the tabulated range."""
+    import numpy as np
+
     return np.interp(coords, *read_profile(path))

@@ -1,8 +1,9 @@
 """Public names: every exported name resolves, the package root loads no
-layer, each command loads only the layers it runs, every function the
-benchmark's tracer times (perfbench/traced_cli.py SPANS) is still there,
-every public definition is used by the package or traced, and only
-geometry's builders construct a model."""
+layer, each command loads only the layers it runs, the front end loads no
+numeric layer, every function the benchmark's tracer times
+(perfbench/traced_cli.py SPANS) is still there, every public definition is
+used by the package or traced, and only geometry's builders construct a
+model."""
 
 import ast
 import importlib
@@ -78,6 +79,45 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, command):
     assert status == "0", out.stdout
     unwanted = sorted(_NOT_LOADED[command] & set(loaded))
     assert not unwanted, f"{command} loads {unwanted}"
+
+
+# front-end process -> its arguments (None: it only imports the command
+# line), exit code and the start of its stderr: none computes, so none loads
+# numpy, scipy or a layer built on them, and each refusal names what it refuses
+_FRONT_END = {
+    "import": (None, None, ""),
+    "dump-default-config": (["--dump-default-config"], 0, ""),
+    "help": (["--help"], 0, ""),
+    "usage-error": (["--no-such-flag"], 2, "usage: "),
+    "flow": (["flow", "refused.yaml"], 2, "error: grid.n_cells must be >= 8\n"),
+    "yamabe": (["yamabe", "refused.yaml"], 2, "error: grid.n_cells must be >= 8\n"),
+    "eigen": (["eigen", "refused.yaml"], 2, "error: grid.n_cells must be >= 8\n"),
+    "report": (["report", "."], 2, "error: cannot read ./report.json: "),
+}
+_NUMERIC_LAYERS = {"singular_yamabe.geometry", "singular_yamabe.flow",
+                   "singular_yamabe.variational", "singular_yamabe.diagnostics"}
+
+
+@pytest.mark.parametrize("process", list(_FRONT_END))
+def test_front_end_loads_no_numeric_layer(tmp_path, process):
+    argv, status, stderr = _FRONT_END[process]
+    (tmp_path / "refused.yaml").write_text("grid: {n_cells: 4}\n")
+    root = str(Path(importlib.import_module("singular_yamabe").__file__).parents[1])
+    code = (f"import contextlib, io, sys\nsys.path.insert(0, {root!r})\n"
+            "from singular_yamabe.cli import main\nstatus = None\n")
+    if argv is not None:
+        code += ("with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    try:\n        status = main({argv!r})\n"
+                 "    except SystemExit as stop:  # argparse's --help and usage error\n"
+                 "        status = stop.code\n")
+    code += "print(status, *sorted(sys.modules))\n"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=tmp_path)
+    printed, *loaded = out.stdout.split()
+    assert printed == str(status), out.stderr
+    assert out.stderr.startswith(stderr), out.stderr
+    numeric = [m for m in loaded if m.split(".")[0] in ("numpy", "scipy") or m in _NUMERIC_LAYERS]
+    assert not numeric, f"{argv} loads {numeric}"
 
 
 def _traced_spans():
