@@ -12,9 +12,10 @@ failure during a run (partial artifacts are kept), 4 non-convergence.
 
 Each process runs one command, so numpy, geometry and the solver layers
 (flow, variational, diagnostics) are imported inside the commands that call
-them, after their inputs are read and checked: a command loads only the
-layers it runs, and printing the default scenario, a usage error or a
-refused input loads none of them.
+them.  ``main`` reads and checks a command's scenario before the command
+runs, and each command checks its other inputs before its imports: a
+command loads only the layers it runs, and printing the default scenario, a
+usage error or a refused input loads none of them.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ EXIT_NO_CONVERGENCE = 4
 
 def _make_outdir(path: str) -> str:
     try:
-        os.makedirs(path, exist_ok=True)
+        # "" is the current directory, as in `report ""`
+        os.makedirs(path or os.curdir, exist_ok=True)
     except (OSError, ValueError) as err:  # ValueError: a path with a NUL byte
         raise ConfigError(f"cannot use output directory {path!r}: {err}") from err
     return path
@@ -94,6 +96,24 @@ def _fmt(value: float) -> str:
 def _write_json(path: str, payload) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     _atomic_write(path, text + "\n")
+
+
+def _say(args, *lines: str) -> None:
+    if not args.quiet:
+        print(*lines, sep="\n")
+
+
+def _publish(args, outdir, name: str, payload, *lines: str) -> None:
+    """Write ``payload`` to ``<outdir>/<name>.json``, making the directory
+    (no file when ``outdir`` is None), then print ``lines`` unless --quiet."""
+    if outdir is not None:
+        _write_json(os.path.join(_make_outdir(outdir), f"{name}.json"), payload)
+    _say(args, *lines)
+
+
+def _result(cfg, **fields) -> dict:
+    """A scenario command's result, headed by its scenario and the package version."""
+    return {"scenario": cfg.echo(), "package_version": __version__, **fields}
 
 
 # series.csv's fixed columns, in order -> the TimeSeriesRecord field each holds
@@ -221,17 +241,12 @@ def cmd_validate(args) -> int:
         report[name] = {"expected": float(expected), "computed": float(computed),
                         "relative_error": float(rel), "pass": ok}
     payload = {"checks": report, "all_pass": all_pass}
-    if not args.quiet:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.output_dir:
-        _make_outdir(args.output_dir)
-        _write_json(os.path.join(args.output_dir, "validate.json"), payload)
+    _publish(args, args.output_dir or None, "validate", payload,
+             json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK if all_pass else 1
 
 
-def cmd_flow(args) -> int:
-    cfg = load_config(args.config)
-
+def cmd_flow(args, cfg) -> int:
     from . import flow
 
     try:
@@ -245,17 +260,17 @@ def cmd_flow(args) -> int:
     snapdir = os.path.join(outdir, "snapshots")
     names = write_snapshots(snapdir, result.snapshots, result.final_state.grid)
     final = result.records[-1]
-    payload = {
-        "scenario": cfg.echo(),
-        "package_version": __version__,
-        "completed": result.completed,
-        "failure": result.failure,
-        "steps": len(result.records) - 1,
-        "final": {"t": final.t, "sigma_tilde": final.sigma_tilde,
-                  "volume": final.volume},
-        "artifacts": {"series": "series.csv",
-                      "snapshots": [f"snapshots/{n}" for n in names]},
-    }
+    payload = _result(
+        cfg,
+        completed=result.completed,
+        failure=result.failure,
+        steps=len(result.records) - 1,
+        final={"t": final.t, "sigma_tilde": final.sigma_tilde, "volume": final.volume},
+        artifacts={"series": "series.csv",
+                   "snapshots": [f"snapshots/{n}" for n in names]},
+    )
+    # the manifest goes first: an interrupted rerun then leaves no old
+    # manifest over the new series and snapshots
     _write_json(os.path.join(outdir, "report.json"), payload)
     # an earlier run's snapshots and report describe another run
     for name in sorted(set(os.listdir(snapdir)) - set(names)):
@@ -265,21 +280,16 @@ def cmd_flow(args) -> int:
     failed = os.path.join(outdir, "FAILED")
     if not result.completed:
         _atomic_write(failed, (result.failure or "positivity failure") + "\n")
-        if not args.quiet:
-            print(f"flow stopped early: {result.failure}")
-            print(f"partial artifacts in {outdir}")
+        _say(args, f"flow stopped early: {result.failure}", f"partial artifacts in {outdir}")
         return EXIT_POSITIVITY
     _remove(failed)  # a completed run clears the marker an earlier run left
-    if not args.quiet:
-        print(f"flow finished: {len(result.records) - 1} steps to t={_fmt(final.t)}")
-        print(f"sigma_tilde {_fmt(result.records[0].sigma_tilde)} -> {_fmt(final.sigma_tilde)}")
-        print(f"artifacts in {outdir}")
+    _say(args, f"flow finished: {len(result.records) - 1} steps to t={_fmt(final.t)}",
+         f"sigma_tilde {_fmt(result.records[0].sigma_tilde)} -> {_fmt(final.sigma_tilde)}",
+         f"artifacts in {outdir}")
     return EXIT_OK
 
 
-def cmd_yamabe(args) -> int:
-    cfg = load_config(args.config)
-
+def cmd_yamabe(args, cfg) -> int:
     import numpy as np
 
     from . import geometry, variational
@@ -295,35 +305,30 @@ def cmd_yamabe(args) -> int:
         raise ConfigError(str(err)) from err
     reference = (geometry.yamabe_sphere_constant(cfg.sphere_n)
                  if cfg.model_type == "sphere" else geometry.Y_LOCAL)
-    outdir = _make_outdir(args.output_dir or cfg.output_dir)
-    payload = {
-        "scenario": cfg.echo(),
-        "package_version": __version__,
-        "initial_value": float(result.history[0]),
-        "value": float(result.value),
-        "iterations": int(result.iterations),
-        "gradient_norm": float(result.gradient_norm),
-        "converged": bool(result.converged),
-        "reference_constant": float(reference),
-    }
-    _write_json(os.path.join(outdir, "yamabe.json"), payload)
-    if not args.quiet:
-        state = "converged" if result.converged else "did not converge"
-        print(f"quotient {_fmt(result.history[0])} -> {_fmt(result.value)} "
-              f"({state}, {result.iterations} iterations)")
-        print(f"result in {outdir}/yamabe.json")
+    outdir = args.output_dir or cfg.output_dir
+    payload = _result(
+        cfg,
+        initial_value=float(result.history[0]),
+        value=float(result.value),
+        iterations=int(result.iterations),
+        gradient_norm=float(result.gradient_norm),
+        converged=bool(result.converged),
+        reference_constant=float(reference),
+    )
+    state = "converged" if result.converged else "did not converge"
+    _publish(args, outdir, "yamabe", payload,
+             f"quotient {_fmt(result.history[0])} -> {_fmt(result.value)} "
+             f"({state}, {result.iterations} iterations)",
+             f"result in {outdir}/yamabe.json")
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_eigen(args) -> int:
-    cfg = load_config(args.config)
-
+def cmd_eigen(args, cfg) -> int:
     import numpy as np  # before the try: its handler names np.linalg.LinAlgError
 
     from . import variational
 
     outdir = args.output_dir or cfg.output_dir
-    payload = {"scenario": cfg.echo(), "package_version": __version__}
     try:
         if cfg.model_type == "sphere":
             result = variational.sphere_first_eigenvalue(cfg.model())
@@ -337,25 +342,18 @@ def cmd_eigen(args) -> int:
             sigma_inf = state.sigma_tilde
             n = 4
     except np.linalg.LinAlgError as err:  # a ValueError, so caught first
-        payload.update({"lambda1": None, "failure": str(err)})
-        _write_json(os.path.join(_make_outdir(outdir), "eigen.json"), payload)
-        if not args.quiet:
-            print(f"eigen solve failed: {err}")
+        _publish(args, outdir, "eigen", _result(cfg, lambda1=None, failure=str(err)),
+                 f"eigen solve failed: {err}")
         return EXIT_NO_CONVERGENCE
     except (OSError, ValueError) as err:
         raise ConfigError(f"cannot build the eigenproblem: {err}") from err
-    _make_outdir(outdir)
-    criteria = variational.eigen_criteria(result.lambda1, sigma_inf, n)
-    payload.update({
-        "lambda1": float(result.lambda1),
-        "residual": float(result.residual),
-        "sigma_inf": float(sigma_inf),
-        "criteria": {k: bool(v) for k, v in criteria.items()},
-    })
-    _write_json(os.path.join(outdir, "eigen.json"), payload)
-    if not args.quiet:
-        print(f"lambda1 = {_fmt(result.lambda1)} (residual {_fmt(result.residual)})")
-        print(f"criteria vs sigma_inf={_fmt(sigma_inf)}: {payload['criteria']}")
+    criteria = {k: bool(v) for k, v in
+                variational.eigen_criteria(result.lambda1, sigma_inf, n).items()}
+    payload = _result(cfg, lambda1=float(result.lambda1), residual=float(result.residual),
+                      sigma_inf=float(sigma_inf), criteria=criteria)
+    _publish(args, outdir, "eigen", payload,
+             f"lambda1 = {_fmt(result.lambda1)} (residual {_fmt(result.residual)})",
+             f"criteria vs sigma_inf={_fmt(sigma_inf)}: {criteria}")
     return EXIT_OK
 
 
@@ -405,15 +403,14 @@ def cmd_report(args) -> int:
         "failure": run_meta.get("failure"),
         **diagnostics.build_dichotomy_report(initial, final, records, cfg),
     }
-    _write_json(os.path.join(run_dir, "dichotomy.json"), payload)
-    if not args.quiet:
-        d = payload["dichotomy"]
-        print("dichotomy: " + " ".join(
-            f"{k}={d[k]}" for k in ("small_energy_ok", "low_average_ok",
-                                    "max_bubble_count", "concentration_detected")))
-        rate = payload["decay_rate_fit"]["rate"]
-        print(f"decay rate estimate: {'n/a' if rate is None else _fmt(rate)}")
-        print(f"report in {run_dir}/dichotomy.json")
+    d = payload["dichotomy"]
+    rate = payload["decay_rate_fit"]["rate"]
+    _publish(args, run_dir, "dichotomy", payload,
+             "dichotomy: " + " ".join(
+                 f"{k}={d[k]}" for k in ("small_energy_ok", "low_average_ok",
+                                         "max_bubble_count", "concentration_detected")),
+             f"decay rate estimate: {'n/a' if rate is None else _fmt(rate)}",
+             f"report in {run_dir}/dichotomy.json")
     return EXIT_OK
 
 
@@ -430,37 +427,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dump-default-config", action="store_true",
                         help="print the default scenario file and exit")
     subs = parser.add_subparsers(dest="command")
-
-    def common(sub):
-        sub.add_argument("--output-dir", default=None,
-                         help="override the config's output directory")
-        sub.add_argument("--quiet", action="store_true",
-                         help="suppress progress output")
-
-    sub = subs.add_parser("validate", help="closed-form cross-check suite")
-    common(sub)
-    sub.set_defaults(func=cmd_validate)
-
-    sub = subs.add_parser("flow", help="drive the reduced flow")
-    sub.add_argument("config")
-    common(sub)
-    sub.set_defaults(func=cmd_flow)
-
-    sub = subs.add_parser("yamabe", help="minimize the conformal quotient")
-    sub.add_argument("config")
-    common(sub)
-    sub.set_defaults(func=cmd_yamabe)
-
-    sub = subs.add_parser("eigen", help="first nonzero eigenvalue")
-    sub.add_argument("config")
-    common(sub)
-    sub.set_defaults(func=cmd_eigen)
-
-    sub = subs.add_parser("report", help="classify a run directory")
-    sub.add_argument("run_dir")
-    sub.add_argument("--quiet", action="store_true")
-    sub.set_defaults(func=cmd_report)
-
+    # each subcommand: its function, its positional argument and its help;
+    # the functions are looked up when the parser is built, so a binding
+    # replaced on this module after import is the one that runs
+    for name, func, positional, text in (
+            ("validate", cmd_validate, None, "closed-form cross-check suite"),
+            ("flow", cmd_flow, "config", "drive the reduced flow"),
+            ("yamabe", cmd_yamabe, "config", "minimize the conformal quotient"),
+            ("eigen", cmd_eigen, "config", "first nonzero eigenvalue"),
+            ("report", cmd_report, "run_dir", "classify a run directory")):
+        sub = subs.add_parser(name, help=text)
+        if positional:
+            sub.add_argument(positional)
+        if name != "report":  # a report is written into its run directory
+            sub.add_argument("--output-dir", default=None,
+                             help="override the config's output directory")
+        sub.add_argument("--quiet", action="store_true", help="suppress progress output")
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -474,7 +457,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args)
+        if "config" not in args:
+            return args.func(args)
+        # the scenario is read and checked before its command loads a layer
+        return args.func(args, load_config(args.config))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -37,7 +37,8 @@ def f_p(state: FlowState, p: float) -> float:
     """
     if p < 1.0:
         raise ValueError(f"moment order must be >= 1, got {p}")
-    return moment(state.scalar - state.sigma_tilde, state.dvol, p)
+    with np.errstate(over="ignore"):  # a moment past the double range is inf
+        return moment(state.scalar - state.sigma_tilde, state.dvol, p)
 
 
 def decay_rate_fit(records: list[TimeSeriesRecord]) -> float:
@@ -265,9 +266,10 @@ def build_dichotomy_report(initial_state: FlowState, final_state: FlowState,
 
     Returns the report as plain JSON data: the threshold flags and the
     concentration evidence, the decay rate of the series ``records``, the
-    final deviation moments, the kernel identity and sup bound checks, and
-    a bubble fit when concentration is detected (``None`` otherwise).  A
-    fit or a rate that cannot be made is reported as an ``error`` entry.
+    final deviation moments (``None`` for one past the double range), the
+    kernel identity and sup bound checks, and a bubble fit when
+    concentration is detected (``None`` otherwise).  A fit or a rate that
+    cannot be made is reported as an ``error`` entry.
     """
     s0_plus = positive_scalar_l2_norm(initial_state)
     sigma0 = physical_sigma(initial_state.sigma_tilde, initial_state.volume)
@@ -292,6 +294,7 @@ def build_dichotomy_report(initial_state: FlowState, final_state: FlowState,
         except BubbleFitError as err:
             bubble = {"error": str(err)}
 
+    moments = {value_name(p): f_p(final_state, p) for p in scenario.f_p_exponents}
     return {
         "dichotomy": {
             "small_energy_ok": small_energy_test(s0_plus),
@@ -306,8 +309,8 @@ def build_dichotomy_report(initial_state: FlowState, final_state: FlowState,
         },
         "alternate_flags": alternate_flag_variants(),
         "decay_rate_fit": decay,
-        "deviation_moments_final": {value_name(p): f_p(final_state, p)
-                                    for p in scenario.f_p_exponents},
+        "deviation_moments_final": {k: m if math.isfinite(m) else None
+                                    for k, m in moments.items()},
         "green_identity_residual": green_identity_residual(final_state),
         "sup_bound": sup_bound_check(final_state, scalar_l2_bound(initial_state)),
         "bubble_fit": bubble,

@@ -77,8 +77,8 @@ class FlowState:
         v = np.array(self.v, dtype=float)
         # powers of v past the double range are refused with the volume below,
         # unless only some cubes underflow: those cells get infinite curvature,
-        # refused with the curvature mean
-        with np.errstate(over="ignore", divide="ignore"):
+        # refused with the curvature mean (0/0 where every power underflows)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             scalar = scalar_from_v(v, self.grid)  # checks the shape, then positivity
             dvol = v**4 * self.grid.weights
             volume = float(np.sum(dvol))

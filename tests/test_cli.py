@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import singular_yamabe
 from singular_yamabe import cli, flow, variational
@@ -54,6 +54,25 @@ def test_readme_schema_block_is_the_declared_schema():
 
 def test_no_command_prints_usage(capsys):
     assert cli.main([]) == cli.EXIT_INPUT
+
+
+def test_main_reads_the_scenario_and_calls_the_module_binding(tmp_path, monkeypatch):
+    # main looks each command up when it parses, so a binding replaced after
+    # import, as the benchmark's tracer replaces them, is the one that runs
+    calls = []
+    monkeypatch.setattr(cli, "cmd_flow", lambda args, cfg: calls.append(cfg) or cli.EXIT_OK)
+    cfg_path, _ = _scenario(tmp_path)
+    assert cli.main(["flow", cfg_path]) == cli.EXIT_OK
+    assert calls == [scenario.load_config(cfg_path)]
+    assert not (tmp_path / "run").exists()
+
+
+def test_report_takes_no_output_dir(tmp_path, capsys):
+    # a report is written into its run directory
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["report", str(tmp_path), "--output-dir", str(tmp_path / "x")])
+    assert stop.value.code == cli.EXIT_INPUT
+    assert "unrecognized arguments: --output-dir" in capsys.readouterr().err
 
 
 def test_validate_suite(tmp_path):
@@ -593,8 +612,9 @@ def test_subnormal_start_is_refused(tmp_path, capsys):
     table = tmp_path / "tiny.csv"
     table.write_text("".join(f"{x!r},{1e-90 if x < 0.05 else 1.0!r}\n"
                              for x in np.linspace(0.0, 1.0, 64).tolist()))
-    tiny = {"type": "constant", "value": 1.0e-80}
-    refused = [(command, tiny) for command in ("flow", "yamabe", "eigen")]
+    # 5e-324, the smallest subnormal, also underflows x v and v^3 to 0
+    refused = [(command, {"type": "constant", "value": value})
+               for value in (1.0e-80, 5.0e-324) for command in ("flow", "yamabe", "eigen")]
     refused += [("eigen", {"type": "file", "path": str(table)})]
     for command, init in refused:
         cfg_path, _ = _scenario(tmp_path, init=init)
@@ -606,6 +626,43 @@ def test_subnormal_start_is_refused(tmp_path, capsys):
     for command in ("flow", "yamabe"):
         cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": 1.0e-75})
         assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_OK, command
+
+
+@given(value=st.floats(-323.3, 100.0).map(lambda e: 10.0**e),
+       exponents=st.lists(st.sampled_from([2, 3, 50, 400]), min_size=1, max_size=3,
+                          unique=True),
+       n_cells=st.sampled_from([16, 32]), grading=st.sampled_from(["uniform", "geometric"]))
+# the moment of order 50 passes the double range: report once wrote Infinity
+@example(value=1.0e-9, exponents=[2, 50], n_cells=64, grading="uniform")
+# x v and v^3 underflow to 0: the start's 0/0 once warned before its error line
+@example(value=5.0e-324, exponents=[2, 3], n_cells=64, grading="uniform")
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_constant_starts_keep_the_bad_input_contract(tmp_path, capsys, value, exponents,
+                                                      n_cells, grading):
+    # a constant start between the smallest subnormal and 1e100 (log-uniform):
+    # each command exits 0, 2, 3 or 4, prints nothing under --quiet but one
+    # error line on a refusal, and writes only JSON that strict parsers read
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        run, cfg_path = Path(tmp) / "run", Path(tmp) / "scenario.yaml"
+        cfg_path.write_text(yaml.safe_dump({
+            "grid": {"n_cells": n_cells, "grading": grading, "ratio": 0.97},
+            "init": {"type": "constant", "value": value},
+            "diagnostics": {"f_p_exponents": exponents},
+            "output": {"dir": str(run)},
+        }))
+        for argv in (["flow", str(cfg_path)], ["report", str(run)],
+                     ["eigen", str(cfg_path)], ["yamabe", str(cfg_path)]):
+            code = cli.main([*argv, "--quiet"])
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3, 4), (argv, code)
+            assert out == "", (argv, out)
+            if code == cli.EXIT_INPUT:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            else:
+                assert err == "", (argv, err)
+        for path in run.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
 
 
 def test_start_whose_cube_underflows_is_refused(tmp_path, capsys):

@@ -42,12 +42,14 @@ def test_package_import_loads_no_submodule():
 
 
 # command -> modules its process must not load: report and validate read no
-# scenario file, and each command imports only the solver layers it runs
+# scenario file, and each command imports only the solver layers it runs (on
+# the sphere, eigen solves its pencil without a flow state)
 _NOT_LOADED = {
     "validate": {"yaml"},
     "report": {"yaml", "singular_yamabe.variational"},
     "flow": {"singular_yamabe.variational", "singular_yamabe.diagnostics"},
     "yamabe": {"singular_yamabe.flow", "singular_yamabe.diagnostics"},
+    "eigen": {"singular_yamabe.flow", "singular_yamabe.diagnostics"},
 }
 
 
@@ -69,7 +71,8 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, command):
         assert cli.main(["flow", str(flow_cfg), "--quiet"]) == 0
     argv = {"validate": ["validate", "--quiet"], "report": ["report", str(run_dir), "--quiet"],
             "flow": ["flow", str(flow_cfg), "--quiet"],
-            "yamabe": ["yamabe", str(sphere_cfg), "--quiet"]}[command]
+            "yamabe": ["yamabe", str(sphere_cfg), "--quiet"],
+            "eigen": ["eigen", str(sphere_cfg), "--quiet"]}[command]
     root = str(Path(importlib.import_module("singular_yamabe").__file__).parents[1])
     code = (f"import sys\nsys.path.insert(0, {root!r})\nfrom singular_yamabe.cli import main\n"
             f"code = main({argv!r})\nprint(code, *sorted(sys.modules))\n")
