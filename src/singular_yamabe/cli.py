@@ -410,7 +410,7 @@ def cmd_report(args) -> int:
                  f"{k}={d[k]}" for k in ("small_energy_ok", "low_average_ok",
                                          "max_bubble_count", "concentration_detected")),
              f"decay rate estimate: {'n/a' if rate is None else _fmt(rate)}",
-             f"report in {run_dir}/dichotomy.json")
+             f"report in {os.path.join(run_dir, 'dichotomy.json')}")
     return EXIT_OK
 
 

@@ -57,8 +57,12 @@ def decay_rate_fit(records: list[TimeSeriesRecord]) -> float:
     f2 = np.array([r.f2 for r in tail])
     if np.any(f2 <= 0.0):
         return math.inf
-    slope = np.polyfit(t, np.log(f2), 1)[0]
-    return float(-slope)
+    # fitted against t / 2^k in [0.5, 1): polyfit scales its columns by their
+    # norms, so the power of two passes through exactly, and times whose
+    # squares overflow (past about 1e154) fit like any others
+    k = math.frexp(t.max())[1]
+    slope = np.polyfit(np.ldexp(t, -k), np.log(f2), 1)[0]
+    return math.ldexp(-slope, -k)
 
 
 # ---------------------------------------------------------------------------

@@ -27,22 +27,6 @@ import numpy as np
 from .geometry import RadialGrid, form_bands, inner, lapack, scalar_from_v
 from .scenario import STOP_RTOL, Scenario, load_profile
 
-__all__ = [
-    "PositivityError",
-    "FlowState",
-    "TimeSeriesRecord",
-    "RunResult",
-    "mass_fraction",
-    "moment",
-    "boundary_value",
-    "stable_dt",
-    "step",
-    "rosenbrock_step",
-    "renormalize",
-    "advance",
-    "run",
-]
-
 
 class PositivityError(RuntimeError):
     """A step drove the conformal cube nonpositive, or too small to carry its
@@ -315,13 +299,21 @@ class RunResult:
 
 
 def _make_record(state: FlowState, dt_used: float, cutoffs) -> TimeSeriesRecord:
+    """The state's series row; ValueError when a deviation moment is past
+    the double range (a start whose curvature is some -3e226 where v is 1e-75)."""
     dev = state.scalar - state.sigma_tilde
+    with np.errstate(over="ignore"):  # refused below, without numpy's warning
+        f2, f3 = moment(dev, state.dvol, 2.0), moment(dev, state.dvol, 3.0)
+    for name, value in (("F2", f2), ("F3", f3)):
+        if not math.isfinite(value):
+            raise ValueError(f"curvature deviation moment {name} is not finite"
+                             f" at t={state.t:.6g}")
     return TimeSeriesRecord(
         t=state.t,
         sigma_tilde=state.sigma_tilde,
         volume=state.volume,
-        f2=moment(dev, state.dvol, 2.0),
-        f3=moment(dev, state.dvol, 3.0),
+        f2=f2,
+        f3=f3,
         v_at_x1=boundary_value(state),
         mass_fractions={x0: mass_fraction(state, x0) for x0 in cutoffs},
         dt_used=dt_used,
@@ -364,20 +356,23 @@ def run(scenario: Scenario) -> RunResult:
     The stops are the multiples of snapshot_every and t_end.  Records are
     emitted for the initial state and after every accepted step (post
     renormalization when due).  Snapshots are taken at t = 0 and on every
-    stop.  On positivity loss the partial history, ending in a snapshot of
-    the last accepted state, is returned with completed = False.
+    stop.  On positivity loss, or a ValueError past the start (a state whose
+    record is not finite), the partial history, ending in a snapshot of the
+    last recorded state, is returned with completed = False; a start whose
+    record is not finite raises ValueError.
     """
     state = initial_state(scenario)
     records = [_make_record(state, 0.0, scenario.cutoffs)]
     snapshots = [(state.t, state.v)]  # the state's profile is read-only
     stops = _snapshot_stops(scenario.snapshot_every, scenario.t_end)
     try:
-        for state, h, stopped in advance(state, stops, scenario.safety,
-                                         scenario.renorm_every):
-            records.append(_make_record(state, h, scenario.cutoffs))
+        for new, h, stopped in advance(state, stops, scenario.safety,
+                                       scenario.renorm_every):
+            records.append(_make_record(new, h, scenario.cutoffs))
+            state = new
             if stopped:
                 snapshots.append((state.t, state.v))
-    except PositivityError as exc:
+    except (PositivityError, ValueError) as exc:
         if snapshots[-1][0] != state.t:
             snapshots.append((state.t, state.v))
         return RunResult(records, snapshots, False, str(exc), state)

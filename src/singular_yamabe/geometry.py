@@ -31,29 +31,6 @@ from functools import cache, cached_property
 
 import numpy as np
 
-__all__ = [
-    "RadialGrid",
-    "build_grid",
-    "build_sphere_model",
-    "x_of_r",
-    "eh_scalar_curvature",
-    "eh_volume",
-    "eh_volume_quadrature",
-    "eh_distance_to_infinity",
-    "eh_scalar_l2_energy",
-    "inner",
-    "apply_form",
-    "form_bands",
-    "lapack",
-    "scalar_from_v",
-    "green_kernel",
-    "distance_from_singular_point",
-    "sphere_volume",
-    "yamabe_sphere_constant",
-    "Y_LOCAL",
-    "improper_radial_integral",
-    "tanh_sinh_rule",
-]
 
 # Smallest cell width build_grid accepts, about 4500 ulps of the unit
 # interval.  The curvature operator scales like 1 / dx^2, so narrower cells

@@ -25,18 +25,6 @@ from .geometry import RadialGrid, apply_form, form_bands, inner, lapack
 if TYPE_CHECKING:  # annotations only: the solves never build a flow state
     from .flow import FlowState
 
-__all__ = [
-    "QuotientResult",
-    "EigenResult",
-    "yamabe_quotient_eh",
-    "yamabe_quotient_sphere",
-    "minimize_quotient",
-    "first_eigenvalue",
-    "sphere_first_eigenvalue",
-    "eigen_criteria",
-    "reduced_pencil",
-]
-
 
 # ---------------------------------------------------------------------------
 # quadratic forms

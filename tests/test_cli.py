@@ -628,6 +628,32 @@ def test_subnormal_start_is_refused(tmp_path, capsys):
         assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_OK, command
 
 
+def _keeps_the_bad_input_contract(tmp_path, capsys, scenario):
+    """Run flow, report, eigen and yamabe on ``scenario``, writing into a
+    fresh directory: each command exits 0, 2, 3 or 4, prints nothing under
+    --quiet but one error line on a refusal, and writes only JSON that strict
+    parsers read, and report reads every run that flow finished or ended
+    early."""
+    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+        run, cfg_path = Path(tmp) / "run", Path(tmp) / "scenario.yaml"
+        cfg_path.write_text(yaml.safe_dump({**scenario, "output": {"dir": str(run)}}))
+        codes = {}
+        for argv in (["flow", str(cfg_path)], ["report", str(run)],
+                     ["eigen", str(cfg_path)], ["yamabe", str(cfg_path)]):
+            code = codes[argv[0]] = cli.main([*argv, "--quiet"])
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3, 4), (argv, code)
+            assert out == "", (argv, out)
+            if code == cli.EXIT_INPUT:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            else:
+                assert err == "", (argv, err)
+        if codes["flow"] in (cli.EXIT_OK, cli.EXIT_POSITIVITY):
+            assert codes["report"] == cli.EXIT_OK
+        for path in run.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 @given(value=st.floats(-323.3, 100.0).map(lambda e: 10.0**e),
        exponents=st.lists(st.sampled_from([2, 3, 50, 400]), min_size=1, max_size=3,
                           unique=True),
@@ -640,29 +666,36 @@ def test_subnormal_start_is_refused(tmp_path, capsys):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_constant_starts_keep_the_bad_input_contract(tmp_path, capsys, value, exponents,
                                                       n_cells, grading):
-    # a constant start between the smallest subnormal and 1e100 (log-uniform):
-    # each command exits 0, 2, 3 or 4, prints nothing under --quiet but one
-    # error line on a refusal, and writes only JSON that strict parsers read
-    with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
-        run, cfg_path = Path(tmp) / "run", Path(tmp) / "scenario.yaml"
-        cfg_path.write_text(yaml.safe_dump({
-            "grid": {"n_cells": n_cells, "grading": grading, "ratio": 0.97},
-            "init": {"type": "constant", "value": value},
-            "diagnostics": {"f_p_exponents": exponents},
-            "output": {"dir": str(run)},
-        }))
-        for argv in (["flow", str(cfg_path)], ["report", str(run)],
-                     ["eigen", str(cfg_path)], ["yamabe", str(cfg_path)]):
-            code = cli.main([*argv, "--quiet"])
-            out, err = capsys.readouterr()
-            assert code in (0, 2, 3, 4), (argv, code)
-            assert out == "", (argv, out)
-            if code == cli.EXIT_INPUT:
-                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-            else:
-                assert err == "", (argv, err)
-        for path in run.rglob("*.json"):
-            json.loads(path.read_text(), parse_constant=_refuse_constant)
+    # a constant start between the smallest subnormal and 1e100 (log-uniform)
+    _keeps_the_bad_input_contract(tmp_path, capsys, {
+        "grid": {"n_cells": n_cells, "grading": grading, "ratio": 0.97},
+        "init": {"type": "constant", "value": value},
+        "diagnostics": {"f_p_exponents": exponents},
+    })
+
+
+# (cells, grading): 32 geometric cells are left out for time alone; from a
+# core of 1e-50 cut at 0.05, flow takes 66834 steps there, 2736 on 32 uniform
+@given(exponent=st.floats(-110.0, 0.0), cut=st.sampled_from([0.02, 0.05, 0.2]),
+       grid=st.sampled_from([(16, "uniform"), (16, "geometric"), (32, "uniform")]))
+# the curvature deviation moments of the first step pass the double range:
+# flow once wrote F3 = inf into series.csv, which report then refused
+@example(exponent=-90.0, cut=0.05, grid=(16, "uniform"))
+# those of the start itself do: flow once wrote them and exited 0
+@example(exponent=-75.0, cut=0.05, grid=(16, "uniform"))
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_file_starts_with_a_tiny_core_keep_the_bad_input_contract(tmp_path, capsys, exponent,
+                                                                  cut, grid):
+    # a 64-row table holding 10^exponent below x = cut and 1 above
+    n_cells, grading = grid
+    table = tmp_path / "core.csv"
+    table.write_text("".join(f"{x!r},{10.0**exponent if x < cut else 1.0!r}\n"
+                             for x in np.linspace(0.0, 1.0, 64).tolist()))
+    _keeps_the_bad_input_contract(tmp_path, capsys, {
+        "grid": {"n_cells": n_cells, "grading": grading, "ratio": 0.97},
+        "init": {"type": "file", "path": str(table)},
+    })
 
 
 def test_start_whose_cube_underflows_is_refused(tmp_path, capsys):
@@ -829,6 +862,17 @@ def test_report_never_raises_on_damaged_run_dir(small_run, capsys, target, actio
             path.unlink()
         assert cli.main(["report", str(run), "--quiet"]) in (cli.EXIT_OK, cli.EXIT_INPUT)
     capsys.readouterr()
+
+
+def test_report_in_the_run_directory_names_its_file(small_run, tmp_path, monkeypatch, capsys):
+    # `report ""` reads and writes the current directory; its message once
+    # named /dichotomy.json, a file at the file system root
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    monkeypatch.chdir(run)
+    assert cli.main(["report", ""]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "report in dichotomy.json"
+    assert (run / "dichotomy.json").is_file()
 
 
 BAD_PROFILES = {

@@ -82,6 +82,15 @@ def test_decay_rate_fit_edge_cases():
     assert diag.decay_rate_fit(recs) == math.inf
 
 
+@pytest.mark.parametrize("j", [-600, 600])
+def test_decay_rate_fit_is_exact_under_a_power_of_two_in_time(j):
+    # criterion 4's series with every t times 2^j: the rate is divided by
+    # 2^j to the bit, where t^2 past the double range once overflowed
+    recs = [_record(0.01 * k, 7.0 * math.exp(-0.03 * k)) for k in range(24)]
+    scaled = [_record(math.ldexp(r.t, j), r.f2) for r in recs]
+    assert diag.decay_rate_fit(scaled) == math.ldexp(diag.decay_rate_fit(recs), -j)
+
+
 def test_decay_rate_fit_under_noise():
     worst = 0.0
     for seed in range(100):

@@ -1,9 +1,10 @@
-"""Public names: every exported name resolves, the package root loads no
-layer, each command loads only the layers it runs, the front end loads no
-numeric layer, every function the benchmark's tracer times
-(perfbench/traced_cli.py SPANS) is still there, every public definition is
-used by the package or traced, and only geometry's builders construct a
-model."""
+"""Public names: a module's public names are its top-level definitions
+without a leading underscore, with no ``__all__`` to list them again, the
+package root loads no layer, each command loads only the layers it runs, the
+front end loads no numeric layer, every function the benchmark's tracer
+times (perfbench/traced_cli.py SPANS) is still there, every public
+definition is used by the package or traced, and only geometry's builders
+construct a model."""
 
 import ast
 import importlib
@@ -14,20 +15,22 @@ from pathlib import Path
 
 import pytest
 
-MODULES = ["singular_yamabe"] + [
-    f"singular_yamabe.{name}"
-    for name in ("cli", "diagnostics", "flow", "geometry", "scenario", "variational")
-]
+
+def _export_lists(src: Path) -> list:
+    """Lines of the package's modules that name ``__all__``."""
+    return [f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Name) and node.id == "__all__"]
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_all_names_resolve(name):
-    module = importlib.import_module(name)
-    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
-    assert not missing, f"{name}.__all__ names missing attributes: {missing}"
-    namespace: dict = {}
-    exec(f"from {name} import *", namespace)
-
+def test_no_module_lists_its_names_again():
+    # a public name is declared once, by its definition: a hand-kept list
+    # beside it drifts from the code, as flow's and geometry's did
+    src = Path(__file__).parents[1] / "src" / "singular_yamabe"
+    assert {"flow.py", "geometry.py", "variational.py"} <= {p.name for p in src.glob("*.py")}
+    lists = _export_lists(src)
+    assert not lists, f"modules that keep an __all__: {lists}"
 
 
 def test_package_import_loads_no_submodule():
@@ -142,21 +145,72 @@ def test_traced_spans_are_module_functions():
     assert not missing, f"functions the benchmark traces are gone: {missing}"
 
 
+# the nodes that open a scope of their own
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound_in(scope) -> set:
+    """Names a function, lambda or comprehension binds in its own scope: its
+    parameters and its assignment, loop, ``with`` and comprehension targets."""
+
+    def targets(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+                yield child.id
+            elif not isinstance(child, _SCOPES):
+                yield from targets(child)
+
+    names = set(targets(scope))
+    if hasattr(scope, "args"):  # a comprehension takes no parameters
+        names |= {arg.arg for arg in ast.walk(scope.args) if isinstance(arg, ast.arg)}
+    return names
+
+
+def _names_read(node, bound=frozenset()) -> set:
+    """The names and attributes under ``node``, leaving out a name bound in
+    a scope that encloses it: that name is a local, not the module's."""
+    if isinstance(node, _SCOPES):
+        bound = bound | _bound_in(node)
+    if isinstance(node, ast.Attribute):
+        names = {node.attr}
+    elif isinstance(node, ast.Name) and node.id not in bound:
+        names = {node.id}
+    else:
+        names = set()
+    for child in ast.iter_child_nodes(node):
+        names |= _names_read(child, bound)
+    return names
+
+
 def _unreferenced_public_definitions(src: Path) -> list:
     """Public top-level functions and classes of the package's modules that
-    no code in the package names outside their own definition."""
+    no code in the package names outside their own definition; a local of
+    the same name does not count."""
     defined, referenced = [], set()
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            names = {sub.id if isinstance(sub, ast.Name) else sub.attr
-                     for sub in ast.walk(node)
-                     if isinstance(sub, (ast.Name, ast.Attribute))}
+            names = _names_read(node)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(node.name)
                 if not node.name.startswith("_"):
                     defined.append((path.stem, node.name))
             referenced |= names
     return [f"{module}.{name}" for module, name in defined if name not in referenced]
+
+
+def test_a_local_of_the_same_name_is_no_use(tmp_path):
+    # a parameter or an assignment, loop, with or comprehension target named
+    # like a public definition is a local: minimize_quotient's ``step`` once
+    # kept flow.step in use
+    (tmp_path / "a.py").write_text(
+        "def step(x):\n    return x\n\n\n"
+        "def descend(step, path):\n"
+        "    for k in [step for step in range(3)]:\n        step = k\n"
+        "    with open(path) as step:\n        return step, (lambda step: step)\n")
+    assert _unreferenced_public_definitions(tmp_path) == ["a.step", "a.descend"]
+    (tmp_path / "b.py").write_text("import a\n\n\ndef _use():\n    return a.step(a.descend)\n")
+    assert _unreferenced_public_definitions(tmp_path) == []
 
 
 def test_public_definitions_are_used_or_traced():
@@ -278,10 +332,10 @@ def test_defaulted_parameters_take_more_than_one_value():
 
 
 def _unused_imports(path: Path) -> list:
-    """Names a module imports that its code never reads and its __all__
-    does not list; ``from __future__`` imports are directives, not names."""
+    """Names a module imports that its code never reads; ``from __future__``
+    imports are directives, not names."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    imported, read, exported = set(), set(), set()
+    imported, read = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
@@ -289,10 +343,7 @@ def _unused_imports(path: Path) -> list:
             imported |= {alias.asname or alias.name for alias in node.names}
         elif isinstance(node, ast.Name):
             read.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-                getattr(target, "id", None) == "__all__" for target in node.targets):
-            exported |= set(ast.literal_eval(node.value))
-    return sorted(imported - read - exported)
+    return sorted(imported - read)
 
 
 def test_imports_are_used():
