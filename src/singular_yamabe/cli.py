@@ -9,6 +9,8 @@ Subcommands
 
 Exit codes are a stable contract: 0 success, 2 input error, 3 positivity
 failure during a run (partial artifacts are kept), 4 non-convergence.
+Standard output that cannot be written is an input error too; standard error
+that cannot be written leaves the exit code as it was.
 
 Each process runs one command, so numpy, geometry and the solver layers
 (flow, variational, diagnostics) are imported inside the commands that call
@@ -21,6 +23,7 @@ usage error or a refused input loads none of them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -98,9 +101,45 @@ def _write_json(path: str, payload) -> None:
     _atomic_write(path, text + "\n")
 
 
+def _flush(stream) -> None:
+    """Flush a standard stream, if it is open.  When it cannot be written,
+    its descriptor is pointed at the null device before the OSError is
+    raised: the bytes it still holds would fail again at interpreter exit."""
+    if stream is None:  # closed when the interpreter started
+        return
+    try:
+        stream.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, stream.fileno())
+        finally:
+            os.close(null)
+        raise
+
+
+def _out(text: str) -> None:
+    """Write ``text`` to standard output, which ``main`` flushes."""
+    if sys.stdout is None:
+        raise ConfigError("cannot write standard output: it is closed")
+    try:
+        sys.stdout.write(text)
+    except OSError as err:  # a write past the buffer, or an unbuffered one
+        with contextlib.suppress(OSError):
+            _flush(sys.stdout)
+        raise ConfigError(f"cannot write standard output: {err}") from err
+
+
+def _complain(message: str) -> None:
+    """Print ``error: message`` on standard error, if it can be written."""
+    if sys.stderr is not None:  # print's file=None is standard output
+        with contextlib.suppress(OSError):
+            print(f"error: {message}", file=sys.stderr)
+
+
 def _say(args, *lines: str) -> None:
     if not args.quiet:
-        print(*lines, sep="\n")
+        _out("".join(f"{line}\n" for line in lines))
 
 
 def _publish(args, outdir, name: str, payload, *lines: str) -> None:
@@ -447,23 +486,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flushed(status: int) -> int:
+    """``status`` once both standard streams are flushed, or EXIT_INPUT
+    when standard output cannot be written."""
+    try:
+        _flush(sys.stdout)
+    except OSError as err:
+        _complain(f"cannot write standard output: {err}")
+        status = EXIT_INPUT
+    with contextlib.suppress(OSError):
+        _flush(sys.stderr)
+    return status
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.dump_default_config:
-        sys.stdout.write(default_config_text())
-        return EXIT_OK
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_INPUT
     try:
-        if "config" not in args:
-            return args.func(args)
-        # the scenario is read and checked before its command loads a layer
-        return args.func(args, load_config(args.config))
+        args = parser.parse_args(argv)
+    except SystemExit as stop:  # argparse printed its help or a usage error
+        raise SystemExit(_flushed(stop.code)) from None
+    try:
+        if args.dump_default_config:
+            _out(default_config_text())
+            status = EXIT_OK
+        elif not getattr(args, "command", None):
+            parser.print_usage(sys.stderr)
+            status = EXIT_INPUT
+        elif "config" not in args:
+            status = args.func(args)
+        else:
+            # the scenario is read and checked before its command loads a layer
+            status = args.func(args, load_config(args.config))
     except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        _complain(str(err))
+        status = EXIT_INPUT
+    return _flushed(status)
 
 
 if __name__ == "__main__":

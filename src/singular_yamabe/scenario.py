@@ -9,6 +9,7 @@ used for file initial conditions and for the snapshots a report reloads;
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
@@ -215,7 +216,7 @@ def parse_config(data) -> Scenario:
 
 
 def load_config(path: str) -> Scenario:
-    import yaml  # here: only the commands that read or write a scenario file load it
+    import yaml  # here: only the commands that read a scenario file load it
 
     class UniqueKeyLoader(yaml.SafeLoader):
         """Refuses a mapping that repeats a key, where PyYAML keeps the last value."""
@@ -240,9 +241,10 @@ def load_config(path: str) -> Scenario:
 
 
 def default_config_text() -> str:
-    import yaml
-
-    return yaml.safe_dump(Scenario().echo(), sort_keys=False)
+    """The default scenario file: one line per section, whose mapping is
+    written in JSON's flow syntax, which YAML reads as it is."""
+    return "".join(f"{section}: {json.dumps(keys)}\n"
+                   for section, keys in Scenario().echo().items())
 
 
 # ---------------------------------------------------------------------------

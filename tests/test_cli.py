@@ -39,17 +39,26 @@ def _scenario(tmp_path, **overrides):
     return str(path), data
 
 
-def test_dump_default_config_round_trip(capsys):
+def test_dump_default_config_round_trip(tmp_path, capsys):
     assert cli.main(["--dump-default-config"]) == 0
     text = capsys.readouterr().out
     assert cli.parse_config(yaml.safe_load(text)) == scenario.Scenario()
+    # one JSON flow mapping per section, in the scenario's order: a scenario
+    # file that the scenario reader takes as it is
+    assert [line.split(": ", 1) for line in text.splitlines()] == [
+        [name, json.dumps(keys)] for name, keys in scenario.Scenario().echo().items()]
+    path = tmp_path / "default.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert scenario.load_config(str(path)) == scenario.Scenario()
 
 
 def test_readme_schema_block_is_the_declared_schema():
-    # README's first yaml block documents every key with its default
+    # README's first yaml block is the dump, each line with a comment
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
     assert yaml.safe_load(block) == scenario.Scenario().echo()
+    lines = [line.split("#", 1)[0].rstrip() for line in block.splitlines()]
+    assert lines == scenario.default_config_text().splitlines()
 
 
 def test_no_command_prints_usage(capsys):
@@ -410,7 +419,6 @@ def test_output_dir_that_is_a_file_is_an_input_error(tmp_path, capsys, command):
         assert capsys.readouterr().err.startswith("error: cannot use output directory")
 
 
-
 def test_unwritable_artifacts_exit_2(tmp_path, capsys):
     # a snapshots entry that is a file, and a yamabe.json that is a
     # directory: the write fails, the run exits 2 and leaves no temp file
@@ -424,6 +432,59 @@ def test_unwritable_artifacts_exit_2(tmp_path, capsys):
     assert cli.main(["yamabe", cfg_path, "--quiet"]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: cannot write")
     assert not [name for name in os.listdir(run) if name.startswith(".tmp-")]
+
+
+def _run_child(argv, buffered, **streams):
+    """``python -m singular_yamabe argv`` in a child, its standard streams
+    as ``streams`` gives them, buffered as a terminal-less run is or not."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "singular_yamabe", *argv], env=env,
+                          timeout=60, **streams)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--dump-default-config"], ["validate"]],
+                         ids=["dump-default-config", "validate"])
+def test_unwritable_standard_output_exits_2(tmp_path, argv, buffered):
+    # standard output on a full device, closed, and on a pipe whose reader
+    # is gone: one error line, and nothing more when the interpreter exits
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        children = {"closed pipe": _run_child(argv, buffered, stdout=write_end,
+                                              stderr=subprocess.PIPE, text=True)}
+    finally:
+        os.close(write_end)
+    children["closed"] = _run_child(argv, buffered, stderr=subprocess.PIPE, text=True,
+                                    preexec_fn=lambda: os.close(1))
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            children["full"] = _run_child(argv, buffered, stdout=full,
+                                          stderr=subprocess.PIPE, text=True)
+    for where, child in children.items():
+        assert child.returncode == cli.EXIT_INPUT, (where, child.stderr)
+        assert child.stderr.startswith("error: cannot write standard output: "), where
+        assert child.stderr.count("\n") == 1, (where, child.stderr)
+    # with --quiet there is nothing to write
+    if argv == ["validate"]:
+        child = _run_child(argv + ["--quiet", "--output-dir", str(tmp_path)], buffered,
+                           stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+        assert (child.returncode, child.stderr) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_unwritable_standard_error_keeps_the_exit_code(tmp_path, buffered):
+    # a refused scenario, and argparse's usage error
+    (tmp_path / "refused.yaml").write_text("grid: {n_cells: 4}\n")
+    for argv in (["flow", str(tmp_path / "refused.yaml")], ["--no-such-flag"]):
+        with open("/dev/full", "w") as full:
+            child = _run_child(argv, buffered, stderr=full)
+        assert child.returncode == cli.EXIT_INPUT, argv
+
 
 def test_artifacts_take_the_umask_mode(tmp_path):
     # a new artifact is 0o666 & ~umask, as a plain open would make it, and a
@@ -1065,7 +1126,7 @@ def test_console_script_smoke():
         commands.append([installed])
     # PYTHONPROFILEIMPORTTIME is -X importtime for whichever interpreter the
     # entry point starts: each import is a line on stderr, and printing the
-    # default scenario imports no numpy
+    # default scenario imports no numpy and no PyYAML
     env = {**_child_env(), "PYTHONPROFILEIMPORTTIME": "1"}
     for command in commands:
         out = subprocess.run(command + ["--dump-default-config"],
@@ -1075,5 +1136,5 @@ def test_console_script_smoke():
         imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
                     if line.startswith("import time:")]
         assert "singular_yamabe.cli" in imported, (command, out.stderr)
-        numpy = [name for name in imported if name.split(".")[0] == "numpy"]
-        assert not numpy, (command, numpy)
+        unwanted = [name for name in imported if name.split(".")[0] in ("numpy", "yaml")]
+        assert not unwanted, (command, unwanted)

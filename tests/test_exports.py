@@ -1,10 +1,10 @@
 """Public names: a module's public names are its top-level definitions
 without a leading underscore, with no ``__all__`` to list them again, the
 package root loads no layer, each command loads only the layers it runs, the
-front end loads no numeric layer, every function the benchmark's tracer
-times (perfbench/traced_cli.py SPANS) is still there, every public
-definition is used by the package or traced, and only geometry's builders
-construct a model."""
+front end loads no numeric layer and, unless it reads a scenario file, no
+PyYAML, every function the benchmark's tracer times (perfbench/traced_cli.py
+SPANS) is still there, every public definition is used by the package or
+traced, and only geometry's builders construct a model."""
 
 import ast
 import importlib
@@ -89,7 +89,8 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, command):
 
 # front-end process -> its arguments (None: it only imports the command
 # line), exit code and the start of its stderr: none computes, so none loads
-# numpy, scipy or a layer built on them, and each refusal names what it refuses
+# numpy, scipy or a layer built on them, and each refusal names what it
+# refuses; only the refusals of a scenario file read YAML
 _FRONT_END = {
     "import": (None, None, ""),
     "dump-default-config": (["--dump-default-config"], 0, ""),
@@ -102,6 +103,7 @@ _FRONT_END = {
 }
 _NUMERIC_LAYERS = {"singular_yamabe.geometry", "singular_yamabe.flow",
                    "singular_yamabe.variational", "singular_yamabe.diagnostics"}
+_READS_YAML = {"flow", "yamabe", "eigen"}
 
 
 @pytest.mark.parametrize("process", list(_FRONT_END))
@@ -122,8 +124,9 @@ def test_front_end_loads_no_numeric_layer(tmp_path, process):
     printed, *loaded = out.stdout.split()
     assert printed == str(status), out.stderr
     assert out.stderr.startswith(stderr), out.stderr
-    numeric = [m for m in loaded if m.split(".")[0] in ("numpy", "scipy") or m in _NUMERIC_LAYERS]
-    assert not numeric, f"{argv} loads {numeric}"
+    packages = {"numpy", "scipy"} | (set() if process in _READS_YAML else {"yaml"})
+    unwanted = [m for m in loaded if m.split(".")[0] in packages or m in _NUMERIC_LAYERS]
+    assert not unwanted, f"{argv} loads {unwanted}"
 
 
 def _traced_spans():
