@@ -458,8 +458,13 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own hides a write that fails
+        return _out(self.format_help()) if file is None else super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="singular-yamabe",
         description="Reduced conformal flow on the compactified Eguchi-Hanson "
                     "space: runs, quotient minimization, and concentration reports.")
@@ -502,10 +507,10 @@ def _flushed(status: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as stop:  # argparse printed its help or a usage error
-        raise SystemExit(_flushed(stop.code)) from None
-    try:
+        try:  # a --help that standard output refuses raises ConfigError
+            args = parser.parse_args(argv)
+        except SystemExit as stop:  # argparse printed its help or a usage error
+            raise SystemExit(_flushed(stop.code)) from None
         if args.dump_default_config:
             _out(default_config_text())
             status = EXIT_OK

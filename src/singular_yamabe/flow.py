@@ -2,14 +2,14 @@
 
 The evolution acts on w = v^3: dw/dt = sigma * w + D v, where D is the
 conservation-form flux divergence of :mod:`singular_yamabe.geometry`,
-D v = -A(x v) / dx with the grid's tridiagonal curvature form A, and sigma
+D v = -Q v / M with the grid's quotient form Q and M = 12 pi^2 x dx, and sigma
 is the volume-weighted curvature mean.  The semi-discrete flow preserves the
 discrete volume identically (the mean is built from the same fluxes), so all
 drift is time error, removed periodically by renormalization.
 
 :func:`advance` integrates with the two-stage linearly implicit Rosenbrock
 method ROS2 (Verwer, Spee, Blom & Hundsdorfer 1999), whose embedded Euler
-solution controls the step size; its Jacobian is built from the same form A
+solution controls the step size; its Jacobian is built from the same form Q
 as the rate, so a step costs one tridiagonal factorization, two
 back-substitutions and two curvature evaluations; :func:`run` is the
 consumer that keeps a scenario's records and snapshots.  The explicit Euler
@@ -40,12 +40,13 @@ class FlowState:
     The rest is computed once, at construction, and read-only: scalar is
     the discrete curvature :func:`~singular_yamabe.geometry.scalar_from_v`,
     dvol the volume element v^4 x dx of each cell, volume their sum, and
-    sigma_tilde the dvol-weighted mean of scalar, which makes it equal to
-    the summation-by-parts energy quotient exactly.  The volume target
-    defaults to the state's own volume.  A profile whose discrete volume
-    overflows or is subnormal (v of order 1e100 or 1e-80) is refused, and so
-    is one whose curvature is not finite (a cell whose cube underflows, v
-    below about 1e-104 next to cells of order 1).
+    sigma_tilde the dvol-weighted mean of scalar, which reads some 5e-6 (256
+    uniform cells) to 8e-5 (512 geometric) below the energy quotient until
+    ROADMAP item 3.  The volume target defaults to the state's own volume.
+    A profile whose discrete volume overflows or is subnormal (v of order
+    1e100 or 1e-80) is refused, and so is one whose curvature is not finite
+    (a cell whose cube underflows, v below about 1e-104 next to cells of
+    order 1).
     """
 
     grid: RadialGrid
@@ -183,11 +184,11 @@ def rosenbrock_step(state: FlowState, h: float) -> tuple[FlowState, float]:
 
         W k1 = f(w),  W k2 = f(w + h k1) - 2 k1,  w_new = w + h (3 k1 + k2) / 2.
 
-    The flux divergence is D = -diag(1 / dx) A diag(x) with the grid's
-    :attr:`~singular_yamabe.geometry.RadialGrid.curvature_form` A, the form
-    the rate is evaluated with, so each stage solves the symmetric-pattern
-    system dx W = diag(dx (1 - gamma h sigma)) + gamma h A diag(x / (3 v^2))
-    against dx times its right-hand side: one tridiagonal factorization, two
+    The flux divergence is D = -diag(1 / M) Q with the grid's quotient form
+    Q and M = :attr:`~singular_yamabe.geometry.RadialGrid.curvature_divisor`,
+    as in the rate, so each stage solves the symmetric-pattern system
+    M W = diag(M (1 - gamma h sigma)) + gamma h Q diag(1 / (3 v^2)) against M
+    times its right-hand side: one tridiagonal factorization, two
     back-substitutions and two curvature evaluations per step.  The estimate
     is max |w_new - (w + h k1)| / w against the embedded Euler solution.
     Raises PositivityError when the stage or the result is not positive, and
@@ -195,18 +196,17 @@ def rosenbrock_step(state: FlowState, h: float) -> tuple[FlowState, float]:
     """
     _check_step_size(h)
     gh = _GAMMA * h
-    grid = state.grid
-    dx = grid.cell_widths
-    lhs = form_bands(*grid.curvature_form) * (gh * grid.cell_centers / (3.0 * state.v**2))
-    lhs[1] += dx * (1.0 - gh * state.sigma_tilde)
+    mass = state.grid.curvature_divisor
+    lhs = form_bands(*state.grid.quotient_form[:2]) * (gh / (3.0 * state.v**2))
+    lhs[1] += mass * (1.0 - gh * state.sigma_tilde)
     *factors, info = lapack().dgttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
     if info != 0:
         raise np.linalg.LinAlgError("singular matrix")
     w = state.v**3  # the rate dw/dt = sigma w + D v is w (sigma - scalar)
-    k1 = lapack().dgttrs(*factors, dx * (w * (state.sigma_tilde - state.scalar)))[0]
+    k1 = lapack().dgttrs(*factors, mass * (w * (state.sigma_tilde - state.scalar)))[0]
     stage = _cube_state(state, w + h * k1, state.t + h)
     rate = stage.v**3 * (stage.sigma_tilde - stage.scalar)
-    k2 = lapack().dgttrs(*factors, dx * (rate - 2.0 * k1))[0]
+    k2 = lapack().dgttrs(*factors, mass * (rate - 2.0 * k1))[0]
     new = _cube_state(state, w + h * (1.5 * k1 + 0.5 * k2), state.t + h)
     return new, float(np.max(np.abs(0.5 * h * (k1 + k2)) / w))
 

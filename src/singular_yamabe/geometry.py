@@ -61,10 +61,6 @@ class RadialGrid:
         One node inside each cell, strictly increasing.
     weights : ndarray, shape (n_cells,)
         Cell masses of the model's measure.
-    curvature_form : (ndarray, ndarray or float)
-        A form, face conductances c and diagonal d, in the layout of
-        :func:`apply_form`: the grid's flux divergence, or the sphere's
-        polar Laplacian.
     quotient_form : (ndarray, ndarray, ndarray, float)
         Conductances, curvature mass, volume mass and exponent p of the
         conformal quotient form(c, curvature mass) / |v|_p^2.
@@ -73,7 +69,6 @@ class RadialGrid:
     faces: np.ndarray
     cell_centers: np.ndarray
     weights: np.ndarray
-    curvature_form: tuple[np.ndarray, np.ndarray | float]
     quotient_form: tuple[np.ndarray, np.ndarray, np.ndarray, float]
 
     @property
@@ -84,6 +79,11 @@ class RadialGrid:
     def cell_widths(self) -> np.ndarray:
         """np.diff(faces), built on first use, then read-only."""
         return _read_only(np.diff(self.faces))[0]
+
+    @cached_property
+    def curvature_divisor(self) -> np.ndarray:
+        """12 pi^2 x dx, the cell masses :func:`scalar_from_v` divides by; read-only."""
+        return _read_only(12.0 * np.pi**2 * self.cell_centers * self.cell_widths)[0]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -102,16 +102,13 @@ def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> R
     as degenerate in floating point.  The faces span [0, 1], and the weights
     (f_+^2 - f_-^2) / 2 sum to 1/2.
 
-    The curvature form is that of the flux divergence D v = -A(x v) / dx:
-    interior face i carries the flux c_i (x_i v_i - x_{i-1} v_{i-1}) with
-    c_i = (1 - f_i^2) / (x_i - x_{i-1}), the diagonal d = e_0 / x_0 gives
-    the first face the flux v_0, and the last face carries none.
-
-    The quotient form, at core scale 1, is the flow's energy
-    12 pi^2 (x v)^T A (x v): face i carries 12 pi^2 c_i x_(i-1) x_i, and
-    node j keeps 24 pi^2 x_j w_j = 8 pi^2 (f_+^3 - f_-^3), as x_j is the
-    centroid of the cell mass w_j.  The volume mass is pi^2 / 2 x dx and
-    p = 4; a core scale a scales the form by a^2 and the volume mass by a^4.
+    The quotient form Q, at core scale 1, is the flow's energy
+    12 pi^2 (x v)^T A (x v), where the flux divergence A(x v) has the flux
+    c_i (x_i v_i - x_{i-1} v_{i-1}), c_i = (1 - f_i^2) / (x_i - x_{i-1}), on
+    interior face i, v_0 on the first and none on the last.  Face i carries
+    12 pi^2 c_i x_(i-1) x_i and node j 12 pi^2 x_j (A x)_j = 24 pi^2 x_j w_j
+    = 8 pi^2 (f_+^3 - f_-^3), so Q v = 12 pi^2 x A(x v).  The volume mass is
+    pi^2 / 2 x dx and p = 4; core scale a scales Q by a^2, the mass by a^4.
     """
     if n_cells < 8:
         raise ValueError(f"need at least 8 cells, got {n_cells}")
@@ -137,12 +134,10 @@ def build_grid(n_cells: int, grading: str = "uniform", ratio: float = 0.97) -> R
     x = (2.0 / 3.0) * (lo * lo + lo * hi + hi * hi) / (lo + hi)
     weights = 0.5 * (hi * hi - lo * lo)
     c = (1.0 - faces[1:-1] ** 2) / np.diff(x)
-    d = np.zeros(n_cells)
-    d[0] = 1.0 / x[0]
     quotient = _read_only(12.0 * np.pi**2 * c * x[:-1] * x[1:],
                           8.0 * np.pi**2 * np.diff(faces**3), 0.5 * np.pi**2 * weights)
-    _read_only(faces, x, weights, c, d)
-    return RadialGrid(faces, x, weights, (c, d), (*quotient, 4.0))
+    _read_only(faces, x, weights)
+    return RadialGrid(faces, x, weights, (*quotient, 4.0))
 
 
 def build_sphere_model(n: int = 4, n_cells: int = 256) -> RadialGrid:
@@ -150,11 +145,9 @@ def build_sphere_model(n: int = 4, n_cells: int = 256) -> RadialGrid:
 
     The nodes are the cell midpoints, and the weights the latitude band
     volumes omega_{n-1} sin^{n-1}(theta) dtheta by the midpoint rule,
-    summing to about Vol(S^n).  The curvature form is the polar Laplacian:
-    face conductances omega_{n-1} sin^{n-1}(theta_f) / dtheta, one per
-    interior face, and no diagonal.  The quotient form is the Laplacian's
-    conductances times 4 (n - 1) / (n - 2), the curvature mass n (n - 1)
-    times the band volumes, the band volumes, and p = 2n / (n - 2).
+    summing to about Vol(S^n).  The quotient form is the polar Laplacian's
+    conductances omega_{n-1} sin^{n-1}(theta_f) / dtheta times p + 2, the
+    band volumes times n (n - 1), the band volumes, and p = 2n / (n - 2).
     """
     if n < 3:
         raise ValueError(f"sphere dimension must be at least 3, got {n}")
@@ -165,8 +158,8 @@ def build_sphere_model(n: int = 4, n_cells: int = 256) -> RadialGrid:
     band = sphere_volume(n - 1) * np.sin(centers) ** (n - 1) * np.diff(faces)
     c = sphere_volume(n - 1) * np.sin(faces[1:-1]) ** (n - 1) / np.diff(centers)
     quotient = _read_only(4.0 * (n - 1) / (n - 2) * c, n * (n - 1) * band)
-    _read_only(faces, centers, band, c)
-    return RadialGrid(faces, centers, band, (c, 0.0), (*quotient, band, 2.0 * n / (n - 2)))
+    _read_only(faces, centers, band)
+    return RadialGrid(faces, centers, band, (*quotient, band, 2.0 * n / (n - 2)))
 
 
 def sphere_volume(n: int) -> float:
@@ -342,10 +335,10 @@ def scalar_from_v(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """Reduced scalar curvature of the conformal profile v on the grid.
 
     Discretizes -(d/dx)[(1 - x^2) d(xv)/dx] / v^3 in conservation form, as
-    A(x v) / (dx v^3) with the grid's :attr:`RadialGrid.curvature_form` A:
-    the fluxes (1 - x^2) d(x v)/dx at the faces, differenced over the cell
-    width and divided by v^3 at the cell node.  The product x v extends
-    continuously by zero to x = 0, which closes the first face with the flux
+    Q v / (M v^3) = A(x v) / (dx v^3), with quotient form Q = 12 pi^2 x A x
+    and M = 12 pi^2 x dx: the fluxes (1 - x^2) d(x v)/dx at the faces,
+    differenced over the cell width and divided by v^3 at the cell node.  The
+    product x v extends by zero to x = 0, closing the first face with the flux
     v_0; the factor (1 - x^2) vanishes at x = 1, closing the last.  Constant
     profiles c map to 2 x / c^2 up to the centroid truncation error.
     """
@@ -354,7 +347,7 @@ def scalar_from_v(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
         raise ValueError("profile shape does not match grid")
     if not (v.min() > 0.0 and v.max() < math.inf):  # a NaN fails the first test
         raise ValueError("profile must be positive and finite")
-    return apply_form(*grid.curvature_form, grid.cell_centers * v) / (grid.cell_widths * v**3)
+    return apply_form(*grid.quotient_form[:2], v) / (grid.curvature_divisor * v**3)
 
 
 def green_kernel(x):

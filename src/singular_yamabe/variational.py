@@ -226,11 +226,12 @@ def reduced_pencil(state: FlowState) -> tuple[np.ndarray, np.ndarray]:
 
     The quadratic form is (1/6) int x^2 (1-x^2) v^2 phi'^2 dx against the
     metric int phi^2 v^4 x dx, in the same units as the curvature mean, so
-    gap criteria compare directly with sigma_tilde.  Face f carries the
-    curvature form's (1 - f^2) / dx times (f v_f)^2 / 6.
+    gap criteria compare directly with sigma_tilde.  Face f carries
+    qc / (12 pi^2 x_- x_+) = (1 - f^2) / dx times (f v_f)^2 / 6.
     """
     grid = state.grid
-    c, _ = grid.curvature_form
+    x = grid.cell_centers
+    c = grid.quotient_form[0] / (12.0 * np.pi**2 * x[:-1] * x[1:])
     v_face = 0.5 * (state.v[:-1] + state.v[1:])
     return c * (grid.faces[1:-1] * v_face) ** 2 / 6.0, state.dvol
 
@@ -303,8 +304,9 @@ def first_eigenvalue(state: FlowState) -> EigenResult:
 
 
 def sphere_first_eigenvalue(model: RadialGrid) -> EigenResult:
-    """First nonzero Laplace eigenvalue of the round n-sphere (exactly n)."""
-    return _lambda1_pencil(model.curvature_form[0], model.weights)
+    """First nonzero Laplace eigenvalue of the round n-sphere (exactly n), on
+    the polar Laplacian: the quotient form's conductances over p + 2."""
+    return _lambda1_pencil(model.quotient_form[0] / (model.quotient_form[3] + 2.0), model.weights)
 
 
 def eigen_criteria(lambda1: float, sigma_inf: float, n: int) -> dict:

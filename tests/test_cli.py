@@ -446,8 +446,9 @@ def _run_child(argv, buffered, **streams):
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [["--dump-default-config"], ["validate"]],
-                         ids=["dump-default-config", "validate"])
+@pytest.mark.parametrize("argv", [["--dump-default-config"], ["validate"], ["--help"],
+                                  ["flow", "--help"]],
+                         ids=["dump-default-config", "validate", "help", "flow-help"])
 def test_unwritable_standard_output_exits_2(tmp_path, argv, buffered):
     # standard output on a full device, closed, and on a pipe whose reader
     # is gone: one error line, and nothing more when the interpreter exits

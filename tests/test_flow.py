@@ -225,18 +225,27 @@ def test_run_record_count_matches_steps():
 
 @pytest.mark.parametrize("grading", ["uniform", "geometric"])
 def test_divergence_bands_apply_the_flux_divergence(grading):
+    # the ROS2 system's bands are the quotient form's, and its masses the
+    # curvature divisor, both read-only and built once
     grid = geo.build_grid(64, grading, 0.9)
-    c, d = grid.curvature_form
-    assert grid.curvature_form is grid.curvature_form
-    assert not c.flags.writeable and not d.flags.writeable
+    c, d, _, _ = grid.quotient_form
+    mass = grid.curvature_divisor
+    assert grid.curvature_divisor is mass
+    assert not (c.flags.writeable or d.flags.writeable or mass.flags.writeable)
     bands = geo.form_bands(c, d)
     dense = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
     rng = np.random.default_rng(3)
     v = 1.0 + rng.random(64)
-    # the curvature is minus the flux divergence over v^3
-    expected = geo.scalar_from_v(v, grid) * grid.cell_widths * v**3
-    got = dense @ (grid.cell_centers * v)
+    # the curvature is minus the flux divergence over v^3: the fluxes v_0 at
+    # the first face, (1 - f^2) diff(x v) / diff(x) inside and none at the last
+    x = grid.cell_centers
+    flux = np.concatenate(([v[0]], (1.0 - grid.faces[1:-1] ** 2) * np.diff(x * v) / np.diff(x),
+                           [0.0]))
+    expected = -np.diff(flux)
+    got = dense @ v / (12.0 * np.pi**2 * x)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+    assert np.allclose(geo.scalar_from_v(v, grid) * mass * v**3, dense @ v, rtol=1e-12,
+                       atol=1e-12 * np.max(np.abs(dense @ v)))
     # the bands are the matrix of the form
     u = rng.standard_normal(64)
     product = geo.apply_form(c, d, u)

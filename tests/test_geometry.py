@@ -1,5 +1,7 @@
 """Grid construction, closed-form geometry, and the discrete curvature map."""
 
+import dataclasses
+import functools
 import importlib.util
 import math
 import tracemalloc
@@ -59,12 +61,19 @@ def test_cell_widths_are_built_once_and_read_only(grading):
                                    lambda: geo.build_sphere_model(4, 64)],
                          ids=["uniform", "geometric", "sphere"])
 def test_model_arrays_are_read_only(build):
-    # a model is the record its builder made: no array of it can be written
+    # a model is the record its builder made: no array of it can be written,
+    # neither in a field nor in an attribute it builds on first use
     model = build()
-    arrays = [array for array in (model.faces, model.cell_centers, model.weights,
-                                  model.cell_widths, *model.curvature_form,
-                                  *model.quotient_form)
-              if isinstance(array, np.ndarray)]
+    names = [field.name for field in dataclasses.fields(geo.RadialGrid)]
+    names += [name for name, value in vars(geo.RadialGrid).items()
+              if isinstance(value, functools.cached_property)]
+    arrays = []
+    for name in names:
+        value = getattr(model, name)
+        held = [item for item in (value if isinstance(value, tuple) else (value,))
+                if isinstance(item, np.ndarray)]
+        assert held, name
+        arrays += held
     assert len(arrays) >= 8
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -221,22 +230,54 @@ def test_curvature_form_is_the_flux_divergence(grading):
         geo.scalar_from_v(v[:-1], g)
 
 
+def _flux_divergence_form(g):
+    """The form A of the flux divergence A(x v), built from the faces: the
+    conductances (1 - f^2) / diff(x) inside, and the flux v_0 at the first
+    face as the diagonal e_0 / x_0."""
+    x = g.cell_centers
+    diagonal = np.zeros(g.n_cells)
+    diagonal[0] = 1.0 / x[0]
+    return (1.0 - g.faces[1:-1] ** 2) / np.diff(x), diagonal
+
+
 @pytest.mark.parametrize("n, grading", [(64, "uniform"), (4096, "uniform"),
                                         (512, "geometric")])
 def test_quotient_form_is_the_flow_energy(n, grading):
     # expanding 12 pi^2 (x v)^T A (x v) over v leaves the conductances
-    # 12 pi^2 c x_- x_+ and, on each node, 24 pi^2 x w = 8 pi^2 diff(faces^3)
+    # 12 pi^2 c x_- x_+ and, on each node, 24 pi^2 x w = 8 pi^2 diff(faces^3);
+    # as (A x)_j = 2 w_j, even 12 pi^2 x A(x v) = Q v for every v, the
+    # identity that lets the flow read Q
     g = geo.build_grid(n, grading)
     c, mass, vol, p = g.quotient_form
+    x, form = g.cell_centers, _flux_divergence_form(g)
     assert p == 4.0
     assert math.isclose(float(np.sum(vol)), geo.eh_volume(), rel_tol=1e-15)
+    np.testing.assert_allclose(geo.apply_form(*form, x), 2.0 * g.weights, rtol=1e-12,
+                               atol=1e-15)
     rng = np.random.default_rng(n)
     for v in (np.ones(n), 0.1 + rng.random(n), np.exp(4.0 * rng.standard_normal(n))):
-        xv = g.cell_centers * v
-        energy = 12.0 * math.pi**2 * geo.inner(xv, geo.apply_form(*g.curvature_form, xv))
-        assert math.isclose(geo.inner(v, geo.apply_form(c, mass, v)), energy, rel_tol=1e-13)
+        qv, divergence = geo.apply_form(c, mass, v), geo.apply_form(*form, x * v)
+        energy = 12.0 * math.pi**2 * geo.inner(x * v, divergence)
+        assert math.isclose(geo.inner(v, qv), energy, rel_tol=1e-13)
+        # each entry cancels terms as large as (|Q| v)_j, which bounds its error
+        size = mass * v
+        size[:-1] += c * (v[:-1] + v[1:])
+        size[1:] += c * (v[:-1] + v[1:])
+        assert np.all(np.abs(qv - 12.0 * np.pi**2 * x * divergence) <= 1e-14 * size)
     with pytest.raises(ValueError, match="read-only"):
         c[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_sphere_quotient_conductances_are_the_polar_laplacians(n):
+    # over p + 2 = 4 (n - 1) / (n - 2) the sphere's quotient conductances are
+    # the polar Laplacian's, omega_{n-1} sin^{n-1}(theta_f) / dtheta
+    model = geo.build_sphere_model(n, 256)
+    c, _, _, p = model.quotient_form
+    laplacian = (geo.sphere_volume(n - 1) * np.sin(model.faces[1:-1]) ** (n - 1)
+                 / np.diff(model.cell_centers))
+    assert math.isclose(p + 2.0, 4.0 * (n - 1) / (n - 2), rel_tol=1e-15)
+    np.testing.assert_allclose(c / (p + 2.0), laplacian, rtol=1e-15, atol=0.0)
 
 
 def test_face_fluxes_boundary_conditions():
@@ -245,7 +286,7 @@ def test_face_fluxes_boundary_conditions():
     v = 1.0 + 0.3 * x
     # dx v^3 S is the flux into a cell minus the flux out of it
     divergence = geo.scalar_from_v(v, g) * dx * v**3
-    c, _ = g.curvature_form
+    c, _ = _flux_divergence_form(g)
     interior = c * np.diff(x * v)
     # the first face carries v_0 and the last none, so the sum telescopes to v_0
     assert math.isclose(float(np.sum(divergence)), v[0], rel_tol=1e-12)

@@ -415,8 +415,11 @@ def _scipy_lambda1_pencil(face_coeff, metric):
 @pytest.mark.parametrize("model", ["sphere", "eguchi-hanson"])
 def test_lambda1_pencil_matches_the_scipy_wrappers(model):
     if model == "sphere":
+        # the polar Laplacian's conductances omega_3 sin^3(theta_f) / dtheta
         sphere = geo.build_sphere_model(4, 4096)
-        fc, metric = sphere.curvature_form[0], sphere.weights
+        fc = (geo.sphere_volume(3) * np.sin(sphere.faces[1:-1]) ** 3
+              / np.diff(sphere.cell_centers))
+        metric = sphere.weights
     else:
         fc, metric = var.reduced_pencil(flow.initial_state(Scenario(n_cells=4096)))
     res = var._lambda1_pencil(fc, metric)
@@ -424,6 +427,8 @@ def test_lambda1_pencil_matches_the_scipy_wrappers(model):
     assert res.lambda1 == lam
     assert res.residual == residual
     assert np.array_equal(res.eigenfunction, y)
+    if model == "sphere":  # the model's own pencil, read from its quotient form
+        assert math.isclose(var.sphere_first_eigenvalue(sphere).lambda1, lam, rel_tol=1e-14)
 
 
 def test_reduced_pencil_conductances():
