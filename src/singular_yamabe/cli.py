@@ -104,7 +104,9 @@ def _write_json(path: str, payload) -> None:
 def _flush(stream) -> None:
     """Flush a standard stream, if it is open.  When it cannot be written,
     its descriptor is pointed at the null device before the OSError is
-    raised: the bytes it still holds would fail again at interpreter exit."""
+    raised: the bytes it still holds would fail again at interpreter exit.
+    ``run`` skips that exit, but an in-process caller of ``main`` and the
+    SystemExit paths (``--help``, a usage error) still reach it."""
     if stream is None:  # closed when the interpreter started
         return
     try:
@@ -528,5 +530,11 @@ def main(argv=None) -> int:
     return _flushed(status)
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> None:
+    """The process entry point: end the process with ``main``'s status,
+    skipping the interpreter's teardown.  When ``main`` returns, every
+    artifact is closed and renamed and both standard streams are flushed,
+    so the teardown would only free memory and unload the modules.  A
+    SystemExit (``--help``, a usage error) or an uncaught exception leaves
+    through the interpreter as usual."""
+    os._exit(main())

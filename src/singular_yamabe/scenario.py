@@ -164,11 +164,11 @@ class Scenario:
         eguchi-hanson reduction on its grid in x."""
         from . import geometry
 
-        if self.model_type == "sphere":
-            return geometry.build_sphere_model(self.sphere_n, self.n_cells)
         try:
+            if self.model_type == "sphere":
+                return geometry.build_sphere_model(self.sphere_n, self.n_cells)
             return geometry.build_grid(self.n_cells, grading=self.grading, ratio=self.ratio)
-        except ValueError as err:
+        except (MemoryError, ValueError) as err:  # MemoryError: more cells than memory holds
             raise ConfigError(f"grid: {err}") from err
 
     def echo(self) -> dict:

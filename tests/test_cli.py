@@ -487,6 +487,54 @@ def test_unwritable_standard_error_keeps_the_exit_code(tmp_path, buffered):
         assert child.returncode == cli.EXIT_INPUT, argv
 
 
+def test_buffered_standard_output_reaches_a_pipe(tmp_path):
+    # the process ends without the interpreter's teardown, which would
+    # otherwise flush what standard output still buffers: all of it arrives
+    child = _run_child(["validate", "--output-dir", str(tmp_path)], buffered=True,
+                       capture_output=True, text=True)
+    assert (child.returncode, child.stderr) == (0, "")
+    written = (tmp_path / "validate.json").read_text()
+    assert json.loads(child.stdout) == json.loads(written)
+    assert child.stdout == written
+
+
+# a failure status in a child: the patch that the in-process test named
+# applies with monkeypatch, then that test's command, scenario and status
+_CHILD_FAILURES = {
+    "positivity": (  # test_flow_positivity_loss_in_the_stepper_exits_3
+        "from singular_yamabe import flow\n"
+        "def lose_positivity(state, h):\n"
+        "    raise flow.PositivityError('conformal cube lost positivity in 1 cells')\n"
+        "flow.rosenbrock_step = lose_positivity\n",
+        "flow", {}, cli.EXIT_POSITIVITY, "FAILED"),
+    "yamabe-no-convergence": (  # test_yamabe_eh_does_not_converge
+        "from singular_yamabe import variational\nvariational._MAX_ITERS = 20\n",
+        "yamabe", {"grid": {"n_cells": 256, "grading": "geometric", "ratio": 0.97}},
+        cli.EXIT_NO_CONVERGENCE, "yamabe.json"),
+    "eigen-failure": (  # test_eigen_solver_failure_exits_4
+        "import numpy as np\nfrom singular_yamabe import geometry\n"
+        "def fail(*args, **kwargs):\n"
+        "    raise np.linalg.LinAlgError('eigenvalue solve failed')\n"
+        "geometry.lapack().dstebz = fail\n",
+        "eigen", {"grid": {"n_cells": 64}}, cli.EXIT_NO_CONVERGENCE, "eigen.json"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CHILD_FAILURES))
+def test_failure_status_reaches_the_parent(tmp_path, case):
+    # the child runs the package as `python -m singular_yamabe` does, through
+    # its __main__ and so through cli.run, after the patch
+    patch, command, overrides, status, artifact = _CHILD_FAILURES[case]
+    cfg_path, _ = _scenario(tmp_path, **overrides)
+    code = (f"import runpy, sys\n{patch}"
+            f"sys.argv = ['singular-yamabe', {command!r}, {cfg_path!r}, '--quiet']\n"
+            "runpy.run_module('singular_yamabe', run_name='__main__', alter_sys=True)\n")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=_child_env(), timeout=120)
+    assert (child.returncode, child.stdout, child.stderr) == (status, "", "")
+    assert (tmp_path / "run" / artifact).is_file()
+
+
 def test_artifacts_take_the_umask_mode(tmp_path):
     # a new artifact is 0o666 & ~umask, as a plain open would make it, and a
     # rerun into the same directory replaces every file without a temp left
@@ -967,6 +1015,39 @@ def test_malformed_profile_is_an_input_error(tmp_path, capsys, table, command, m
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_grid_beyond_memory_is_an_input_error(small_run, tmp_path, capsys):
+    # 10^15 cells take 8 PB for one array, beyond any 64-bit address space,
+    # so its allocation fails before any memory is taken: one error line
+    # naming the grid, not numpy's MemoryError traceback
+    big = {"n_cells": 1.0e+15}
+    runs = [("flow", {"type": "eguchi-hanson"}, {}),
+            ("flow", {"type": "eguchi-hanson"}, {"grading": "geometric"}),
+            ("yamabe", {"type": "eguchi-hanson"}, {}),
+            ("yamabe", {"type": "sphere", "n": 4}, {}),
+            ("eigen", {"type": "eguchi-hanson"}, {}),
+            ("eigen", {"type": "sphere", "n": 4}, {})]
+    for command, model, grid in runs:
+        _, data = _scenario(tmp_path, grid={**big, **grid})
+        data["model"] = model
+        path = tmp_path / "big.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli.main([command, str(path), "--quiet"]) == cli.EXIT_INPUT, (command, model)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "grid: " in err, (command, model, err)
+        assert err.count("\n") == 1, (command, model, err)
+    assert not (tmp_path / "run").exists()
+    # a run directory whose recorded scenario asks for such a grid
+    run = tmp_path / "big-run"
+    shutil.copytree(small_run, run)
+    meta = json.loads((run / "report.json").read_text())
+    meta["scenario"]["grid"]["n_cells"] = 10**15
+    (run / "report.json").write_text(json.dumps(meta))
+    assert cli.main(["report", str(run), "--quiet"]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid: ") and err.count("\n") == 1, err
+    assert not (run / "dichotomy.json").exists()
+
+
 def _child_env():
     """Environment for a child interpreter that imports the same package as this suite."""
     env = dict(os.environ)
@@ -1114,7 +1195,7 @@ def test_quotient_results_do_not_depend_on_blas_threads(tmp_path):
 
 def test_console_script_smoke():
     target = _declared_scripts().get("singular-yamabe")
-    assert target == "singular_yamabe.cli:main"
+    assert target == "singular_yamabe.cli:run"
     module, func = target.split(":")
     # what the wrapper that pip generates for the entry point runs
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
@@ -1139,3 +1220,9 @@ def test_console_script_smoke():
         assert "singular_yamabe.cli" in imported, (command, out.stderr)
         unwanted = [name for name in imported if name.split(".")[0] in ("numpy", "yaml")]
         assert not unwanted, (command, unwanted)
+        # the entry point ends the process with main's status
+        out = subprocess.run(command + ["flow", "no-such-scenario.yaml"],
+                             capture_output=True, text=True, env=_child_env())
+        assert out.returncode == cli.EXIT_INPUT, (command, out.stderr)
+        assert out.stderr.startswith("error: cannot read config no-such-scenario.yaml: ")
+        assert out.stderr.count("\n") == 1, (command, out.stderr)
