@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import RadialGrid, form_bands, inner, lapack, scalar_from_v
+from .geometry import RadialGrid, inner, lapack, scalar_from_v
 from .scenario import STOP_RTOL, Scenario, load_profile
 
 
@@ -188,17 +188,19 @@ def rosenbrock_step(state: FlowState, h: float) -> tuple[FlowState, float]:
     Q and M = :attr:`~singular_yamabe.geometry.RadialGrid.curvature_divisor`,
     as in the rate, so each stage solves the symmetric-pattern system
     M W = diag(M (1 - gamma h sigma)) + gamma h Q diag(1 / (3 v^2)) against M
-    times its right-hand side: one tridiagonal factorization, two
-    back-substitutions and two curvature evaluations per step.  The estimate
-    is max |w_new - (w + h k1)| / w against the embedded Euler solution.
-    Raises PositivityError when the stage or the result is not positive, and
-    LinAlgError when the system is singular.
+    times its right-hand side, Q the grid's ``quotient_bands``: one tridiagonal
+    factorization, two back-substitutions and two curvature evaluations per
+    step.  The estimate is max |w_new - (w + h k1)| / w against the embedded
+    Euler solution.  A failed attempt raises PositivityError, which
+    :func:`advance` rejects: a stage or result not positive, or not finite
+    where the system overflowed.  A singular system raises LinAlgError.
     """
     _check_step_size(h)
     gh = _GAMMA * h
     mass = state.grid.curvature_divisor
-    lhs = form_bands(*state.grid.quotient_form[:2]) * (gh / (3.0 * state.v**2))
-    lhs[1] += mass * (1.0 - gh * state.sigma_tilde)
+    with np.errstate(over="ignore"):  # an overflowed system fails at its stage
+        lhs = state.grid.quotient_bands * (gh / (3.0 * state.v**2))
+        lhs[1] += mass * (1.0 - gh * state.sigma_tilde)
     *factors, info = lapack().dgttrf(lhs[2, :-1], lhs[1], lhs[0, 1:])
     if info != 0:
         raise np.linalg.LinAlgError("singular matrix")
@@ -237,10 +239,10 @@ def advance(state: FlowState, stops, safety: float, renorm_every: int):
     start has reached are passed over.  Every ``renorm_every``-th accepted
     step is renormalized before it is yielded (never when 0).
 
-    An attempt that loses positivity is retried at a fifth of its size,
-    unless it was already within the explicit bound: then the
-    PositivityError propagates, after the last accepted state was yielded.
-    The generator ends on the last stop.
+    Every failed attempt is a rejection: one that loses positivity has
+    err = inf and is retried at a fifth of its size, unless it was within
+    the explicit bound: then the PositivityError propagates, after the last
+    accepted state was yielded.  The generator ends on the last stop.
     """
     stops = iter(stops)
     stop = next(stops, None)
@@ -255,8 +257,7 @@ def advance(state: FlowState, stops, safety: float, renorm_every: int):
         except PositivityError:
             if h_try <= stable_dt(state, safety):
                 raise
-            h = 0.2 * h_try
-            continue
+            err = math.inf
         factor = min(2.0, max(0.2, 0.9 * math.sqrt(_TOL / err))) if err > 0.0 else 2.0
         if not err <= _TOL:
             h = h_try * factor

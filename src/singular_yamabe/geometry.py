@@ -85,6 +85,11 @@ class RadialGrid:
         """12 pi^2 x dx, the cell masses :func:`scalar_from_v` divides by; read-only."""
         return _read_only(12.0 * np.pi**2 * self.cell_centers * self.cell_widths)[0]
 
+    @cached_property
+    def quotient_bands(self) -> np.ndarray:
+        """:func:`form_bands` of the quotient form, which ROS2 and the descent read; read-only."""
+        return _read_only(form_bands(*self.quotient_form[:2]))[0]
+
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:

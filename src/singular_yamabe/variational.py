@@ -4,11 +4,11 @@ Both models, each a :class:`~singular_yamabe.geometry.RadialGrid`, share one
 algebraic core, the tridiagonal form layer of :mod:`singular_yamabe.geometry`.
 A quotient is a form (face conductances plus a diagonal mass) over a p-norm
 denominator; an eigenvalue problem is a form paired with a diagonal metric.
-Each model carries its quotient form as ``quotient_form``.  The quotient,
-the descent and the eigen residuals apply forms with
-:func:`~singular_yamabe.geometry.apply_form`; the descent's preconditioner
-and the eigen solves read their matrices from
-:func:`~singular_yamabe.geometry.form_bands`.
+Each model carries its quotient form as ``quotient_form``, and its matrix
+as ``quotient_bands``.  The quotient, the descent and the eigen residuals
+apply forms with :func:`~singular_yamabe.geometry.apply_form`; the descent's
+preconditioner reads the model's ``quotient_bands``, and the eigen solves
+read their matrices from :func:`~singular_yamabe.geometry.form_bands`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,13 @@ def _evaluate(forms, x):
     return inner(x, ax) * scale * scale, scale, ax, mwx
 
 
-def _quotient(v, model: RadialGrid) -> float:
+def yamabe_quotient(v, model: RadialGrid) -> float:
+    """Conformal quotient of a test profile on a model, from its ``quotient_form``.
+
+    On the compactified space the constant profile gives 16 pi for every
+    core scale, and profiles that pile up near the puncture push the value
+    below it; on the round n-sphere the constant gives the sphere constant.
+    """
     forms = model.quotient_form
     v = np.asarray(v, dtype=float)
     if v.shape != forms[2].shape:
@@ -51,18 +57,7 @@ def _quotient(v, model: RadialGrid) -> float:
     return _evaluate(forms, v)[0]
 
 
-def yamabe_quotient_eh(v, grid: RadialGrid) -> float:
-    """Conformal quotient of a radial test profile on the compactified space.
-
-    The constant profile gives 16 pi for every core scale; profiles that
-    pile up near the puncture push the value below it.
-    """
-    return _quotient(v, grid)
-
-
-def yamabe_quotient_sphere(phi, model: RadialGrid) -> float:
-    """Conformal quotient of a polar test profile on the round n-sphere."""
-    return _quotient(phi, model)
+yamabe_quotient_eh = yamabe_quotient_sphere = yamabe_quotient  # names the benchmark's tracer times
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +112,16 @@ def minimize_quotient(model: RadialGrid, *, init) -> QuotientResult:
     steps between p-normalized iterates and the changes in their gradients;
     a pair with s.y <= 0 is skipped.  Its initial inverse Hessian is the
     tridiagonal Hessian majorant H = A + q (p - 1) diag(m |v|^(p - 2)) (a
-    Sobolev gradient), factored (``dpttrf``) at the start and applied by one
-    back-substitution (``dpttrs``) per step, so smooth and grid-scale modes
-    take the same step, and from smooth starts the iteration count does not
-    grow with the resolution (5 to 7 on the sphere).  From rough starts it
-    does: the start above takes 382 iterations on 256 cells and 1804 on 1024
-    (ROADMAP items 15 and 17).  A backtracking line search halving from the
-    initial step guarantees the value sequence is nonincreasing.  A stalled line search
-    drops the pairs, refactors H at the iterate and searches again; a stall
-    on a fresh factor with no pairs ends it unconverged.
+    Sobolev gradient) on the model's ``quotient_bands``, factored (``dpttrf``)
+    at the start and applied by one back-substitution (``dpttrs``) per step,
+    so smooth and grid-scale modes take the same step, and from smooth
+    starts the iteration count does not grow with the resolution (5 to 7 on
+    the sphere).  From rough starts it does: the start above takes 382
+    iterations on 256 cells and 1804 on 1024 (ROADMAP items 15 and 17).  A
+    backtracking line search halving from the initial step guarantees the
+    value sequence is nonincreasing.  A stalled line search drops the pairs,
+    refactors H at the iterate and searches again; a stall on a fresh factor
+    with no pairs ends it unconverged.
 
     The normalization is carried as a scalar: the loop keeps an unnormalized
     u with its form product A u and weight m |u|^(p - 2), and the point on
@@ -141,8 +137,7 @@ def minimize_quotient(model: RadialGrid, *, init) -> QuotientResult:
     if np.any(u <= 0.0):
         raise ValueError("initial profile must be positive")
     routines = lapack()
-    face_coeff, curv_mass, vol_mass, p = forms
-    bands = form_bands(face_coeff, curv_mass)
+    p, bands = forms[3], model.quotient_bands
     # a start of order 1e100 or 1e-100 overflows the quotient, and one of order
     # 1e-80 leaves its p-norm sum subnormal: refuse them, not descend from garbage
     with np.errstate(all="ignore"):

@@ -232,7 +232,8 @@ def test_divergence_bands_apply_the_flux_divergence(grading):
     mass = grid.curvature_divisor
     assert grid.curvature_divisor is mass
     assert not (c.flags.writeable or d.flags.writeable or mass.flags.writeable)
-    bands = geo.form_bands(c, d)
+    bands = grid.quotient_bands
+    assert grid.quotient_bands is bands and not bands.flags.writeable
     dense = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
     rng = np.random.default_rng(3)
     v = 1.0 + rng.random(64)

@@ -56,10 +56,13 @@ def test_cell_widths_are_built_once_and_read_only(grading):
         widths[0] = 1.0
 
 
-@pytest.mark.parametrize("build", [lambda: geo.build_grid(64, "uniform"),
-                                   lambda: geo.build_grid(64, "geometric", 0.9),
-                                   lambda: geo.build_sphere_model(4, 64)],
-                         ids=["uniform", "geometric", "sphere"])
+_EACH_MODEL = pytest.mark.parametrize("build", [lambda: geo.build_grid(64, "uniform"),
+                                                lambda: geo.build_grid(64, "geometric", 0.9),
+                                                lambda: geo.build_sphere_model(4, 64)],
+                                      ids=["uniform", "geometric", "sphere"])
+
+
+@_EACH_MODEL
 def test_model_arrays_are_read_only(build):
     # a model is the record its builder made: no array of it can be written,
     # neither in a field nor in an attribute it builds on first use
@@ -78,6 +81,14 @@ def test_model_arrays_are_read_only(build):
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
+
+
+@_EACH_MODEL
+def test_quotient_bands_are_the_quotient_forms_matrix(build):
+    # ROS2's system and the descent's preconditioner read one layout of the
+    # quotient form, built once per model
+    model = build()
+    assert model.quotient_bands.tobytes() == geo.form_bands(*model.quotient_form[:2]).tobytes()
 
 
 def test_grid_rejects_bad_inputs():

@@ -112,14 +112,14 @@ def reference_minimize_ratio(face_coeff, curv_mass, vol_mass, p, v0):
 
 def test_constant_profile_quotient_eh():
     grid = geo.build_grid(256, "uniform")
-    q = var.yamabe_quotient_eh(np.full(256, 2.0**0.25), grid)
+    q = var.yamabe_quotient(np.full(256, 2.0**0.25), grid)
     assert math.isclose(q, 16.0 * math.pi, rel_tol=1e-12)
 
 
 def test_constant_profile_quotient_sphere():
     for n in (3, 4):
         model = geo.build_sphere_model(n, 256)
-        q = var.yamabe_quotient_sphere(np.ones(256), model)
+        q = var.yamabe_quotient(np.ones(256), model)
         assert math.isclose(q, geo.yamabe_sphere_constant(n), rel_tol=1e-9)
 
 
@@ -130,17 +130,22 @@ def test_quotient_is_the_descent_start(monkeypatch, n_cells):
     monkeypatch.setattr(var, "_MAX_ITERS", 0)
     sphere = geo.build_sphere_model(4, n_cells)
     grid = geo.build_grid(n_cells, "uniform")
-    for model, quotient in ((sphere, var.yamabe_quotient_sphere),
-                            (grid, var.yamabe_quotient_eh)):
+    for model in (sphere, grid):
         for init in (np.ones(n_cells), 1.0 + 0.05 * np.cos(2.0 * model.cell_centers + 0.7)):
             res = var.minimize_quotient(model, init=init)
-            assert res.history == [quotient(init, model)]
+            assert res.history == [var.yamabe_quotient(init, model)]
+
+
+def test_quotient_has_one_definition():
+    # the two model-named quotients are the one function, kept under their
+    # old names only because the benchmark's tracer times them by name
+    assert var.yamabe_quotient_eh is var.yamabe_quotient_sphere is var.yamabe_quotient
 
 
 def test_quotient_scale_invariance_power_of_two():
     grid = geo.build_grid(128, "uniform")
     v = 1.0 + 0.5 * grid.cell_centers
-    assert var.yamabe_quotient_eh(2.0 * v, grid) == var.yamabe_quotient_eh(v, grid)
+    assert var.yamabe_quotient(2.0 * v, grid) == var.yamabe_quotient(v, grid)
 
 
 @given(c=st.floats(0.1, 10.0))
@@ -148,8 +153,8 @@ def test_quotient_scale_invariance_power_of_two():
 def test_quotient_scale_invariance(c):
     grid = geo.build_grid(96, "geometric", 0.97)
     v = 1.0 + grid.cell_centers**2
-    assert math.isclose(var.yamabe_quotient_eh(c * v, grid),
-                        var.yamabe_quotient_eh(v, grid), rel_tol=1e-13)
+    assert math.isclose(var.yamabe_quotient(c * v, grid),
+                        var.yamabe_quotient(v, grid), rel_tol=1e-13)
 
 
 def test_bubble_family_dips_toward_local_threshold():
@@ -159,7 +164,7 @@ def test_bubble_family_dips_toward_local_threshold():
     d0 = geo.distance_from_singular_point(grid.cell_centers)
 
     def q(eps):
-        return var.yamabe_quotient_eh(eps / (eps**2 + d0**2), grid)
+        return var.yamabe_quotient(eps / (eps**2 + d0**2), grid)
 
     assert geo.Y_LOCAL < q(0.05) < q(0.2)
 
@@ -343,7 +348,7 @@ def test_ladder_floors_extrapolate_to_the_local_threshold():
     # above the threshold and approach it as they shrink: measured 7.20e-2,
     # 6.86e-3 and 9.70e-4 above at eps = 0.1, 0.03 and 0.01
     d0 = geo.distance_from_singular_point(grid.cell_centers)
-    bubbles = [var.yamabe_quotient_eh(eps / (eps**2 + d0**2), grid) - geo.Y_LOCAL
+    bubbles = [var.yamabe_quotient(eps / (eps**2 + d0**2), grid) - geo.Y_LOCAL
                for eps in (0.1, 0.03, 0.01)]
     assert bubbles[0] > bubbles[1] > bubbles[2] > 0.0
 
