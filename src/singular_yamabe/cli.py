@@ -255,7 +255,8 @@ def cmd_validate(args) -> int:
                    geometry.eh_distance_to_infinity(), 1e-8))
     for n, expected in ((4, 8.0 * math.sqrt(6.0) * pi),
                         (3, 6.0 * (2.0 * pi**2) ** (2.0 / 3.0))):
-        value = variational.yamabe_quotient(np.ones(512), geometry.build_sphere_model(n, 512))
+        value = variational.yamabe_quotient_sphere(np.ones(512),
+                                                   geometry.build_sphere_model(n, 512))
         checks.append((f"sphere_quotient_n{n}", expected, value, 1e-6))
     checks.append(("orbifold_local_threshold", 8.0 * math.sqrt(3.0) * pi,
                    geometry.Y_LOCAL, 1e-12))

@@ -218,7 +218,7 @@ def parse_config(data) -> Scenario:
 def load_config(path: str) -> Scenario:
     import yaml  # here: only the commands that read a scenario file load it
 
-    class UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # libyaml's, where built
+    class UniqueKeyLoader(yaml.SafeLoader):
         """Refuses a mapping that repeats a key, where PyYAML keeps the last value."""
 
         def construct_mapping(self, node, deep=False):

@@ -297,13 +297,10 @@ def test_sphere_dimension_above_342_is_refused(tmp_path, capsys, command, n):
     assert not (tmp_path / "run").exists()
 
 
-_REPEATED_KEYS = [("grid: {n_cells: 64}\ngrid: {grading: geometric}\n", "grid"),
-                  ("time: {t_end: 1.0e-3, t_end: 2.0e-3}\n", "t_end")]
-_NON_STRING_KEYS = [("grid: {1: 2}\n", "unknown key(s) in section 'grid': 1"),
-                    ("1: 2\nx: 3\n", "unknown top-level key(s): 1, x")]
-
-
-@pytest.mark.parametrize("text, key", _REPEATED_KEYS, ids=["section", "key-in-section"])
+@pytest.mark.parametrize("text, key", [
+    ("grid: {n_cells: 64}\ngrid: {grading: geometric}\n", "grid"),
+    ("time: {t_end: 1.0e-3, t_end: 2.0e-3}\n", "t_end"),
+], ids=["section", "key-in-section"])
 def test_scenario_file_that_repeats_a_key_is_refused(tmp_path, capsys, text, key):
     # yaml alone keeps the last value and runs a scenario the file does not say
     path = tmp_path / "repeated.yaml"
@@ -322,39 +319,15 @@ def test_merged_key_may_be_overridden(tmp_path):
     assert (cfg.n_cells, cfg.grading) == (128, "geometric")
 
 
-@pytest.mark.parametrize("text, message", _NON_STRING_KEYS, ids=["in-section", "top-level"])
+@pytest.mark.parametrize("text, message", [
+    ("grid: {1: 2}\n", "unknown key(s) in section 'grid': 1"),
+    ("1: 2\nx: 3\n", "unknown top-level key(s): 1, x"),
+], ids=["in-section", "top-level"])
 def test_unknown_key_that_is_not_a_string_is_refused(tmp_path, capsys, text, message):
     path = tmp_path / "scenario.yaml"
     path.write_text(text)
     assert cli.main(["flow", str(path), "--quiet"]) == cli.EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
-
-
-@pytest.mark.parametrize("base", ["CSafeLoader", "SafeLoader"])
-def test_scenario_reader_reads_alike_on_either_base_loader(tmp_path, capsys, monkeypatch, base):
-    # the reader derives from libyaml's loader where PyYAML was built with
-    # it and from the pure Python one otherwise; on either it reads the dump
-    # back and refuses a repeated key, a key that is not a string and a
-    # syntax error, each with exit 2 and the same message
-    if base == "SafeLoader":
-        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    elif not hasattr(yaml, "CSafeLoader"):
-        pytest.skip("PyYAML was built without libyaml")
-    loaders, load = [], yaml.load
-    monkeypatch.setattr(yaml, "load", lambda stream, Loader: (
-        loaders.append(Loader.__bases__) or load(stream, Loader=Loader)))
-    path = tmp_path / "scenario.yaml"
-    path.write_text(scenario.default_config_text(), encoding="utf-8")
-    assert scenario.load_config(str(path)) == scenario.Scenario()
-    assert loaders == [(getattr(yaml, base),)]
-    refusals = [(text, f"error: cannot parse config {path}: found duplicate key {key!r}")
-                for text, key in _REPEATED_KEYS]
-    refusals += [(text, f"error: {message}\n") for text, message in _NON_STRING_KEYS]
-    refusals.append(("model: [unclosed\n", f"error: cannot parse config {path}: "))
-    for text, message in refusals:
-        path.write_text(text)
-        assert cli.main(["flow", str(path), "--quiet"]) == cli.EXIT_INPUT
-        assert capsys.readouterr().err.startswith(message)
 
 
 def test_flow_to_an_extreme_horizon_rejects_overflow_quietly(tmp_path, capsys):
