@@ -9,8 +9,10 @@ used for file initial conditions and for the snapshots a report reloads;
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
@@ -35,6 +37,22 @@ class ConfigError(ValueError):
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read_as_string(values) -> str:
+    """``, got the string ...`` for the first string in ``values`` that
+    float() reads, with YAML 1.1's exponent rule when it has an exponent
+    (YAML 1.1 reads 1e-05 and 1.0e5 as strings), or ""."""
+    for value in values:
+        if isinstance(value, str):
+            try:
+                float(value)
+            except ValueError:
+                continue
+            rule = ("; YAML 1.1 reads an exponent as a number only with a dot and a sign, "
+                    "as in 1.0e-05" if "e" in value.lower() else "")
+            return f", got the string {value!r}{rule}"
+    return ""
 
 
 def _broken_bound(value, lo=None, hi=None, lo_strict=False, hi_strict=False):
@@ -134,7 +152,7 @@ class Scenario:
     def _number(self, name, where, integer=False, **bounds):
         value = getattr(self, name)
         if not _is_number(value):
-            raise ConfigError(f"{where} must be a number")
+            raise ConfigError(f"{where} must be a number{_read_as_string([value])}")
         if not math.isfinite(value):
             raise ConfigError(f"{where} must be finite")
         if integer and value != int(value):
@@ -151,7 +169,8 @@ class Scenario:
         if not isinstance(values, (list, tuple)) or not values or not all(
                 _is_number(c) and math.isfinite(c) and not _broken_bound(c, lo, hi, lo_strict)
                 for c in values):
-            raise ConfigError(f"{where} must be {what}")
+            listed = values if isinstance(values, (list, tuple)) else [values]
+            raise ConfigError(f"{where} must be {what}{_read_as_string(listed)}")
         values = tuple(float(c) for c in values)
         names = [value_name(c) for c in values]
         if len(set(names)) < len(names):
@@ -215,8 +234,49 @@ def parse_config(data) -> Scenario:
     return cfg
 
 
-def load_config(path: str) -> Scenario:
-    import yaml  # here: only the commands that read a scenario file load it
+# The one-line-per-section form, which load_config reads without PyYAML
+# (whose import, mostly compiling its regexes, takes longer than the parse):
+# every line is ``section: {key: value, ...}``, each name a declared one,
+# bare or double-quoted, and each value null, a double-quoted printable
+# ASCII string without an escape, a number or a flat list of numbers, in
+# spellings that YAML 1.1 and JSON read alike: no leading zero, and an
+# exponent only after a fraction and with a sign.  The dump and the
+# benchmark's scenarios are written in it.  Pattern strings, which re
+# compiles on the first file read, not at import.
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+][0-9]+)?)?"
+_NAME = r'[a-z_]+|"[a-z_]+"'
+_LINE = rf"({_NAME}): \{{(.*)\}}"
+# one key and value of a line's mapping, after the ", " that comes before each
+_PAIR = rf', ({_NAME}): (null|"[ !#-\[\]-~]*"|{_NUMBER}|\[{_NUMBER}(?:, {_NUMBER})*\])'
+
+
+def _read_flow_form(text: str) -> dict | None:
+    """The mapping of a scenario file in the one-line-per-section form, as
+    PyYAML reads it, or None for a file in any other form."""
+    if not text.endswith("\n"):
+        return None
+    data = {}
+    for line in text[:-1].split("\n"):
+        if not (match := re.fullmatch(_LINE, line)):
+            return None
+        section, body = match[1].strip('"'), f", {match[2]}"
+        pairs = list(re.finditer(_PAIR, body))
+        keys = [pair[1].strip('"') for pair in pairs]
+        # the pairs must make up the whole mapping; PyYAML refuses a repeat,
+        # and may read an undeclared name as no string
+        if ("".join(pair[0] for pair in pairs) != body or section in data
+                or len(set(keys)) < len(keys)
+                or any((section, key) not in _FIELDS for key in keys)):
+            return None
+        try:
+            data[section] = {key: json.loads(pair[2]) for key, pair in zip(keys, pairs)}
+        except ValueError:  # an integer of more digits than Python converts
+            return None
+    return data
+
+
+def _read_yaml(text: str, path: str):
+    import yaml  # here: only a file outside the one-line-per-section form loads it
 
     class UniqueKeyLoader(yaml.SafeLoader):
         """Refuses a mapping that repeats a key, where PyYAML keeps the last value."""
@@ -230,14 +290,22 @@ def load_config(path: str) -> Scenario:
                     None, None, f"found duplicate key {repeated[0]!r}", node.start_mark)
             return super().construct_mapping(node, deep)
 
+    stream = io.StringIO(text)
+    stream.name = path  # PyYAML's marks name the file, as when it reads the file itself
+    try:
+        return yaml.load(stream, Loader=UniqueKeyLoader)
+    except (yaml.YAMLError, ValueError) as err:  # ValueError: a bad date
+        raise ConfigError(f"cannot parse config {path}: {err}") from err
+
+
+def load_config(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as handle:
-            data = yaml.load(handle, Loader=UniqueKeyLoader)
-    except (OSError, UnicodeDecodeError) as err:
+            text = handle.read()
+    except (OSError, ValueError) as err:  # ValueError: bytes not UTF-8, or a NUL byte in the path
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    except (yaml.YAMLError, ValueError) as err:  # ValueError: a NUL byte in the path, or a bad date
-        raise ConfigError(f"cannot parse config {path}: {err}") from err
-    return parse_config(data)
+    data = _read_flow_form(text)
+    return parse_config(_read_yaml(text, path) if data is None else data)
 
 
 def default_config_text() -> str:

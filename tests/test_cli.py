@@ -188,13 +188,20 @@ def test_flow_rejects_bad_inputs(tmp_path, capsys):
     broken = tmp_path / "broken.yaml"
     broken.write_text("model: [unclosed\n")
     assert cli.main(["flow", str(broken), "--quiet"]) == cli.EXIT_INPUT
-    assert cli.main(["flow", str(tmp_path / "absent.yaml"), "--quiet"]) == cli.EXIT_INPUT
-    # bytes that are not UTF-8, a date yaml cannot build, a path with a NUL byte
+    capsys.readouterr()
+    # an absent file, bytes that are not UTF-8, a path with a NUL byte, and a
+    # date yaml cannot build: the first three cannot be read, the last parsed
     (tmp_path / "latin1.yaml").write_bytes(b"# caf\xe9\n")
     (tmp_path / "date.yaml").write_text("time: {t_end: 2020-13-45}\n")
-    for path in ("latin1.yaml", "date.yaml", "a\0b.yaml"):
-        assert cli.main(["flow", str(tmp_path / path), "--quiet"]) == cli.EXIT_INPUT, path
-    capsys.readouterr()
+    for name, message in (
+            ("absent.yaml", "cannot read config {}: [Errno 2] No such file or directory: '{}'"),
+            ("latin1.yaml", "cannot read config {}: 'utf-8' codec can't decode byte 0xe9 "
+                            "in position 5: invalid continuation byte"),
+            ("a\0b.yaml", "cannot read config {}: embedded null byte"),
+            ("date.yaml", "cannot parse config {}: month must be in 1..12")):
+        path = str(tmp_path / name)
+        assert cli.main(["flow", path, "--quiet"]) == cli.EXIT_INPUT, name
+        assert capsys.readouterr().err == f"error: {message.format(path, path)}\n"
 
     # a degenerate grid and a start whose volume or quotient overflows are
     # refused before the output directory is made
@@ -328,6 +335,103 @@ def test_unknown_key_that_is_not_a_string_is_refused(tmp_path, capsys, text, mes
     path.write_text(text)
     assert cli.main(["flow", str(path), "--quiet"]) == cli.EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_EXPONENT_RULE = ("; YAML 1.1 reads an exponent as a number only with a dot and a sign, "
+                  "as in 1.0e-05")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("time: {t_end: 1e-05}\n",
+     "time.t_end must be a number, got the string '1e-05'" + _EXPONENT_RULE),
+    ("time: {t_end: 1.0e5}\n",
+     "time.t_end must be a number, got the string '1.0e5'" + _EXPONENT_RULE),
+    ("diagnostics: {cutoffs: [0.1, 5E-2]}\n",
+     "diagnostics.cutoffs must be a nonempty list in (0, 1], got the string '5E-2'"
+     + _EXPONENT_RULE),
+    ("time: {t_end: '0.5'}\n", "time.t_end must be a number, got the string '0.5'"),
+    ("time: {t_end: abc}\n", "time.t_end must be a number"),
+], ids=["no-dot", "no-sign", "list-item", "quoted", "word"])
+def test_number_that_yaml_reads_as_a_string_is_refused_with_the_reason(tmp_path, capsys, text,
+                                                                      message):
+    # YAML 1.1 reads 1e-05 as a string; the refusal says so, and neither
+    # scenario reader takes it as a number
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text)
+    assert cli.main(["flow", str(path), "--quiet"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Tokens of the differential test of the two scenario readers: the names and
+# values the one-line-per-section reader takes, and near-misses that it
+# must leave to PyYAML, which reads some of them as no string or no number
+_SECTION_KEYS = {section: [key for name, key in scenario._FIELDS if name == section]
+                 for section, _ in scenario._FIELDS}
+_DEFAULT_TOKENS = {(section, key): json.dumps(value)
+                   for section, keys in scenario.Scenario().echo().items()
+                   for key, value in keys.items()}
+_ODD_NAMES = ["null", "Null", "yes", "on", "~", "oops", "1", "t_end"]
+_READER_VALUES = ['null', '"uniform"', '"geometric"', '"sphere"', '"constant"', '"file"',
+                  '"run, dir: {x} # y"', '""', '0', '-0', '4', '64', '300', '0.5', '-0.0',
+                  '0.97', '4.0e-05', '2.5E+1', '1.0e+400', '[0.1, 0.05]', '[2, 3.0]', '[1.5e-1]']
+_NEAR_MISSES = ['1e-05', '1.0e5', '1.', '+1.0', '010', '0x10', '1_000', '.inf', 'yes', '~',
+                'Null', "'single'", '"a\\n"', '"café"', '[]', '[0.1,0.05]', '[null]', 'uniform']
+_LAYOUTS = [lambda text: text.replace(": ", ":  ", 1), lambda text: text.replace(", ", ",", 1),
+            lambda text: text.replace("\n", " # c\n", 1), lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.replace(" ", "\t", 1), lambda text: "\ufeff" + text,
+            lambda text: text.replace("{", "{ ", 1), lambda text: text[:-1]]
+
+
+def _either_quote(name):
+    return st.sampled_from([name, f'"{name}"'])
+
+
+@st.composite
+def _scenario_text(draw):
+    """A scenario file in or near the one-line-per-section form."""
+    odd, repeats = draw(st.sampled_from([[], _ODD_NAMES])), draw(st.booleans())
+    values = st.sampled_from(draw(st.sampled_from([_READER_VALUES,
+                                                   _READER_VALUES + _NEAR_MISSES])))
+    text = ""
+    for section in draw(st.lists(st.sampled_from([*_SECTION_KEYS, *odd]), min_size=1,
+                                 max_size=4, unique=not repeats)):
+        keys = draw(st.lists(st.sampled_from(_SECTION_KEYS.get(section, _ODD_NAMES) + odd),
+                             min_size=1, max_size=4, unique=not repeats))
+        pairs = [f"{draw(_either_quote(key))}: "
+                 f"{draw(st.just(_DEFAULT_TOKENS.get((section, key), 'null')) | values)}"
+                 for key in keys]
+        text += f"{draw(_either_quote(section))}: {{{', '.join(pairs)}}}\n"
+    layout = draw(st.sampled_from([None] * len(_LAYOUTS) + _LAYOUTS))
+    return text if layout is None else layout(text)
+
+
+def _loaded(path):
+    try:
+        return repr(scenario.load_config(path))
+    except scenario.ConfigError as err:
+        return str(err)
+
+
+@given(text=_scenario_text())
+@example(text=scenario.default_config_text())
+@example(text="time: {t_end: 1e-05}\n")
+@example(text="grid: {null: 1}\n")
+@example(text='null: {type: "sphere"}\n')
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_both_scenario_readers_read_alike(tmp_path, text):
+    # the reader of the one-line-per-section form gives what PyYAML gives
+    # on each file it takes, and leaves every other file to PyYAML: the same
+    # Scenario, or the same refusal, with and without it
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes(text.encode("utf-8"))
+    read = scenario._read_flow_form(path.read_text(encoding="utf-8"))
+    if read is not None:
+        assert repr(read) == repr(yaml.safe_load(path.read_text(encoding="utf-8")))
+    fast = _loaded(str(path))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "_read_flow_form", lambda text: None)
+        assert _loaded(str(path)) == fast
 
 
 def test_flow_to_an_extreme_horizon_rejects_overflow_quietly(tmp_path, capsys):

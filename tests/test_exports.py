@@ -1,10 +1,11 @@
 """Public names: a module's public names are its top-level definitions
 without a leading underscore, with no ``__all__`` to list them again, the
-package root loads no layer, each command loads only the layers it runs, the
-front end loads no numeric layer and, unless it reads a scenario file, no
-PyYAML, every function the benchmark's tracer times (perfbench/traced_cli.py
-SPANS) is still there, every public definition is used by the package or
-traced, and only geometry's builders construct a model."""
+package root loads no layer, each command loads only the layers it runs,
+only a scenario file outside the one-line-per-section form loads PyYAML,
+the front end loads neither a numeric layer nor PyYAML, every function the
+benchmark's tracer times (perfbench/traced_cli.py SPANS) is still there,
+every public definition is used by the package or traced, and only
+geometry's builders construct a model."""
 
 import ast
 import importlib
@@ -87,10 +88,38 @@ def test_command_loads_only_the_layers_it_runs(tmp_path, command):
     assert not unwanted, f"{command} loads {unwanted}"
 
 
+# a scenario file's layout -> whether a command that reads it loads PyYAML:
+# the dump and the benchmark's bare-key files are in the one-line-per-section
+# form that the scenario module reads itself
+_SCENARIO_LAYOUTS = {"dump": False, "bare-key": False, "block": True}
+
+
+@pytest.mark.parametrize("layout", list(_SCENARIO_LAYOUTS))
+@pytest.mark.parametrize("command", ["flow", "yamabe", "eigen"])
+def test_only_a_scenario_outside_the_flow_form_loads_yaml(tmp_path, command, layout):
+    import yaml
+
+    from singular_yamabe import scenario
+
+    bare = ('model: {type: "eguchi-hanson", a: 1.0}\ngrid: {n_cells: 32, grading: "uniform"}\n'
+            'time: {t_end: 1.0e-03, snapshot_every: 0.0}\noutput: {dir: "run"}\n')
+    text = {"dump": scenario.default_config_text(), "bare-key": bare,
+            "block": yaml.safe_dump(yaml.safe_load(bare))}[layout]
+    (tmp_path / "scenario.yaml").write_text(text, encoding="utf-8")
+    root = str(Path(importlib.import_module("singular_yamabe").__file__).parents[1])
+    code = (f"import sys\nsys.path.insert(0, {root!r})\nfrom singular_yamabe.cli import main\n"
+            f"code = main([{command!r}, 'scenario.yaml', '--quiet'])\n"
+            "print(code, any(m.split('.')[0] == 'yaml' for m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=tmp_path)
+    assert out.stdout.split() == ["0", str(_SCENARIO_LAYOUTS[layout])], out.stderr
+
+
 # front-end process -> its arguments (None: it only imports the command
 # line), exit code and the start of its stderr: none computes, so none loads
 # numpy, scipy or a layer built on them, and each refusal names what it
-# refuses; only the refusals of a scenario file read YAML
+# refuses; the refused scenario file is in the one-line-per-section form, so
+# none loads PyYAML either
 _FRONT_END = {
     "import": (None, None, ""),
     "dump-default-config": (["--dump-default-config"], 0, ""),
@@ -103,7 +132,6 @@ _FRONT_END = {
 }
 _NUMERIC_LAYERS = {"singular_yamabe.geometry", "singular_yamabe.flow",
                    "singular_yamabe.variational", "singular_yamabe.diagnostics"}
-_READS_YAML = {"flow", "yamabe", "eigen"}
 
 
 @pytest.mark.parametrize("process", list(_FRONT_END))
@@ -124,8 +152,8 @@ def test_front_end_loads_no_numeric_layer(tmp_path, process):
     printed, *loaded = out.stdout.split()
     assert printed == str(status), out.stderr
     assert out.stderr.startswith(stderr), out.stderr
-    packages = {"numpy", "scipy"} | (set() if process in _READS_YAML else {"yaml"})
-    unwanted = [m for m in loaded if m.split(".")[0] in packages or m in _NUMERIC_LAYERS]
+    unwanted = [m for m in loaded
+                if m.split(".")[0] in {"numpy", "scipy", "yaml"} or m in _NUMERIC_LAYERS]
     assert not unwanted, f"{argv} loads {unwanted}"
 
 
