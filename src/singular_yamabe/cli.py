@@ -199,7 +199,7 @@ def read_series_csv(path: str):
     """Parse a series file back into records; inverse of write_series_csv.
 
     Raises ConfigError when the file cannot be read or is not a series of
-    finite numbers.
+    finite numbers whose times never decrease.
     """
     from . import flow
 
@@ -222,6 +222,8 @@ def read_series_csv(path: str):
                 raise ValueError(f"a row of {len(values)} cells under {len(header)} columns")
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"a cell that is not a finite number in {','.join(row)}")
+            if records and values[0] < records[-1].t:
+                raise ValueError(f"t goes back from {records[-1].t!r} to {values[0]!r}")
             records.append(flow.TimeSeriesRecord(
                 **dict(zip(_SERIES_COLUMNS.values(), values)),
                 mass_fractions=dict(zip(cutoffs, values[len(fixed):])),

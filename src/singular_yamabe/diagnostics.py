@@ -46,14 +46,17 @@ def decay_rate_fit(records: list[TimeSeriesRecord]) -> float:
 
     Fits a line to log F2 over the trailing half of the records and
     returns the negated slope; six records leave three points in that
-    window, the fewest that still leave a residual.  A window touching
-    F2 = 0 means the decay has bottomed out at machine level, reported as
-    +inf.
+    window, the fewest that still leave a residual.  A window whose times
+    are all equal holds no rate and is refused.  A window touching F2 = 0
+    means the decay has bottomed out at machine level, reported as +inf.
     """
     if len(records) < 6:
         raise ValueError(f"need at least 6 records to fit a rate, got {len(records)}")
     tail = records[len(records) // 2 :]
     t = np.array([r.t for r in tail])
+    if t.min() == t.max():
+        raise ValueError(f"the last {len(tail)} records all lie at t={float(t[0])!r}: "
+                         "no rate to fit")
     f2 = np.array([r.f2 for r in tail])
     if np.any(f2 <= 0.0):
         return math.inf

@@ -320,23 +320,10 @@ def default_config_text() -> str:
 # ---------------------------------------------------------------------------
 
 
-def check_profile(x: np.ndarray, v: np.ndarray, source: str) -> None:
-    """Refuse a tabulated profile unless it has two or more finite samples,
-    strictly increasing x and positive v."""
-    import numpy as np
-
-    if x.size < 2:
-        raise ConfigError(f"{source} needs at least two x,v samples")
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(v)):
-        raise ConfigError(f"{source} holds a value that is not finite")
-    if np.any(np.diff(x) <= 0.0):
-        raise ConfigError(f"x in {source} must be strictly increasing")
-    if np.any(v <= 0.0):
-        raise ConfigError(f"v in {source} must be positive")
-
-
 def read_profile(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read and check the headerless two-column x,v table in ``path``."""
+    """Read the headerless two-column x,v table in ``path`` and refuse it
+    unless it has two or more finite samples, strictly increasing x and
+    positive v."""
     import numpy as np
 
     try:
@@ -345,10 +332,18 @@ def read_profile(path: str) -> tuple[np.ndarray, np.ndarray]:
             table = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except (OSError, ValueError) as err:
         raise ConfigError(f"cannot read profile {path}: {err}") from err
+    source = f"profile file {path}"
     if table.shape[1] != 2:
-        raise ConfigError(f"profile file {path} must hold rows of two columns x,v")
+        raise ConfigError(f"{source} must hold rows of two columns x,v")
     x, v = table[:, 0], table[:, 1]
-    check_profile(x, v, f"profile file {path}")
+    if x.size < 2:
+        raise ConfigError(f"{source} needs at least two x,v samples")
+    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(v)):
+        raise ConfigError(f"{source} holds a value that is not finite")
+    if np.any(np.diff(x) <= 0.0):
+        raise ConfigError(f"x in {source} must be strictly increasing")
+    if np.any(v <= 0.0):
+        raise ConfigError(f"v in {source} must be positive")
     return x, v
 
 

@@ -115,13 +115,18 @@ def minimize_quotient(model: RadialGrid, *, init) -> QuotientResult:
     Sobolev gradient) on the model's ``quotient_bands``, factored (``dpttrf``)
     at the start and applied by one back-substitution (``dpttrs``) per step,
     so smooth and grid-scale modes take the same step, and from smooth
-    starts the iteration count does not grow with the resolution (5 to 7 on
-    the sphere).  From rough starts it does: the start above takes 382
-    iterations on 256 cells and 1804 on 1024 (ROADMAP items 15 and 17).  A
-    backtracking line search halving from the initial step guarantees the
-    value sequence is nonincreasing.  A stalled line search drops the pairs,
-    refactors H at the iterate and searches again; a stall on a fresh factor
-    with no pairs ends it unconverged.
+    starts the iteration count does not grow with the resolution: 2 to 8
+    on S^3 to S^6 from 1 + 0.05 cos(theta) and 1 + 0.05 cos(2 theta + 0.7)
+    on 256 to 16384 cells.  On 32 and 64 cells, and on 128 for 4 of those
+    8 runs, the polar model's non-constant discrete minimum takes over: 37
+    to 102 iterations end up to 2.2e-4 below the sphere constant, some of
+    them unconverged (ROADMAP item 17).  From rough starts the count
+    grows: the start above takes 382 iterations on 256 cells and 1804 on
+    1024 (ROADMAP items 15 and 17).  A backtracking line search halving
+    from the initial step guarantees the value sequence is nonincreasing.
+    A stalled line search drops the pairs, refactors H at the iterate and
+    searches again; a stall on a fresh factor with no pairs ends it
+    unconverged.
 
     The normalization is carried as a scalar: the loop keeps an unnormalized
     u with its form product A u and weight m |u|^(p - 2), and the point on
@@ -313,10 +318,10 @@ def eigen_criteria(lambda1: float, sigma_inf: float, n: int) -> dict:
 
     The fixed margins are finer than lambda1's discretization error on the
     polar sphere model, so they misread its degenerate cases: at 16384 cells
-    S^4 gives lambda1 = 3.9999999877442884 and S^6 5.999999981616435, where
-    the round spheres have lambda1 = n exactly, and both read uniqueness
-    true.  The fix is a sphere model that keeps the degeneracy exactly
-    (ROADMAP item 17), not a wider margin.
+    S^4 and S^6 give lambda1 about 1.2e-8 and 1.8e-8 below n, where the
+    round spheres have lambda1 = n exactly, and both read uniqueness true.
+    The fix is a sphere model that keeps the degeneracy exactly (ROADMAP
+    item 17), not a wider margin.
     """
     if n < 3:
         raise ValueError(f"dimension must be at least 3, got {n}")

@@ -1,10 +1,67 @@
-"""Shared fixtures."""
+"""Shared fixtures, and the one way the suite starts a child interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import singular_yamabe
 from singular_yamabe import flow
 from singular_yamabe import geometry as geo
+
+# the directory that holds the package this suite imports
+PACKAGE_ROOT = str(Path(singular_yamabe.__file__).parents[1])
+
+
+def run_child(argv=(), *, code=None, program=None, env=None, timeout=120, **options):
+    """Run ``python -m singular_yamabe ARGV`` in a child, or ``python -c
+    CODE ARGV`` when ``code`` is given, or ``PROGRAM ARGV``, importing the
+    same package as this suite and killed after ``timeout`` seconds.
+
+    ``env`` entries are set in the child's environment, a None entry
+    removed; the other options go to ``subprocess.run``.
+    """
+    path = os.pathsep.join(p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
+    environ = {**os.environ, "PYTHONPATH": path, **(env or {})}
+    environ = {name: value for name, value in environ.items() if value is not None}
+    if program is not None:
+        start = [program]
+    elif code is not None:
+        start = [sys.executable, "-c", code]
+    else:
+        start = [sys.executable, "-m", "singular_yamabe"]
+    return subprocess.run([*start, *argv], env=environ, timeout=timeout, **options)
+
+
+_PROBE = """\
+import contextlib, io, sys
+import {module}
+status = None
+if {run}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            status = singular_yamabe.cli.main(sys.argv[1:])
+        except SystemExit as stop:  # argparse's --help and usage error
+            status = stop.code
+print(status, *sorted(sys.modules))
+"""
+
+
+def probe(command, cwd):
+    """Run ``cli.main(command)`` in a child in ``cwd`` or, when ``command``
+    is a module name, only import that module there.  Returns main's status
+    (None when nothing ran), the child's standard error and the sorted names
+    in its ``sys.modules``."""
+    run = not isinstance(command, str)
+    module = "singular_yamabe.cli" if run else command
+    child = run_child(command if run else [], code=_PROBE.format(module=module, run=run),
+                      cwd=cwd, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    status, *modules = child.stdout.split()
+    return None if status == "None" else int(status), child.stderr, modules
 
 
 @pytest.fixture(scope="session")

@@ -4,16 +4,15 @@ import math
 import os
 import shutil
 import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from conftest import run_child
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-import singular_yamabe
 from singular_yamabe import cli, flow, variational
 from singular_yamabe import geometry as geo
 from singular_yamabe import scenario
@@ -229,9 +228,7 @@ def test_indistinguishable_snapshot_interval_is_refused(tmp_path, every):
     # below the stop tolerance, 2e-15 asks for 5e11 stops; in a child under a
     # timeout a regression fails here instead of hanging the suite
     cfg_path, _ = _scenario(tmp_path, time={"t_end": 1.0e-3, "snapshot_every": every})
-    out = subprocess.run([sys.executable, "-m", "singular_yamabe", "flow", cfg_path,
-                          "--quiet"], capture_output=True, text=True, env=_child_env(),
-                         timeout=30)
+    out = run_child(["flow", cfg_path, "--quiet"], capture_output=True, text=True, timeout=30)
     assert out.returncode == cli.EXIT_INPUT
     assert out.stderr == (f"error: time.snapshot_every {every:g} is below time.t_end "
                           "0.001 / 10000: a run takes at most 10000 snapshot stops\n")
@@ -554,12 +551,7 @@ def test_unwritable_artifacts_exit_2(tmp_path, capsys):
 def _run_child(argv, buffered, **streams):
     """``python -m singular_yamabe argv`` in a child, its standard streams
     as ``streams`` gives them, buffered as a terminal-less run is or not."""
-    env = _child_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, "-m", "singular_yamabe", *argv], env=env,
-                          timeout=60, **streams)
+    return run_child(argv, env={"PYTHONUNBUFFERED": None if buffered else "1"}, **streams)
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
@@ -643,11 +635,9 @@ def test_failure_status_reaches_the_parent(tmp_path, case):
     # its __main__ and so through cli.run, after the patch
     patch, command, overrides, status, artifact = _CHILD_FAILURES[case]
     cfg_path, _ = _scenario(tmp_path, **overrides)
-    code = (f"import runpy, sys\n{patch}"
-            f"sys.argv = ['singular-yamabe', {command!r}, {cfg_path!r}, '--quiet']\n"
-            "runpy.run_module('singular_yamabe', run_name='__main__', alter_sys=True)\n")
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env=_child_env(), timeout=120)
+    code = f"import runpy\n{patch}" + (
+        "runpy.run_module('singular_yamabe', run_name='__main__', alter_sys=True)\n")
+    child = run_child([command, cfg_path, "--quiet"], code=code, capture_output=True, text=True)
     assert (child.returncode, child.stdout, child.stderr) == (status, "", "")
     assert (tmp_path / "run" / artifact).is_file()
 
@@ -1053,6 +1043,7 @@ REPORT_DAMAGE = {
     "short_series_row": _edit_series_row(lambda row: ",".join(row.split(",")[:4])),
     "nan_series_cell": _edit_series_row(lambda row: _set_f2(row, "nan")),
     "overflowing_series_cell": _edit_series_row(lambda row: _set_f2(row, "1e400")),
+    "time_goes_back": _edit_series_row(lambda row: "-1.0," + row.split(",", 1)[1]),
     "nonpositive_snapshot_value": lambda run: _rewrite(_snapshot(run, -1), _negative_first_v),
     "missing_snapshot_file": lambda run: _snapshot(run, 0).unlink(),
     "snapshot_off_grid": lambda run: _rewrite(_snapshot(run, 0), _off_grid_x),
@@ -1089,6 +1080,21 @@ def test_report_never_raises_on_damaged_run_dir(small_run, capsys, target, actio
             path.unlink()
         assert cli.main(["report", str(run), "--quiet"]) in (cli.EXIT_OK, cli.EXIT_INPUT)
     capsys.readouterr()
+
+
+def test_report_on_a_series_at_one_time_fits_no_rate(small_run, tmp_path, capfd):
+    # equal times are legal, and the fit that cannot be made is the report's
+    # error entry, with no numpy warning and no LAPACK message on stderr
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    header, *rows = (run / "series.csv").read_text().splitlines()
+    (run / "series.csv").write_text("".join(
+        f"{line}\n" for line in [header] + ["0.0," + row.split(",", 1)[1] for row in rows]))
+    assert cli.main(["report", str(run), "--quiet"]) == cli.EXIT_OK
+    assert capfd.readouterr().err == ""
+    fit = json.loads((run / "dichotomy.json").read_text())["decay_rate_fit"]
+    assert fit == {"rate": None, "error": f"the last {len(rows) - len(rows) // 2} records "
+                                          "all lie at t=0.0: no rate to fit"}
 
 
 def test_report_in_the_run_directory_names_its_file(small_run, tmp_path, monkeypatch, capsys):
@@ -1165,15 +1171,6 @@ def test_grid_beyond_memory_is_an_input_error(small_run, tmp_path, capsys):
     assert not (run / "dichotomy.json").exists()
 
 
-def _child_env():
-    """Environment for a child interpreter that imports the same package as this suite."""
-    env = dict(os.environ)
-    package_root = str(Path(singular_yamabe.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
-    return env
-
-
 def _scripts_table(text):
     """The [project.scripts] table of a pyproject.toml, read line by line."""
     scripts, inside = {}, False
@@ -1197,70 +1194,6 @@ def _declared_scripts():
     declared = tomllib.loads(text)["project"]["scripts"]
     assert scripts == declared
     return declared
-
-
-def _scipy_modules_after(statement):
-    """The scipy modules, sorted, that a child interpreter holds after the
-    statement, with numpy.f2py's, which scipy's package code imports."""
-    code = (
-        "import contextlib, io, sys\n"
-        "from singular_yamabe import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert {statement} == 0\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py')))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=_child_env())
-    return out.stdout.strip()
-
-
-def _concentrated_run(tmp_path):
-    """A run directory on 512 geometric cells whose final snapshot is the
-    bubble 2 eps / (eps^2 + d^2), eps = 0.02, at volume 2."""
-    tmp_path.mkdir()
-    cfg_path, _ = _scenario(tmp_path, grid={"n_cells": 512, "grading": "geometric"},
-                            time={"t_end": 1e-8, "snapshot_every": 0.0})
-    assert cli.main(["flow", cfg_path, "--quiet"]) == 0
-    run = tmp_path / "run"
-    grid = geo.build_grid(512, "geometric")
-    v = 0.04 / (0.02**2 + geo.distance_from_singular_point(grid.cell_centers) ** 2)
-    v *= (2.0 / np.sum(v**4 * grid.weights)) ** 0.25
-    final = json.loads((run / "report.json").read_text())["artifacts"]["snapshots"][-1]
-    (run / final).write_text("".join(f"{x!r},{value!r}\n" for x, value in
-                                     zip(grid.cell_centers.tolist(), v.tolist())))
-    return run
-
-
-def test_commands_load_scipy_only_to_solve(small_run, tmp_path):
-    # no command here makes a LAPACK call, so none pays for scipy
-    assert _scipy_modules_after("cli.main(['--dump-default-config'])") == "[]"
-    assert _scipy_modules_after("cli.main(['validate', '--quiet'])") == "[]"
-    run = tmp_path / "run"
-    shutil.copytree(small_run, run)
-    assert _scipy_modules_after(f"cli.main(['report', {str(run)!r}, '--quiet'])") == "[]"
-    assert json.loads((run / "dichotomy.json").read_text())["bubble_fit"] is None
-    # nor does the bubble fit of a run that concentrates
-    run = _concentrated_run(tmp_path / "concentrated")
-    assert _scipy_modules_after(f"cli.main(['report', {str(run)!r}, '--quiet'])") == "[]"
-    fit = json.loads((run / "dichotomy.json").read_text())["bubble_fit"]
-    assert fit["scale_eps_lambda"] == pytest.approx(0.02, rel=1e-10)
-
-
-def test_solving_commands_load_only_the_lapack_extension(tmp_path):
-    # the solves load scipy's compiled LAPACK extension and nothing else of
-    # scipy; the interpreter records that single-phase extension module
-    # under its own name
-    lapack_only = ("[]", "['scipy.linalg._flapack']")
-    cfg_path, data = _scenario(tmp_path)
-    assert _scipy_modules_after(f"cli.main(['flow', {cfg_path!r}, '--quiet'])") in lapack_only
-    data["model"] = {"type": "sphere", "n": 4}
-    sphere = tmp_path / "sphere.yaml"
-    sphere.write_text(yaml.safe_dump(data))
-    for path in (cfg_path, str(sphere)):
-        for command in ("yamabe", "eigen"):
-            loaded = _scipy_modules_after(f"cli.main([{command!r}, {path!r}, '--quiet'])")
-            assert loaded in lapack_only, (command, path)
 
 
 def test_sphere_model_refuses_a_graded_grid(tmp_path, capsys):
@@ -1295,14 +1228,12 @@ def test_quotient_results_do_not_depend_on_blas_threads(tmp_path):
         runs[model["type"]] = (config, commands)
     outputs = {}
     for threads in ("1", "2"):
-        env = _child_env()
-        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[name] = threads
+        env = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), threads)
         for model, (config, commands) in runs.items():
             out = tmp_path / f"{model}-threads{threads}"
             for command in commands:
-                subprocess.run([sys.executable, "-m", "singular_yamabe", command, config,
-                                "--output-dir", str(out), "--quiet"], check=True, env=env)
+                run_child([command, config, "--output-dir", str(out), "--quiet"], env=env,
+                          check=True)
             outputs[model, threads] = out
     for model in ("sphere", "eguchi-hanson"):
         for name in ("yamabe.json", "eigen.json"):
@@ -1314,22 +1245,18 @@ def test_console_script_smoke():
     target = _declared_scripts().get("singular-yamabe")
     assert target == "singular_yamabe.cli:run"
     module, func = target.split(":")
-    # what the wrapper that pip generates for the entry point runs
-    wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
-    commands = [
-        [sys.executable, "-c", wrapper],
-        [sys.executable, "-m", "singular_yamabe"],
-    ]
+    # what the wrapper that pip generates for the entry point runs, then
+    # python -m singular_yamabe
+    commands = [{"code": f"import sys; from {module} import {func}; sys.exit({func}())"}, {}]
     installed = shutil.which("singular-yamabe")
     if installed:
-        commands.append([installed])
+        commands.append({"program": installed})
     # PYTHONPROFILEIMPORTTIME is -X importtime for whichever interpreter the
     # entry point starts: each import is a line on stderr, and printing the
     # default scenario imports no numpy and no PyYAML
-    env = {**_child_env(), "PYTHONPROFILEIMPORTTIME": "1"}
     for command in commands:
-        out = subprocess.run(command + ["--dump-default-config"],
-                             capture_output=True, text=True, env=env)
+        out = run_child(["--dump-default-config"], **command, capture_output=True, text=True,
+                        env={"PYTHONPROFILEIMPORTTIME": "1"})
         assert out.returncode == 0, (command, out.stderr)
         assert yaml.safe_load(out.stdout)["model"]["type"] == "eguchi-hanson"
         imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
@@ -1338,8 +1265,8 @@ def test_console_script_smoke():
         unwanted = [name for name in imported if name.split(".")[0] in ("numpy", "yaml")]
         assert not unwanted, (command, unwanted)
         # the entry point ends the process with main's status
-        out = subprocess.run(command + ["flow", "no-such-scenario.yaml"],
-                             capture_output=True, text=True, env=_child_env())
+        out = run_child(["flow", "no-such-scenario.yaml"], **command, capture_output=True,
+                        text=True)
         assert out.returncode == cli.EXIT_INPUT, (command, out.stderr)
         assert out.stderr.startswith("error: cannot read config no-such-scenario.yaml: ")
         assert out.stderr.count("\n") == 1, (command, out.stderr)

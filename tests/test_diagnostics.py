@@ -82,6 +82,13 @@ def test_decay_rate_fit_edge_cases():
     assert diag.decay_rate_fit(recs) == math.inf
 
 
+def test_decay_rate_fit_refuses_a_window_at_one_time():
+    # a line through points at one time has no slope: polyfit once divided
+    # by zero on it, or fitted a rate to round-off
+    with pytest.raises(ValueError, match=r"the last 3 records all lie at t=0\.5: no rate"):
+        diag.decay_rate_fit([_record(0.5, math.exp(-k)) for k in range(6)])
+
+
 @pytest.mark.parametrize("j", [-600, 600])
 def test_decay_rate_fit_is_exact_under_a_power_of_two_in_time(j):
     # criterion 4's series with every t times 2^j: the rate is divided by

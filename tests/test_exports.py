@@ -1,20 +1,27 @@
-"""Public names: a module's public names are its top-level definitions
-without a leading underscore, with no ``__all__`` to list them again, the
-package root loads no layer, each command loads only the layers it runs,
-only a scenario file outside the one-line-per-section form loads PyYAML,
-the front end loads neither a numeric layer nor PyYAML, every function the
-benchmark's tracer times (perfbench/traced_cli.py SPANS) is still there,
-every public definition is used by the package or traced, and only
-geometry's builders construct a model."""
+"""Public names and module loads: a module's public names are its
+top-level definitions without a leading underscore, with no ``__all__``;
+every function the benchmark's tracer times (perfbench/traced_cli.py
+SPANS) is still there, every public definition is used by the package or
+traced, and only geometry's builders construct a model.  What a process
+loads is one table, one row per distinct process, each started once
+through conftest's ``probe`` and held to three rules: no scipy but its
+LAPACK extension, none of the row's forbidden modules, and PyYAML exactly
+when its scenario file is block YAML."""
 
 import ast
 import importlib
 import importlib.util
-import subprocess
-import sys
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
+from conftest import probe
+
+import singular_yamabe
+from singular_yamabe import cli, scenario
+from singular_yamabe import geometry as geo
 
 
 def _export_lists(src: Path) -> list:
@@ -34,127 +41,157 @@ def test_no_module_lists_its_names_again():
     assert not lists, f"modules that keep an __all__: {lists}"
 
 
-def test_package_import_loads_no_submodule():
-    # the package root holds a docstring and __version__; callers import the
-    # layer they use, so no re-export facade grows back
-    root = str(Path(importlib.import_module("singular_yamabe").__file__).parents[1])
-    code = (f"import sys\nsys.path.insert(0, {root!r})\nimport singular_yamabe\n"
-            "print(sorted(m for m in sys.modules if m.startswith('singular_yamabe.')))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+def _flow_form(n_cells=32, grading="uniform", t_end="1.0e-03"):
+    """A scenario in the one-line-per-section form, as the benchmark writes them."""
+    return (f'model: {{type: "eguchi-hanson", a: 1.0}}\n'
+            f'grid: {{n_cells: {n_cells}, grading: "{grading}"}}\n'
+            f'time: {{t_end: {t_end}, snapshot_every: 0.0}}\noutput: {{dir: "run"}}\n')
 
 
-# command -> modules its process must not load: report and validate read no
-# scenario file, and each command imports only the solver layers it runs (on
-# the sphere, eigen solves its pencil without a flow state)
+def _flow_run(directory, **scenario):
+    """Make ``directory/run`` with ``flow`` in this process."""
+    (directory / "scenario.yaml").write_text(_flow_form(**scenario))
+    assert cli.main(["flow", str(directory / "scenario.yaml"),
+                     "--output-dir", str(directory / "run"), "--quiet"]) == 0
+
+
+def _concentrated_run(directory):
+    """A run on 512 geometric cells whose final snapshot is the bubble
+    2 eps / (eps^2 + d^2), eps = 0.02, at volume 2."""
+    _flow_run(directory, n_cells=512, grading="geometric", t_end="1.0e-08")
+    run = directory / "run"
+    grid = geo.build_grid(512, "geometric")
+    v = 0.04 / (0.02**2 + geo.distance_from_singular_point(grid.cell_centers) ** 2)
+    v *= (2.0 / np.sum(v**4 * grid.weights)) ** 0.25
+    final = json.loads((run / "report.json").read_text())["artifacts"]["snapshots"][-1]
+    (run / final).write_text("".join(
+        f"{x!r},{value!r}\n" for x, value in zip(grid.cell_centers.tolist(), v.tolist())))
+
+
+# scenario files: the dump and the benchmark's bare-key files are in the
+# one-line-per-section form that the scenario module reads itself, the rest
+# is block YAML, which PyYAML reads
+_LAYOUTS = {"dump": scenario.default_config_text(), "bare-key": _flow_form(),
+            "block": yaml.safe_dump(yaml.safe_load(_flow_form()))}
+_SPHERE = yaml.safe_dump({"model": {"type": "sphere", "n": 4}, "grid": {"n_cells": 32},
+                          "output": {"dir": "run"}})
+_BLOCK_YAML = (_LAYOUTS["block"], _SPHERE)
+
+_SUBMODULES = {f"singular_yamabe.{path.stem}"
+               for path in Path(singular_yamabe.__file__).parent.glob("*.py")
+               if path.stem != "__init__"}
+_LAYERS = {f"singular_yamabe.{name}" for name in ("geometry", "flow", "variational", "diagnostics")}
+# the front end computes nothing; a command that makes no LAPACK call loads
+# no scipy, nor numpy.f2py, which scipy's package code imports; each command
+# imports only the solver layers it runs, and on the sphere eigen solves its
+# pencil without a flow state
+_FRONT_END = _LAYERS | {"numpy", "scipy"}
+_NO_SCIPY = {"scipy", "numpy.f2py"}
 _NOT_LOADED = {
-    "validate": {"yaml"},
-    "report": {"yaml", "singular_yamabe.variational"},
     "flow": {"singular_yamabe.variational", "singular_yamabe.diagnostics"},
     "yamabe": {"singular_yamabe.flow", "singular_yamabe.diagnostics"},
-    "eigen": {"singular_yamabe.flow", "singular_yamabe.diagnostics"},
+    "eigen": {"singular_yamabe.diagnostics"},
+    "report": _NO_SCIPY | {"singular_yamabe.variational"},
+}
+_REFUSED = "error: grid.n_cells must be >= 8\n"
+
+# process -> (the argv of cli.main, or the one module the child imports;
+# the scenario file's text, or what makes its run directory; main's status;
+# the start of its stderr; the modules it must not load, a package standing
+# for its submodules too)
+_PROCESSES = {
+    "import-package": ("singular_yamabe", None, None, "", _SUBMODULES | {"numpy", "scipy"}),
+    "import-cli": ("singular_yamabe.cli", None, None, "", _FRONT_END),
+    "dump-default-config": (["--dump-default-config"], None, 0, "", _FRONT_END),
+    "help": (["--help"], None, 0, "", _FRONT_END),
+    "usage-error": (["--no-such-flag"], None, 2, "usage: ", _FRONT_END),
+    **{f"{command}-refused": ([command, "scenario.yaml"], "grid: {n_cells: 4}\n", 2, _REFUSED,
+                              _FRONT_END) for command in ("flow", "yamabe", "eigen")},
+    "report-refused": (["report", "."], None, 2, "error: cannot read ./report.json: ", _FRONT_END),
+    "validate": (["validate", "--quiet"], None, 0, "", _NO_SCIPY),
+    **{name: (["report", "run", "--quiet"], made, 0, "", _NOT_LOADED["report"])
+       for name, made in (("report", _flow_run), ("report-concentrated", _concentrated_run))},
+    **{f"{command}-{layout}": ([command, "scenario.yaml", "--quiet"], text, 0, "",
+                               _NOT_LOADED[command])
+       for command in ("flow", "yamabe", "eigen") for layout, text in _LAYOUTS.items()},
+    **{f"{command}-sphere": ([command, "scenario.yaml", "--quiet"], _SPHERE, 0, "",
+                             _NOT_LOADED["yamabe"]) for command in ("yamabe", "eigen")},
 }
 
 
-@pytest.mark.parametrize("command", list(_NOT_LOADED))
-def test_command_loads_only_the_layers_it_runs(tmp_path, command):
-    import yaml
-
-    from singular_yamabe import cli
-
-    run_dir = tmp_path / "run"
-    flow_cfg, sphere_cfg = tmp_path / "flow.yaml", tmp_path / "sphere.yaml"
-    flow_cfg.write_text(yaml.safe_dump({"grid": {"n_cells": 32},
-                                        "time": {"t_end": 1e-3, "snapshot_every": 0.0},
-                                        "output": {"dir": str(run_dir)}}))
-    sphere_cfg.write_text(yaml.safe_dump({"model": {"type": "sphere", "n": 4},
-                                          "grid": {"n_cells": 32},
-                                          "output": {"dir": str(tmp_path / "sphere")}}))
-    if command == "report":
-        assert cli.main(["flow", str(flow_cfg), "--quiet"]) == 0
-    argv = {"validate": ["validate", "--quiet"], "report": ["report", str(run_dir), "--quiet"],
-            "flow": ["flow", str(flow_cfg), "--quiet"],
-            "yamabe": ["yamabe", str(sphere_cfg), "--quiet"],
-            "eigen": ["eigen", str(sphere_cfg), "--quiet"]}[command]
-    root = str(Path(importlib.import_module("singular_yamabe").__file__).parents[1])
-    code = (f"import sys\nsys.path.insert(0, {root!r})\nfrom singular_yamabe.cli import main\n"
-            f"code = main({argv!r})\nprint(code, *sorted(sys.modules))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, cwd=tmp_path)
-    status, *loaded = out.stdout.split()
-    assert status == "0", out.stdout
-    unwanted = sorted(_NOT_LOADED[command] & set(loaded))
-    assert not unwanted, f"{command} loads {unwanted}"
+def _check_process(name, directory):
+    """Run the row ``name`` in ``directory``: its status and the start of
+    its stderr are the row's, it loads at most the LAPACK extension of
+    scipy, none of its forbidden modules, and PyYAML exactly when its
+    scenario file is block YAML."""
+    command, made, status, stderr, forbidden = _PROCESSES[name]
+    if callable(made):
+        made(directory)
+    elif made is not None:
+        (directory / "scenario.yaml").write_text(made, encoding="utf-8")
+    got, err, modules = probe(command, directory)
+    assert (got, err[:len(stderr)]) == (status, stderr), (name, got, err)
+    # the interpreter records that single-phase extension under its own name
+    scipy_side = {m for m in modules if m.split(".")[0] == "scipy" or m.startswith("numpy.f2py")}
+    assert scipy_side <= {"scipy.linalg._flapack"}, (name, scipy_side)
+    unwanted = [m for m in modules if any(m == f or m.startswith(f + ".") for f in forbidden)]
+    assert not unwanted, f"{name} loads {unwanted}"
+    assert any(m.split(".")[0] == "yaml" for m in modules) == (made in _BLOCK_YAML), name
+    return directory
 
 
-# a scenario file's layout -> whether a command that reads it loads PyYAML:
-# the dump and the benchmark's bare-key files are in the one-line-per-section
-# form that the scenario module reads itself
-_SCENARIO_LAYOUTS = {"dump": False, "bare-key": False, "block": True}
+@pytest.fixture(scope="module")
+def process(tmp_path_factory):
+    """Checks a row of the table once, however many contracts below name
+    it, and returns its directory."""
+    checked = {}
+
+    def check(name):
+        if name not in checked:
+            checked[name] = _check_process(name, tmp_path_factory.mktemp(name))
+        return checked[name]
+
+    return check
 
 
-@pytest.mark.parametrize("layout", list(_SCENARIO_LAYOUTS))
-@pytest.mark.parametrize("command", ["flow", "yamabe", "eigen"])
-def test_only_a_scenario_outside_the_flow_form_loads_yaml(tmp_path, command, layout):
-    import yaml
-
-    from singular_yamabe import scenario
-
-    bare = ('model: {type: "eguchi-hanson", a: 1.0}\ngrid: {n_cells: 32, grading: "uniform"}\n'
-            'time: {t_end: 1.0e-03, snapshot_every: 0.0}\noutput: {dir: "run"}\n')
-    text = {"dump": scenario.default_config_text(), "bare-key": bare,
-            "block": yaml.safe_dump(yaml.safe_load(bare))}[layout]
-    (tmp_path / "scenario.yaml").write_text(text, encoding="utf-8")
-    root = str(Path(importlib.import_module("singular_yamabe").__file__).parents[1])
-    code = (f"import sys\nsys.path.insert(0, {root!r})\nfrom singular_yamabe.cli import main\n"
-            f"code = main([{command!r}, 'scenario.yaml', '--quiet'])\n"
-            "print(code, any(m.split('.')[0] == 'yaml' for m in sys.modules))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, cwd=tmp_path)
-    assert out.stdout.split() == ["0", str(_SCENARIO_LAYOUTS[layout])], out.stderr
+def test_package_import_loads_no_submodule(process):
+    # callers import the layer they use, so no re-export facade grows back
+    process("import-package")
 
 
-# front-end process -> its arguments (None: it only imports the command
-# line), exit code and the start of its stderr: none computes, so none loads
-# numpy, scipy or a layer built on them, and each refusal names what it
-# refuses; the refused scenario file is in the one-line-per-section form, so
-# none loads PyYAML either
-_FRONT_END = {
-    "import": (None, None, ""),
-    "dump-default-config": (["--dump-default-config"], 0, ""),
-    "help": (["--help"], 0, ""),
-    "usage-error": (["--no-such-flag"], 2, "usage: "),
-    "flow": (["flow", "refused.yaml"], 2, "error: grid.n_cells must be >= 8\n"),
-    "yamabe": (["yamabe", "refused.yaml"], 2, "error: grid.n_cells must be >= 8\n"),
-    "eigen": (["eigen", "refused.yaml"], 2, "error: grid.n_cells must be >= 8\n"),
-    "report": (["report", "."], 2, "error: cannot read ./report.json: "),
-}
-_NUMERIC_LAYERS = {"singular_yamabe.geometry", "singular_yamabe.flow",
-                   "singular_yamabe.variational", "singular_yamabe.diagnostics"}
+@pytest.mark.parametrize("name", ["validate", "report", "flow-block", "yamabe-sphere",
+                                  "eigen-sphere"], ids=lambda name: name.split("-")[0])
+def test_command_loads_only_the_layers_it_runs(process, name):
+    process(name)
 
 
-@pytest.mark.parametrize("process", list(_FRONT_END))
-def test_front_end_loads_no_numeric_layer(tmp_path, process):
-    argv, status, stderr = _FRONT_END[process]
-    (tmp_path / "refused.yaml").write_text("grid: {n_cells: 4}\n")
-    root = str(Path(importlib.import_module("singular_yamabe").__file__).parents[1])
-    code = (f"import contextlib, io, sys\nsys.path.insert(0, {root!r})\n"
-            "from singular_yamabe.cli import main\nstatus = None\n")
-    if argv is not None:
-        code += ("with contextlib.redirect_stdout(io.StringIO()):\n"
-                 f"    try:\n        status = main({argv!r})\n"
-                 "    except SystemExit as stop:  # argparse's --help and usage error\n"
-                 "        status = stop.code\n")
-    code += "print(status, *sorted(sys.modules))\n"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, cwd=tmp_path)
-    printed, *loaded = out.stdout.split()
-    assert printed == str(status), out.stderr
-    assert out.stderr.startswith(stderr), out.stderr
-    unwanted = [m for m in loaded
-                if m.split(".")[0] in {"numpy", "scipy", "yaml"} or m in _NUMERIC_LAYERS]
-    assert not unwanted, f"{argv} loads {unwanted}"
+@pytest.mark.parametrize("name", [f"{command}-{layout}" for command in ("flow", "yamabe", "eigen")
+                                  for layout in _LAYOUTS])
+def test_only_a_scenario_outside_the_flow_form_loads_yaml(process, name):
+    process(name)
+
+
+@pytest.mark.parametrize("name", ["import-cli", "dump-default-config", "help", "usage-error",
+                                  "flow-refused", "yamabe-refused", "eigen-refused",
+                                  "report-refused"],
+                         ids=lambda name: name.removesuffix("-refused").removesuffix("-cli"))
+def test_front_end_loads_no_numeric_layer(process, name):
+    process(name)
+
+
+def test_commands_load_scipy_only_to_solve(process):
+    # nor does the bubble fit of a run that concentrates
+    for name in ("dump-default-config", "validate", "report", "report-concentrated"):
+        process(name)
+    fits = [json.loads((process(name) / "run" / "dichotomy.json").read_text())["bubble_fit"]
+            for name in ("report", "report-concentrated")]
+    assert fits[0] is None
+    assert fits[1]["scale_eps_lambda"] == pytest.approx(0.02, rel=1e-10)
+
+
+def test_solving_commands_load_only_the_lapack_extension(process):
+    for name in ("flow-block", "yamabe-block", "yamabe-sphere", "eigen-block", "eigen-sphere"):
+        process(name)
 
 
 def _traced_spans():
