@@ -29,13 +29,13 @@ def _scenario(tmp_path, **overrides):
     for section, content in overrides.items():
         if content is None:
             data.pop(section, None)
-        elif isinstance(content, dict) and section in data:
+        elif section in ("grid", "time"):
             data[section].update(content)
-        else:
+        else:  # a model's keys, like a start's, depend on its type
             data[section] = content
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(data))
-    return str(path), data
+    return str(path)
 
 
 def test_dump_default_config_round_trip(tmp_path, capsys):
@@ -69,7 +69,7 @@ def test_main_reads_the_scenario_and_calls_the_module_binding(tmp_path, monkeypa
     # import, as the benchmark's tracer replaces them, is the one that runs
     calls = []
     monkeypatch.setattr(cli, "cmd_flow", lambda args, cfg: calls.append(cfg) or cli.EXIT_OK)
-    cfg_path, _ = _scenario(tmp_path)
+    cfg_path = _scenario(tmp_path)
     assert cli.main(["flow", cfg_path]) == cli.EXIT_OK
     assert calls == [scenario.load_config(cfg_path)]
     assert not (tmp_path / "run").exists()
@@ -94,10 +94,8 @@ def test_validate_suite(tmp_path):
     assert "green_kernel_second_moment" in payload["checks"]
 
 
-def test_flow_artifacts(tmp_path):
-    cfg_path, _ = _scenario(tmp_path)
-    assert cli.main(["flow", cfg_path, "--quiet"]) == 0
-    outdir = tmp_path / "run"
+def test_flow_artifacts(small_run):
+    outdir = small_run
 
     series = (outdir / "series.csv").read_text().splitlines()
     assert series[0] == "t,sigma_tilde,volume,F2,F3,v_at_x1,dt,mass_frac_0.1,mass_frac_0.05"
@@ -139,7 +137,7 @@ def test_write_snapshots_matches_per_cell_format(tmp_path):
 
 
 def test_flow_is_deterministic(tmp_path):
-    cfg_path, _ = _scenario(tmp_path)
+    cfg_path = _scenario(tmp_path)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     assert cli.main(["flow", cfg_path, "--quiet", "--output-dir", str(out_a)]) == 0
@@ -158,7 +156,7 @@ def test_flow_file_init(tmp_path):
     vs = 1.1 + 0.2 * xs**2
     profile = tmp_path / "profile.csv"
     np.savetxt(profile, np.column_stack([xs, vs]), delimiter=",")
-    cfg_path, _ = _scenario(
+    cfg_path = _scenario(
         tmp_path, init={"type": "file", "path": str(profile)},
         time={"t_end": 0.004, "safety": 0.4, "renorm_every": 0,
               "snapshot_every": 0.0})
@@ -170,18 +168,15 @@ def test_flow_file_init(tmp_path):
 
 
 def test_flow_rejects_bad_inputs(tmp_path, capsys):
-    bad_key, _ = _scenario(tmp_path, extras={"oops": 1})
+    bad_key = _scenario(tmp_path, extras={"oops": 1})
     assert cli.main(["flow", bad_key, "--quiet"]) == cli.EXIT_INPUT
     assert "unknown top-level key" in capsys.readouterr().err
 
-    cfg_path, data = _scenario(tmp_path)
-    data["model"] = {"type": "sphere", "n": 4}
-    path = tmp_path / "sphere.yaml"
-    path.write_text(yaml.safe_dump(data))
-    assert cli.main(["flow", str(path), "--quiet"]) == cli.EXIT_INPUT
+    sphere = _scenario(tmp_path, model={"type": "sphere", "n": 4})
+    assert cli.main(["flow", sphere, "--quiet"]) == cli.EXIT_INPUT
 
     for grid in ({"n_cells": math.inf}, {"grading": "geometric", "ratio": 1.0}):
-        bad_grid, _ = _scenario(tmp_path, grid=grid)
+        bad_grid = _scenario(tmp_path, grid=grid)
         assert cli.main(["flow", bad_grid, "--quiet"]) == cli.EXIT_INPUT
 
     broken = tmp_path / "broken.yaml"
@@ -210,14 +205,14 @@ def test_flow_rejects_bad_inputs(tmp_path, capsys):
                for overrides in (degenerate, huge)]
     refused += [("yamabe", {"init": {"type": "constant", "value": 1e-100}})]
     for command, overrides in refused:
-        cfg_path, _ = _scenario(tmp_path, **overrides)
+        cfg_path = _scenario(tmp_path, **overrides)
         assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_INPUT, (command, overrides)
         assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "run").exists()
 
     # distinct cutoffs or exponents whose names in the outputs would collide
     for key, values in (("cutoffs", [0.1, 0.1000001]), ("f_p_exponents", [2, 2.0000001, 3])):
-        cfg_path, _ = _scenario(tmp_path, diagnostics={key: values})
+        cfg_path = _scenario(tmp_path, diagnostics={key: values})
         assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: diagnostics.{key} ")
 
@@ -227,7 +222,7 @@ def test_indistinguishable_snapshot_interval_is_refused(tmp_path, every):
     # these intervals once made the flow step without end: the first two lie
     # below the stop tolerance, 2e-15 asks for 5e11 stops; in a child under a
     # timeout a regression fails here instead of hanging the suite
-    cfg_path, _ = _scenario(tmp_path, time={"t_end": 1.0e-3, "snapshot_every": every})
+    cfg_path = _scenario(tmp_path, time={"t_end": 1.0e-3, "snapshot_every": every})
     out = run_child(["flow", cfg_path, "--quiet"], capture_output=True, text=True, timeout=30)
     assert out.returncode == cli.EXIT_INPUT
     assert out.stderr == (f"error: time.snapshot_every {every:g} is below time.t_end "
@@ -248,11 +243,8 @@ _OTHER_TYPE = {
 def test_key_of_another_type_is_refused(tmp_path, capsys, key):
     # model.a and model.n, init.value and init.path each belong to one type
     # of their section
-    _, data = _scenario(tmp_path)
-    data[key.split(".")[0]] = _OTHER_TYPE[key]
-    path = tmp_path / "variant.yaml"
-    path.write_text(yaml.safe_dump(data))
-    assert cli.main(["flow", str(path), "--quiet"]) == cli.EXIT_INPUT
+    cfg_path = _scenario(tmp_path, **{key.split(".")[0]: _OTHER_TYPE[key]})
+    assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} only applies to ") and err.count("\n") == 1, err
     assert not (tmp_path / "run").exists()
@@ -279,7 +271,7 @@ def test_first_of_several_bad_values_is_reported(data, message):
 @pytest.mark.parametrize("exponents", [[2, math.inf], [math.inf]])
 def test_non_finite_exponent_is_refused(tmp_path, capsys, exponents):
     # an infinite p passes p >= 1, and its moment says nothing about the state
-    cfg_path, _ = _scenario(tmp_path, diagnostics={"f_p_exponents": exponents})
+    cfg_path = _scenario(tmp_path, diagnostics={"f_p_exponents": exponents})
     assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_INPUT
     assert capsys.readouterr().err == ("error: diagnostics.f_p_exponents must be a "
                                        "nonempty list of finite numbers >= 1\n")
@@ -292,11 +284,8 @@ def test_sphere_dimension_above_342_is_refused(tmp_path, capsys, command, n):
     # from n = 343 the sphere's volume and Yamabe constant overflow a double:
     # the scenario is refused before any work, not by a traceback at the end
     assert math.isfinite(geo.yamabe_sphere_constant(342))
-    _, data = _scenario(tmp_path)
-    data["model"] = {"type": "sphere", "n": n}
-    path = tmp_path / "sphere.yaml"
-    path.write_text(yaml.safe_dump(data))
-    assert cli.main([command, str(path), "--quiet"]) == cli.EXIT_INPUT
+    cfg_path = _scenario(tmp_path, model={"type": "sphere", "n": n})
+    assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_INPUT
     assert capsys.readouterr().err == "error: model.n must be <= 342\n"
     assert not (tmp_path / "run").exists()
 
@@ -435,9 +424,9 @@ def test_flow_to_an_extreme_horizon_rejects_overflow_quietly(tmp_path, capsys):
     # steps toward t_end 1e306 overflow ROS2's linear system; such an attempt
     # fails at its stage and is rejected like any other, without the numpy
     # overflow warning that the suite's error::RuntimeWarning filter raises
-    cfg_path, _ = _scenario(tmp_path, grid={"n_cells": 32},
-                            time={"t_end": 1.0e306, "safety": 0.4, "renorm_every": 20,
-                                  "snapshot_every": 0.0})
+    cfg_path = _scenario(tmp_path, grid={"n_cells": 32},
+                         time={"t_end": 1.0e306, "safety": 0.4, "renorm_every": 20,
+                               "snapshot_every": 0.0})
     assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_OK
     assert capsys.readouterr() == ("", "")
     records = cli.read_series_csv(str(tmp_path / "run" / "series.csv"))
@@ -445,11 +434,9 @@ def test_flow_to_an_extreme_horizon_rejects_overflow_quietly(tmp_path, capsys):
 
 
 def test_flow_positivity_exit(tmp_path, monkeypatch):
-    cfg_path, _ = _scenario(tmp_path, time={"t_end": 0.004, "safety": 0.4,
-                                            "renorm_every": 0,
-                                            "snapshot_every": 0.0})
-    real = flow.run(scenario.Scenario(n_cells=64, t_end=0.004, renorm_every=0,
-                                      snapshot_every=0.0))
+    cfg_path = _scenario(tmp_path, time={"t_end": 0.004, "renorm_every": 0,
+                                         "snapshot_every": 0.0})
+    real = flow.run(scenario.load_config(cfg_path))
     stopped = flow.RunResult(records=real.records, snapshots=real.snapshots,
                              completed=False,
                              failure="conformal cube lost positivity in 1 cells",
@@ -470,7 +457,7 @@ def test_flow_positivity_loss_in_the_stepper_exits_3(tmp_path, monkeypatch):
         raise flow.PositivityError("conformal cube lost positivity in 1 cells")
 
     monkeypatch.setattr(flow, "rosenbrock_step", lose_positivity)
-    cfg_path, _ = _scenario(tmp_path)
+    cfg_path = _scenario(tmp_path)
     assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_POSITIVITY
     outdir = tmp_path / "run"
     assert (outdir / "FAILED").read_text().startswith("conformal cube")
@@ -478,7 +465,7 @@ def test_flow_positivity_loss_in_the_stepper_exits_3(tmp_path, monkeypatch):
 
 
 def test_completed_rerun_removes_the_failed_marker(tmp_path, monkeypatch, capsys):
-    cfg_path, _ = _scenario(tmp_path)
+    cfg_path = _scenario(tmp_path)
     real_step = flow.rosenbrock_step
 
     def lose_positivity(state, h):
@@ -501,13 +488,13 @@ def test_completed_rerun_removes_the_failed_marker(tmp_path, monkeypatch, capsys
 def test_flow_rerun_removes_an_earlier_runs_artifacts(tmp_path):
     # a shorter rerun leaves only its own snapshots, and drops the report
     # made from the earlier run; other files in the directory stay
-    cfg_path, _ = _scenario(tmp_path, time={"t_end": 0.02, "snapshot_every": 0.005})
+    cfg_path = _scenario(tmp_path, time={"t_end": 0.02, "snapshot_every": 0.005})
     run = tmp_path / "run"
     assert cli.main(["flow", cfg_path, "--quiet"]) == 0
     assert cli.main(["report", str(run), "--quiet"]) == 0
     for name in ("notes.txt", "snapshots/notes.txt", "snapshots/snap_x.txt"):
         (run / name).write_text("kept\n")
-    cfg_path, _ = _scenario(tmp_path, time={"t_end": 0.01, "snapshot_every": 0.005})
+    cfg_path = _scenario(tmp_path, time={"t_end": 0.01, "snapshot_every": 0.005})
     assert cli.main(["flow", cfg_path, "--quiet"]) == 0
     listed = json.loads((run / "report.json").read_text())["artifacts"]["snapshots"]
     assert listed == ["snapshots/snap_0.csv", "snapshots/snap_0.005.csv",
@@ -519,7 +506,7 @@ def test_flow_rerun_removes_an_earlier_runs_artifacts(tmp_path):
 
 @pytest.mark.parametrize("command", ["flow", "yamabe", "eigen", "validate"])
 def test_output_dir_that_is_a_file_is_an_input_error(tmp_path, capsys, command):
-    cfg_path, _ = _scenario(tmp_path)
+    cfg_path = _scenario(tmp_path)
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n")
     argv = [command] + ([] if command == "validate" else [cfg_path])
@@ -528,7 +515,7 @@ def test_output_dir_that_is_a_file_is_an_input_error(tmp_path, capsys, command):
         assert cli.main(argv + ["--output-dir", outdir, "--quiet"]) == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: cannot use output directory")
     if command != "validate":  # the same path as the scenario file's output.dir
-        cfg_path, _ = _scenario(tmp_path, output={"dir": str(tmp_path / "run\0x")})
+        cfg_path = _scenario(tmp_path, output={"dir": str(tmp_path / "run\0x")})
         assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: cannot use output directory")
 
@@ -536,7 +523,7 @@ def test_output_dir_that_is_a_file_is_an_input_error(tmp_path, capsys, command):
 def test_unwritable_artifacts_exit_2(tmp_path, capsys):
     # a snapshots entry that is a file, and a yamabe.json that is a
     # directory: the write fails, the run exits 2 and leaves no temp file
-    cfg_path, _ = _scenario(tmp_path)
+    cfg_path = _scenario(tmp_path)
     run = tmp_path / "run"
     run.mkdir()
     (run / "snapshots").write_text("not a directory\n")
@@ -551,7 +538,8 @@ def test_unwritable_artifacts_exit_2(tmp_path, capsys):
 def _run_child(argv, buffered, **streams):
     """``python -m singular_yamabe argv`` in a child, its standard streams
     as ``streams`` gives them, buffered as a terminal-less run is or not."""
-    return run_child(argv, env={"PYTHONUNBUFFERED": None if buffered else "1"}, **streams)
+    return run_child(argv, env={"PYTHONUNBUFFERED": None if buffered else "1"}, timeout=60,
+                     **streams)
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
@@ -634,7 +622,7 @@ def test_failure_status_reaches_the_parent(tmp_path, case):
     # the child runs the package as `python -m singular_yamabe` does, through
     # its __main__ and so through cli.run, after the patch
     patch, command, overrides, status, artifact = _CHILD_FAILURES[case]
-    cfg_path, _ = _scenario(tmp_path, **overrides)
+    cfg_path = _scenario(tmp_path, **overrides)
     code = f"import runpy\n{patch}" + (
         "runpy.run_module('singular_yamabe', run_name='__main__', alter_sys=True)\n")
     child = run_child([command, cfg_path, "--quiet"], code=code, capture_output=True, text=True)
@@ -645,7 +633,7 @@ def test_failure_status_reaches_the_parent(tmp_path, case):
 def test_artifacts_take_the_umask_mode(tmp_path):
     # a new artifact is 0o666 & ~umask, as a plain open would make it, and a
     # rerun into the same directory replaces every file without a temp left
-    cfg_path, _ = _scenario(tmp_path)
+    cfg_path = _scenario(tmp_path)
     run = tmp_path / "run"
     previous = os.umask(0o022)
     try:
@@ -663,11 +651,8 @@ def test_artifacts_take_the_umask_mode(tmp_path):
 
 
 def test_yamabe_sphere(tmp_path):
-    cfg_path, data = _scenario(tmp_path, grid={"n_cells": 96})
-    data["model"] = {"type": "sphere", "n": 4}
-    path = tmp_path / "sphere.yaml"
-    path.write_text(yaml.safe_dump(data))
-    assert cli.main(["yamabe", str(path), "--quiet"]) == 0
+    cfg_path = _scenario(tmp_path, model={"type": "sphere", "n": 4}, grid={"n_cells": 96})
+    assert cli.main(["yamabe", cfg_path, "--quiet"]) == 0
     payload = json.loads((tmp_path / "run" / "yamabe.json").read_text())
     assert payload["converged"] is True
     ref = payload["reference_constant"]
@@ -679,20 +664,15 @@ def test_yamabe_sphere(tmp_path):
 def test_yamabe_constant_sphere_start_keeps_its_value(tmp_path, n):
     # the constant is the minimizer, so the descent takes no step, and the
     # reported start is the descent's own first value, bit for bit
-    cfg_path, data = _scenario(tmp_path, grid={"n_cells": 256})
-    data["model"] = {"type": "sphere", "n": n}
-    path = tmp_path / "sphere.yaml"
-    path.write_text(yaml.safe_dump(data))
-    assert cli.main(["yamabe", str(path), "--quiet"]) == 0
+    cfg_path = _scenario(tmp_path, model={"type": "sphere", "n": n}, grid={"n_cells": 256})
+    assert cli.main(["yamabe", cfg_path, "--quiet"]) == 0
     payload = json.loads((tmp_path / "run" / "yamabe.json").read_text())
     assert payload["iterations"] == 0
     assert payload["value"] == payload["initial_value"]
 
 
 def test_yamabe_eh_converges_above_the_local_threshold(tmp_path):
-    cfg_path, _ = _scenario(tmp_path,
-                            grid={"n_cells": 256, "grading": "geometric",
-                                  "ratio": 0.97})
+    cfg_path = _scenario(tmp_path, grid={"n_cells": 256, "grading": "geometric", "ratio": 0.97})
     assert cli.main(["yamabe", cfg_path, "--quiet"]) == 0
     payload = json.loads((tmp_path / "run" / "yamabe.json").read_text())
     assert payload["converged"] is True
@@ -704,9 +684,7 @@ def test_yamabe_eh_converges_above_the_local_threshold(tmp_path):
 def test_yamabe_eh_does_not_converge(tmp_path, monkeypatch):
     # the descent above, cut by the iteration cap: exit 4 with the partial result
     monkeypatch.setattr(variational, "_MAX_ITERS", 20)
-    cfg_path, _ = _scenario(tmp_path,
-                            grid={"n_cells": 256, "grading": "geometric",
-                                  "ratio": 0.97})
+    cfg_path = _scenario(tmp_path, grid={"n_cells": 256, "grading": "geometric", "ratio": 0.97})
     assert cli.main(["yamabe", cfg_path, "--quiet"]) == cli.EXIT_NO_CONVERGENCE
     payload = json.loads((tmp_path / "run" / "yamabe.json").read_text())
     assert payload["converged"] is False
@@ -732,11 +710,8 @@ def test_yamabe_does_not_depend_on_the_core_scale(tmp_path):
 
 
 def test_eigen_sphere(tmp_path):
-    cfg_path, data = _scenario(tmp_path, grid={"n_cells": 256})
-    data["model"] = {"type": "sphere", "n": 3}
-    path = tmp_path / "sphere.yaml"
-    path.write_text(yaml.safe_dump(data))
-    assert cli.main(["eigen", str(path), "--quiet"]) == 0
+    cfg_path = _scenario(tmp_path, model={"type": "sphere", "n": 3}, grid={"n_cells": 256})
+    assert cli.main(["eigen", cfg_path, "--quiet"]) == 0
     payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
     assert payload["lambda1"] == pytest.approx(3.0, rel=1e-2)
     assert payload["sigma_inf"] == 6.0
@@ -752,17 +727,14 @@ def test_eigen_sphere_large_residual_exits_4(tmp_path, monkeypatch, n, n_cells):
     # n = 6 as 6.000001064 and refused n = 7 to 10. With no multiple of the
     # residual's round-off scale allowed, the same solve is refused as no
     # result
-    _, data = _scenario(tmp_path, grid={"n_cells": n_cells})
-    data["model"] = {"type": "sphere", "n": n}
-    path = tmp_path / "sphere.yaml"
-    path.write_text(yaml.safe_dump(data))
-    assert cli.main(["eigen", str(path), "--quiet"]) == 0
+    cfg_path = _scenario(tmp_path, model={"type": "sphere", "n": n}, grid={"n_cells": n_cells})
+    assert cli.main(["eigen", cfg_path, "--quiet"]) == 0
     payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
     error = {4096: 4.90230e-8, 16384: 3.06393e-9}[n_cells]
     assert (n - payload["lambda1"]) / n == pytest.approx(error, rel=1e-4)
     assert payload["residual"] <= 1e-6
     monkeypatch.setattr(variational, "_ROUNDOFF_FACTOR", 0.0)
-    assert cli.main(["eigen", str(path), "--quiet"]) == cli.EXIT_NO_CONVERGENCE
+    assert cli.main(["eigen", cfg_path, "--quiet"]) == cli.EXIT_NO_CONVERGENCE
     payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
     assert payload["lambda1"] is None
     assert "residual" in payload["failure"]
@@ -772,14 +744,14 @@ def test_eigen_eh_fine_uniform_grid_solves(tmp_path):
     # the residual of a backward-stable solve grows with the pencil's norm,
     # about 2e-4 relative on 524288 cells, where a fixed bar of 1e-6 refused
     # a correct lambda1
-    cfg_path, _ = _scenario(tmp_path, grid={"n_cells": 524288})
+    cfg_path = _scenario(tmp_path, grid={"n_cells": 524288})
     assert cli.main(["eigen", cfg_path, "--quiet"]) == 0
     payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
     assert payload["lambda1"] == pytest.approx(0.38907816768, rel=1e-9)
 
 
 def test_eigen_eh(tmp_path):
-    cfg_path, _ = _scenario(tmp_path, grid={"n_cells": 256})
+    cfg_path = _scenario(tmp_path, grid={"n_cells": 256})
     assert cli.main(["eigen", cfg_path, "--quiet"]) == 0
     payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
     assert payload["lambda1"] == pytest.approx(0.3890777, rel=1e-4)
@@ -794,7 +766,7 @@ def test_eigen_solver_failure_exits_4(tmp_path, monkeypatch):
 
     # the eigen solve calls its LAPACK routines through the accessor
     monkeypatch.setattr(geo.lapack(), "dstebz", fail)
-    cfg_path, _ = _scenario(tmp_path, grid={"n_cells": 64})
+    cfg_path = _scenario(tmp_path, grid={"n_cells": 64})
     assert cli.main(["eigen", cfg_path, "--quiet"]) == cli.EXIT_NO_CONVERGENCE
     payload = json.loads((tmp_path / "run" / "eigen.json").read_text())
     assert payload["lambda1"] is None
@@ -813,7 +785,7 @@ def test_eigen_solves_every_normal_start(tmp_path, value):
     # the bisection found no eigenvalue
     scaled = {}
     for v in (1.0, value):
-        cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": v})
+        cfg_path = _scenario(tmp_path, init={"type": "constant", "value": v})
         out = tmp_path / f"v{v:g}"
         assert cli.main(["eigen", cfg_path, "--output-dir", str(out), "--quiet"]) == 0
         payload = json.loads((out / "eigen.json").read_text(), parse_constant=_refuse_constant)
@@ -834,14 +806,14 @@ def test_subnormal_start_is_refused(tmp_path, capsys):
                for value in (1.0e-80, 5.0e-324) for command in ("flow", "yamabe", "eigen")]
     refused += [("eigen", {"type": "file", "path": str(table)})]
     for command, init in refused:
-        cfg_path, _ = _scenario(tmp_path, init=init)
+        cfg_path = _scenario(tmp_path, init=init)
         assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_INPUT, (command, init)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "run").exists()
     # a start of 1e-75 keeps a normal volume and runs
     for command in ("flow", "yamabe"):
-        cfg_path, _ = _scenario(tmp_path, init={"type": "constant", "value": 1.0e-75})
+        cfg_path = _scenario(tmp_path, init={"type": "constant", "value": 1.0e-75})
         assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_OK, command
 
 
@@ -922,7 +894,7 @@ def test_start_whose_cube_underflows_is_refused(tmp_path, capsys):
     table = tmp_path / "tiny.csv"
     table.write_text("".join(f"{x!r},{1e-110 if x < 0.04 else 1.0!r}\n"
                              for x in np.linspace(0.0, 1.0, 64).tolist()))
-    cfg_path, _ = _scenario(tmp_path, init={"type": "file", "path": str(table)})
+    cfg_path = _scenario(tmp_path, init={"type": "file", "path": str(table)})
     assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: cannot start the run: profile curvature is not finite in ")
@@ -938,20 +910,18 @@ def test_cube_underflow_mid_run_exits_3(tmp_path, monkeypatch):
         return flow._cube_state(state, w, state.t + h), 0.0
 
     monkeypatch.setattr(flow, "rosenbrock_step", underflow)
-    cfg_path, _ = _scenario(tmp_path)
+    cfg_path = _scenario(tmp_path)
     assert cli.main(["flow", cfg_path, "--quiet"]) == cli.EXIT_POSITIVITY
     outdir = tmp_path / "run"
     assert "profile curvature is not finite" in (outdir / "FAILED").read_text()
     assert json.loads((outdir / "report.json").read_text())["completed"] is False
 
 
-def test_report_dichotomy(tmp_path):
-    cfg_path, _ = _scenario(tmp_path)
-    outdir = str(tmp_path / "run")
-    assert cli.main(["flow", cfg_path, "--quiet"]) == 0
-    assert cli.main(["report", outdir, "--quiet"]) == 0
-    payload = json.loads((tmp_path / "run" / "dichotomy.json").read_text(),
-                         parse_constant=_refuse_constant)
+def test_report_dichotomy(small_run, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    assert cli.main(["report", str(run), "--quiet"]) == 0
+    payload = json.loads((run / "dichotomy.json").read_text(), parse_constant=_refuse_constant)
 
     d = payload["dichotomy"]
     assert d["small_energy_ok"] is False
@@ -975,11 +945,10 @@ def test_report_dichotomy(tmp_path):
     assert set(payload["deviation_moments_final"]) == {"2", "3"}
 
 
-def test_report_rejects_broken_inputs(tmp_path):
+def test_report_rejects_broken_inputs(small_run, tmp_path):
     assert cli.main(["report", str(tmp_path / "nope"), "--quiet"]) == cli.EXIT_INPUT
-    cfg_path, _ = _scenario(tmp_path)
     outdir = tmp_path / "run"
-    assert cli.main(["flow", cfg_path, "--quiet"]) == 0
+    shutil.copytree(small_run, outdir)
     series = outdir / "series.csv"
     body = series.read_text().splitlines()
     body[0] = "time,sigma,stuff"
@@ -991,7 +960,7 @@ def test_report_rejects_broken_inputs(tmp_path):
 def small_run(tmp_path_factory):
     """A finished flow run directory, to be copied before it is damaged."""
     tmp_path = tmp_path_factory.mktemp("small_run")
-    cfg_path, _ = _scenario(tmp_path)
+    cfg_path = _scenario(tmp_path)
     assert cli.main(["flow", cfg_path, "--quiet"]) == 0
     return tmp_path / "run"
 
@@ -1130,11 +1099,8 @@ BAD_PROFILES = {
 def test_malformed_profile_is_an_input_error(tmp_path, capsys, table, command, model):
     profile = tmp_path / "profile.csv"
     profile.write_text(BAD_PROFILES[table])
-    _, data = _scenario(tmp_path, init={"type": "file", "path": str(profile)})
-    data["model"] = model
-    path = tmp_path / "bad_profile.yaml"
-    path.write_text(yaml.safe_dump(data))
-    assert cli.main([command, str(path), "--quiet"]) == cli.EXIT_INPUT
+    cfg_path = _scenario(tmp_path, model=model, init={"type": "file", "path": str(profile)})
+    assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -1150,11 +1116,8 @@ def test_grid_beyond_memory_is_an_input_error(small_run, tmp_path, capsys):
             ("eigen", {"type": "eguchi-hanson"}, {}),
             ("eigen", {"type": "sphere", "n": 4}, {})]
     for command, model, grid in runs:
-        _, data = _scenario(tmp_path, grid={**big, **grid})
-        data["model"] = model
-        path = tmp_path / "big.yaml"
-        path.write_text(yaml.safe_dump(data))
-        assert cli.main([command, str(path), "--quiet"]) == cli.EXIT_INPUT, (command, model)
+        cfg_path = _scenario(tmp_path, model=model, grid={**big, **grid})
+        assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_INPUT, (command, model)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "grid: " in err, (command, model, err)
         assert err.count("\n") == 1, (command, model, err)
@@ -1199,12 +1162,10 @@ def _declared_scripts():
 def test_sphere_model_refuses_a_graded_grid(tmp_path, capsys):
     # the polar grid of the sphere model is uniform: a grading is refused,
     # not ignored, before the output directory is made
-    _, data = _scenario(tmp_path, grid={"grading": "geometric", "ratio": 0.5})
-    data["model"] = {"type": "sphere", "n": 4}
-    path = tmp_path / "sphere.yaml"
-    path.write_text(yaml.safe_dump(data))
+    cfg_path = _scenario(tmp_path, model={"type": "sphere", "n": 4},
+                         grid={"grading": "geometric", "ratio": 0.5})
     for command in ("yamabe", "eigen"):
-        assert cli.main([command, str(path), "--quiet"]) == cli.EXIT_INPUT
+        assert cli.main([command, cfg_path, "--quiet"]) == cli.EXIT_INPUT
         assert capsys.readouterr().err.startswith(
             "error: grid.grading must be uniform for the sphere model")
     assert not (tmp_path / "run").exists()

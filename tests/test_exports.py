@@ -9,6 +9,7 @@ LAPACK extension, none of the row's forbidden modules, and PyYAML exactly
 when its scenario file is block YAML."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import json
@@ -41,11 +42,14 @@ def test_no_module_lists_its_names_again():
     assert not lists, f"modules that keep an __all__: {lists}"
 
 
-def _flow_form(n_cells=32, grading="uniform", t_end="1.0e-03"):
-    """A scenario in the one-line-per-section form, as the benchmark writes them."""
+def _flow_form(n_cells=64, grading="uniform", t_end="1.6e-02", snapshot_every="8.0e-03"):
+    """A scenario in the one-line-per-section form, as the benchmark writes
+    them; by default a run of five steps with a snapshot mid-way, whose
+    report fits a decay rate."""
     return (f'model: {{type: "eguchi-hanson", a: 1.0}}\n'
             f'grid: {{n_cells: {n_cells}, grading: "{grading}"}}\n'
-            f'time: {{t_end: {t_end}, snapshot_every: 0.0}}\noutput: {{dir: "run"}}\n')
+            f'time: {{t_end: {t_end}, renorm_every: 10, snapshot_every: {snapshot_every}}}\n'
+            f'output: {{dir: "run"}}\n')
 
 
 def _flow_run(directory, **scenario):
@@ -58,7 +62,8 @@ def _flow_run(directory, **scenario):
 def _concentrated_run(directory):
     """A run on 512 geometric cells whose final snapshot is the bubble
     2 eps / (eps^2 + d^2), eps = 0.02, at volume 2."""
-    _flow_run(directory, n_cells=512, grading="geometric", t_end="1.0e-08")
+    _flow_run(directory, n_cells=512, grading="geometric", t_end="1.0e-08",
+              snapshot_every="0.0")
     run = directory / "run"
     grid = geo.build_grid(512, "geometric")
     v = 0.04 / (0.02**2 + geo.distance_from_singular_point(grid.cell_centers) ** 2)
@@ -119,37 +124,32 @@ _PROCESSES = {
 }
 
 
-def _check_process(name, directory):
-    """Run the row ``name`` in ``directory``: its status and the start of
-    its stderr are the row's, it loads at most the LAPACK extension of
-    scipy, none of its forbidden modules, and PyYAML exactly when its
-    scenario file is block YAML."""
-    command, made, status, stderr, forbidden = _PROCESSES[name]
-    if callable(made):
-        made(directory)
-    elif made is not None:
-        (directory / "scenario.yaml").write_text(made, encoding="utf-8")
-    got, err, modules = probe(command, directory)
-    assert (got, err[:len(stderr)]) == (status, stderr), (name, got, err)
-    # the interpreter records that single-phase extension under its own name
-    scipy_side = {m for m in modules if m.split(".")[0] == "scipy" or m.startswith("numpy.f2py")}
-    assert scipy_side <= {"scipy.linalg._flapack"}, (name, scipy_side)
-    unwanted = [m for m in modules if any(m == f or m.startswith(f + ".") for f in forbidden)]
-    assert not unwanted, f"{name} loads {unwanted}"
-    assert any(m.split(".")[0] == "yaml" for m in modules) == (made in _BLOCK_YAML), name
-    return directory
-
-
 @pytest.fixture(scope="module")
 def process(tmp_path_factory):
-    """Checks a row of the table once, however many contracts below name
-    it, and returns its directory."""
-    checked = {}
+    """Runs a row of the table once, however many contracts below name it,
+    and returns its directory: its status and the start of its stderr are
+    the row's, it loads at most the LAPACK extension of scipy, none of its
+    forbidden modules, and PyYAML exactly when its scenario file is block
+    YAML."""
 
+    @functools.cache
     def check(name):
-        if name not in checked:
-            checked[name] = _check_process(name, tmp_path_factory.mktemp(name))
-        return checked[name]
+        command, made, status, stderr, forbidden = _PROCESSES[name]
+        directory = tmp_path_factory.mktemp(name)
+        if callable(made):
+            made(directory)
+        elif made is not None:
+            (directory / "scenario.yaml").write_text(made, encoding="utf-8")
+        got, err, modules = probe(command, directory)
+        assert (got, err[:len(stderr)]) == (status, stderr), (name, got, err)
+        # the interpreter records that single-phase extension under its own name
+        scipy_side = {m for m in modules
+                      if m.split(".")[0] == "scipy" or m.startswith("numpy.f2py")}
+        assert scipy_side <= {"scipy.linalg._flapack"}, (name, scipy_side)
+        unwanted = [m for m in modules if any(m == f or m.startswith(f + ".") for f in forbidden)]
+        assert not unwanted, f"{name} loads {unwanted}"
+        assert any(m.split(".")[0] == "yaml" for m in modules) == (made in _BLOCK_YAML), name
+        return directory
 
     return check
 
@@ -180,18 +180,22 @@ def test_front_end_loads_no_numeric_layer(process, name):
 
 
 def test_commands_load_scipy_only_to_solve(process):
-    # nor does the bubble fit of a run that concentrates
-    for name in ("dump-default-config", "validate", "report", "report-concentrated"):
+    for name in ("dump-default-config", "validate"):
         process(name)
-    fits = [json.loads((process(name) / "run" / "dichotomy.json").read_text())["bubble_fit"]
+    # nor does a report's decay-rate fit, or its bubble fit of a run that
+    # concentrates
+    fits = [json.loads((process(name) / "run" / "dichotomy.json").read_text())
             for name in ("report", "report-concentrated")]
-    assert fits[0] is None
-    assert fits[1]["scale_eps_lambda"] == pytest.approx(0.02, rel=1e-10)
+    assert fits[0]["decay_rate_fit"]["rate"] is not None and fits[0]["bubble_fit"] is None
+    assert fits[1]["bubble_fit"]["scale_eps_lambda"] == pytest.approx(0.02, rel=1e-10)
 
 
 def test_solving_commands_load_only_the_lapack_extension(process):
-    for name in ("flow-block", "yamabe-block", "yamabe-sphere", "eigen-block", "eigen-sphere"):
+    # flow through a snapshot mid-way
+    for name in ("yamabe-block", "yamabe-sphere", "eigen-block", "eigen-sphere"):
         process(name)
+    report = json.loads((process("flow-block") / "run" / "report.json").read_text())
+    assert len(report["artifacts"]["snapshots"]) == 3
 
 
 def _traced_spans():
